@@ -1,12 +1,12 @@
-"""Ablation — the paper's O(τ²) DP recurrence vs the sub-quadratic variants.
+"""Ablation — the paper's O(τ²) DP recurrence vs the fused O(τ) pass.
 
-All three evaluate Equation 2 exactly (asserted): ``bisect`` exploits the
-monotonicity of the two min() arguments in the split point; ``fused``
-additionally exploits monotonicity of the crossing index in the window
-endpoint, replacing the per-cell binary search with one amortized O(τ)
-two-pointer sweep per layer. The gap widens with event density per
-window, so Passenger (densest series) benefits most; see
-``benchmarks/bench_columnar_store.py`` for the kernel-only comparison.
+Both evaluate Equation 2 exactly (asserted). ``fused`` exploits the
+monotonicity of the two min() arguments in the split point and of the
+crossing index in the window endpoint, so one amortized O(τ) two-pointer
+sweep per layer replaces the inner maximization. The gap widens with
+event density per window, so Passenger (densest series) benefits most;
+see ``benchmarks/bench_columnar_store.py`` for the kernel-only
+comparison.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from repro.core.motif import paper_motifs
 
 
 @pytest.mark.parametrize("dataset", ["Bitcoin", "Facebook", "Passenger"])
-@pytest.mark.parametrize("method", ["quadratic", "bisect", "fused"])
+@pytest.mark.parametrize("method", ["quadratic", "fused"])
 def test_dp_method(benchmark, engines, datasets, dataset, method):
     _, delta, phi = datasets[dataset]
     engine = engines[dataset]
     motif = paper_motifs(delta, 0.0)["M(3,2)"]
     matches = engine.structural_matches(motif)
     best = benchmark(top_one_instance, matches, delta, method, False)
-    other = "bisect" if method == "quadratic" else "quadratic"
+    other = "fused" if method == "quadratic" else "quadratic"
     reference = top_one_instance(matches, delta, other, False)
     assert best.flow == pytest.approx(reference.flow)

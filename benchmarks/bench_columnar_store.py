@@ -1,15 +1,14 @@
 """Columnar store benchmark — fused DP kernels and zero-copy fan-out.
 
-Quantifies the two wins of ISSUE 3 and writes them to
-``BENCH_columnar.json``:
+Quantifies two wins of the columnar store and the fused DP kernel and
+writes them to ``BENCH_columnar.json``:
 
 1. **DP kernels** (the ablation workload of ``bench_ablation_dp_method``,
    taken per window so the incumbent pruning cannot hide the kernel): the
    Eq. 2 recurrence over every maximal window of a dense synthetic match
-   set, comparing the paper's ``quadratic`` method, the ``bisect``
-   crossing search, and the ``fused`` two-pointer sweep — on both
-   list-backed and columnar graphs. Acceptance: fused ≥ 2× over
-   quadratic.
+   set, comparing the paper's ``quadratic`` method with the ``fused``
+   two-pointer sweep — on both list-backed and columnar graphs.
+   Acceptance: fused ≥ 2× over quadratic.
 2. **Process fan-out**: bytes a worker spawn must deserialize — pickled
    shard slices versus the ``(shm_name, shard bounds)`` zero-copy
    envelope — plus the one-off shared-memory export time and the
@@ -48,7 +47,7 @@ from repro.graph.interaction import InteractionGraph
 from repro.parallel import ParallelFlowMotifEngine
 from repro.parallel.partition import materialize_shard, partition_time_range
 
-DP_METHODS = ("quadratic", "bisect", "fused")
+DP_METHODS = ("quadratic", "fused")
 
 
 def _dense_graph(num_events: int, nodes: int = 4, horizon: float = 300.0):
@@ -122,9 +121,6 @@ def run_dp_benchmark(quick: bool) -> dict:
     )
     result["speedup_quadratic_over_fused"] = (
         result["list_seconds"]["quadratic"] / fused
-    )
-    result["speedup_bisect_over_fused"] = (
-        result["list_seconds"]["bisect"] / fused
     )
     # The match-level ablation entry point (incumbent pruning active).
     start = time.perf_counter()
@@ -287,7 +283,7 @@ def test_obs_kernel_counters_deterministic(report):
 
 def test_methods_agree(report):
     # run_dp_benchmark asserts checksum equality internally; reaching
-    # here means quadratic/bisect/fused agreed on every window for both
+    # here means quadratic and fused agreed on every window for both
     # list-backed and columnar graphs.
     assert report["dp"]["num_windows"] > 0
 
@@ -317,7 +313,7 @@ def main() -> None:
         )
     print(
         f"  fused speedup: {dp['speedup_quadratic_over_fused']:.2f}x vs "
-        f"quadratic, {dp['speedup_bisect_over_fused']:.2f}x vs bisect"
+        f"quadratic"
     )
     fan = report_dict["fanout"]
     print(

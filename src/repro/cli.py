@@ -461,15 +461,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.streaming import StreamingDetector
     from repro.resilience.checkpoint import CheckpointError, load_checkpoint
 
-    strict = args.strict
-    if args.on_error is not None:
-        print(
-            "warning: --on-error is deprecated; malformed lines are "
-            "quarantined by default, use --strict to abort on them",
-            file=sys.stderr,
-        )
-        if args.on_error == "raise":
-            strict = True
     try:
         motif = Motif.from_string(args.motif, args.delta, args.phi)
     except ValueError as exc:
@@ -501,9 +492,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     else:
         detector = StreamingDetector(
             motif,
-            mode=args.mode,
             slack=args.slack,
-            late="raise" if strict else "drop",
+            late="raise" if args.strict else "drop",
         )
     profiler = None
     if args.profile or args.profile_out:
@@ -548,8 +538,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         for it in graph_io.iter_csv_interactions(
             source,
-            on_error="raise" if strict else "skip",
-            error_sink=None if strict else quarantine,
+            on_error="raise" if args.strict else "skip",
+            error_sink=None if args.strict else quarantine,
         ):
             try:
                 accepted = detector.add(it.src, it.dst, it.time, it.flow)
@@ -597,8 +587,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         extras += f", {detector.pending_count} events buffered ahead of watermark"
     print(
         f"[stream] {events} events, {emitted} instances emitted, "
-        f"{detector.match_count} structural matches, "
-        f"{detector.rebuild_count} rebuilds{extras}",
+        f"{detector.match_count} structural matches{extras}",
         file=sys.stderr,
     )
     profile_report = profiler.stop() if profiler is not None else None
@@ -751,13 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stream_parser.add_argument(
-        "--on-error", choices=["raise", "skip"], default=None,
-        help=(
-            "deprecated: malformed lines are quarantined by default; "
-            "'raise' behaves like --strict"
-        ),
-    )
-    stream_parser.add_argument(
         "--slack", type=float, default=0.0,
         help=(
             "out-of-order tolerance: events up to this many time units "
@@ -777,13 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", default=None, metavar="PATH",
         help=(
             "restore the detector from a --checkpoint file before "
-            "reading input (the checkpoint's motif/δ/φ/slack/mode "
-            "override the command-line values)"
+            "reading input (the checkpoint's motif/δ/φ/slack override "
+            "the command-line values)"
         ),
-    )
-    stream_parser.add_argument(
-        "--mode", choices=["incremental", "rebuild"], default="incremental",
-        help="detector implementation (rebuild is the legacy baseline)",
     )
     stream_parser.add_argument(
         "--metrics-out", default=None, metavar="PATH", dest="metrics_out",

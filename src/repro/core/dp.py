@@ -13,22 +13,22 @@ where ``flow([t_j,t_i],κ)`` is the aggregated flow of ``R(e_κ)`` inside the
 closed interval. ``Flow([t1,ti],1)`` is the aggregated flow of ``R(e_1)``
 in ``[t_1, t_i]``.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :func:`max_flow_in_window` with ``method="quadratic"`` — the paper's
   ``O(m·τ²)`` recurrence, verbatim;
-* ``method="bisect"`` — an ``O(m·τ·log τ)`` improvement exploiting that
+* ``method="fused"`` — an amortized ``O(m·τ)`` layer pass.
   ``Flow([t1,t_{j-1}],κ-1)`` is non-decreasing and ``flow([t_j,t_i],κ)``
-  non-increasing in ``j``, so the inner maximization is a crossing-point
-  search;
-* ``method="fused"`` (the ``auto`` default) — an amortized ``O(m·τ)``
-  layer pass: the crossing index is also non-decreasing in ``i`` (the
+  non-increasing in ``j``, so the inner maximization sits at their
+  crossing point; the crossing index is also non-decreasing in ``i`` (the
   interval sum only grows as the right endpoint moves), so one monotone
-  two-pointer sweep replaces the per-cell binary search, and the per-layer
+  two-pointer sweep finds it for the whole layer. The per-layer
   interval-sum boundaries are precomputed into flat local arrays so the
-  inner loop touches no function call and no bisect.
+  inner loop touches no function call.
 
-All return identical values (property-tested); the ablation benchmark and
+``method="auto"`` (the default) picks ``quadratic`` for windows with
+fewer than 16 timestamps and ``fused`` otherwise. Both return identical
+values (property-tested); the ablation benchmark and
 ``benchmarks/bench_columnar_store.py`` compare them.
 
 The returned instance (when reconstruction is requested) is *valid* but not
@@ -50,7 +50,7 @@ from repro.core.windows import Window, iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
 from repro.obs import metrics as _metrics
 
-_METHODS = ("quadratic", "bisect", "fused", "auto")
+_METHODS = ("quadratic", "fused", "auto")
 
 #: Below this window size the quadratic recurrence's tiny constant beats
 #: the fused pass's per-layer setup.
@@ -196,38 +196,6 @@ def max_flow_in_window(
                     if value > best:
                         best = value
                         best_j = j
-                current[i] = best
-                choice_row[i] = best_j
-        elif method == "bisect":
-            for i in range(tau):
-                best = 0.0
-                best_j = 0
-                ri, rci = right[i], rcum[i]
-                if i >= 1:
-                    # previous[j-1] non-decreasing in j; flow([t_j,t_i],κ)
-                    # non-increasing in j → maximize min at the crossing.
-                    lo, hi = 1, i
-                    # Find the largest j with previous[j-1] <= the sum.
-                    isum = rci - lcum[1] if ri >= left[1] else 0.0
-                    if previous[0] > isum:
-                        cross = 0  # predicate false everywhere
-                    else:
-                        while lo < hi:
-                            mid = (lo + hi + 1) // 2
-                            isum = rci - lcum[mid] if ri >= left[mid] else 0.0
-                            if previous[mid - 1] <= isum:
-                                lo = mid
-                            else:
-                                hi = mid - 1
-                        cross = lo
-                    for j in (cross, cross + 1):
-                        if 1 <= j <= i:
-                            isum = rci - lcum[j] if ri >= left[j] else 0.0
-                            prev = previous[j - 1]
-                            value = prev if prev < isum else isum
-                            if value > best:
-                                best = value
-                                best_j = j
                 current[i] = best
                 choice_row[i] = best_j
         else:  # fused: amortized O(τ) monotone two-pointer sweep

@@ -1,10 +1,10 @@
 """Fully incremental maintenance of structural matches and closed windows.
 
-The streaming detector's work per poll used to be ``O(|E| + matches)``:
-the first poll after any :meth:`~repro.core.streaming.StreamingDetector.add`
-rebuilt the whole :class:`~repro.graph.timeseries.TimeSeriesGraph` and
-re-enumerated every structural match. This module replaces that with true
-per-edge maintenance, built on two observations about the paper's two-phase
+Re-running the two-phase search on every poll would cost
+``O(|E| + matches)`` per poll: rebuild the whole
+:class:`~repro.graph.timeseries.TimeSeriesGraph` and re-enumerate every
+structural match. The streaming detector instead maintains both per
+appended edge, built on two observations about the paper's two-phase
 search:
 
 1. **Phase P1 is event-free.** A structural match depends only on *which*
@@ -28,8 +28,7 @@ Matches that cannot yet host any instance (no strictly time-respecting
 chain, or total flow below φ — both *monotone* in appended events) are
 parked in a per-pair watch table and rechecked only when one of their own
 pairs receives an event; matches whose anchors are exhausted are parked on
-their first-edge pair and woken only by a new anchor. ``rebuild_count``
-on the detector therefore stays 0 after construction: nothing is ever
+their first-edge pair and woken only by a new anchor. Nothing is ever
 recomputed from scratch.
 
 Exactly-once and equivalence with the offline
@@ -129,9 +128,7 @@ def sweep_closed_windows(
     search to the first unprocessed anchor — no O(n) rescan) and stops at
     the first window whose end has not yet passed the horizon, leaving
     ``progress`` positioned for the next call. Returns the number of
-    instances emitted. Both streaming modes (incremental and rebuild)
-    share this sweep, so their per-match window semantics are identical
-    by construction.
+    instances emitted.
     """
     series_list = match.series
     first, last = series_list[0], series_list[-1]

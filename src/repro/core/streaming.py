@@ -26,42 +26,26 @@ Correctness rests on two facts about Algorithm 1:
    are therefore finalizable in anchor order, tracking the last processed
    anchor and its last-edge frontier per structural match.
 
-Complexity. The default ``mode="incremental"`` maintains everything
-per appended edge (see :mod:`repro.core.incremental`): the growable
-time-series graph gains the event in O(1) amortized, structural matches
-are extended only through newly connected pairs, and polls pop exactly
-the matches whose next window deadline has passed — never the whole match
-set, and never a rebuilt graph. ``rebuild_count`` is the contract: it
-stays **0** for the detector's whole lifetime after construction
-(regression-tested; ``benchmarks/bench_streaming_incremental.py``
-quantifies the win). ``mode="rebuild"`` keeps the legacy behaviour —
-rebuild the view and the match list on the first poll after any add — as
-the ablation/benchmark baseline; both modes share the per-match window
-sweep, so their emissions are identical by construction.
+Complexity. The detector maintains everything per appended edge (see
+:mod:`repro.core.incremental`): the growable time-series graph gains the
+event in O(1) amortized, structural matches are extended only through
+newly connected pairs, and polls pop exactly the matches whose next
+window deadline has passed — never the whole match set, and never a
+rebuilt graph. ``benchmarks/bench_streaming_incremental.py`` measures
+the win over re-running the offline search on the stream prefix at
+every poll.
 """
 
 from __future__ import annotations
 
-import warnings
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.enumeration import match_is_feasible
-from repro.core.incremental import (
-    IncrementalMatcher,
-    MatchProgress,
-    match_key,
-    sweep_closed_windows,
-)
+from repro.core.incremental import IncrementalMatcher
 from repro.core.instance import MotifInstance
-from repro.core.matching import iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.events import Interaction, Node
-from repro.graph.timeseries import (
-    EdgeSeries,
-    GrowableTimeSeriesGraph,
-    TimeSeriesGraph,
-)
+from repro.graph.timeseries import GrowableTimeSeriesGraph
 
 
 class StreamingDetector:
@@ -73,10 +57,6 @@ class StreamingDetector:
         The flow motif (δ and φ are taken from it unless overridden).
     delta, phi:
         Optional constraint overrides.
-    mode:
-        ``"incremental"`` (default) — per-edge maintenance, no rebuilds.
-        ``"rebuild"`` — the legacy rebuild-on-poll baseline, kept for
-        ablation and the streaming benchmark.
     slack:
         Bounded out-of-order tolerance. Events are admitted as long as
         they are no more than ``slack`` time units behind the watermark
@@ -99,14 +79,15 @@ class StreamingDetector:
     >>> from repro.core.motif import Motif
     >>> detector = StreamingDetector(Motif.chain(3, delta=10, phi=0))
     >>> detector.add("a", "b", time=1, flow=5)
+    True
     >>> detector.add("b", "c", time=3, flow=4)
+    True
     >>> detector.poll()            # window [1, 11] still open
     []
     >>> detector.add("x", "y", time=50, flow=1)
+    True
     >>> [round(i.flow, 1) for i in detector.poll()]
     [4.0]
-    >>> detector.rebuild_count
-    0
     """
 
     def __init__(
@@ -114,14 +95,9 @@ class StreamingDetector:
         motif: Motif,
         delta: Optional[float] = None,
         phi: Optional[float] = None,
-        mode: str = "incremental",
         slack: float = 0.0,
         late: str = "raise",
     ) -> None:
-        if mode not in ("incremental", "rebuild"):
-            raise ValueError(
-                f"mode must be 'incremental' or 'rebuild', got {mode!r}"
-            )
         if slack < 0:
             raise ValueError(f"slack must be >= 0, got {slack!r}")
         if late not in ("raise", "drop"):
@@ -129,7 +105,6 @@ class StreamingDetector:
         self.motif = motif
         self.delta = motif.delta if delta is None else delta
         self.phi = motif.phi if phi is None else phi
-        self.mode = mode
         self.slack = float(slack)
         self.late = late
         self._graph = GrowableTimeSeriesGraph()
@@ -141,7 +116,6 @@ class StreamingDetector:
         self._pending: List[Tuple[float, int, Node, Node, float]] = []
         self._seq = 0
         self._late_dropped = 0
-        self._rebuild_count = 0
         self._emitted = 0
         self._flushed = False
         # Emissions land here before a poll/flush returns them: if an
@@ -150,20 +124,9 @@ class StreamingDetector:
         # come out of the next poll()/flush() instead of being lost —
         # the progress cursors have already moved past their windows.
         self._out_buffer: List[MotifInstance] = []
-        self._matcher: Optional[IncrementalMatcher] = None
-        if mode == "incremental":
-            self._matcher = IncrementalMatcher(
-                self._graph, motif, self.delta, self.phi
-            )
-        else:
-            # Legacy rebuild-on-poll state: the cached view + match list
-            # (invalidated by any add) and per-match progress, keyed by
-            # the *full* edge mapping — the vertex map alone could make
-            # distinct matches share skip-rule state (see match_key).
-            self._dirty = True
-            self._ts: Optional[TimeSeriesGraph] = None
-            self._matches: Optional[List] = None
-            self._progress: Dict[tuple, MatchProgress] = {}
+        self._matcher = IncrementalMatcher(
+            self._graph, motif, self.delta, self.phi
+        )
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -200,7 +163,7 @@ class StreamingDetector:
             # watermark, so it can go straight to the matcher — the
             # buffer would release it immediately anyway.
             self._watermark = interaction.time
-            self._ingest(src, dst, interaction.time, interaction.flow)
+            self._matcher.add(src, dst, interaction.time, interaction.flow)
             return True
         heappush(
             self._pending,
@@ -211,14 +174,6 @@ class StreamingDetector:
             self._watermark = interaction.time
         self._release(self._watermark - self.slack)
         return True
-
-    def _ingest(self, src: Node, dst: Node, time: float, flow: float) -> None:
-        """Hand one (now provably in-order) event to the matcher/graph."""
-        if self._matcher is not None:
-            self._matcher.add(src, dst, time, flow)
-        else:
-            self._graph.append(src, dst, time, flow)
-            self._dirty = True
 
     def _release(self, frontier: float) -> None:
         """Drain buffered events with ``time <= frontier`` in time order.
@@ -231,7 +186,7 @@ class StreamingDetector:
         pending = self._pending
         while pending and pending[0][0] <= frontier:
             time, _, src, dst, flow = heappop(pending)
-            self._ingest(src, dst, time, flow)
+            self._matcher.add(src, dst, time, flow)
 
     @property
     def watermark(self) -> float:
@@ -254,58 +209,14 @@ class StreamingDetector:
         return self._emitted
 
     @property
-    def rebuild_count(self) -> int:
-        """How many times the time-series view was rebuilt from scratch.
-
-        The incremental mode's contract is that this stays **0** for the
-        detector's whole lifetime: the graph grows in place and matches
-        are discovered per new pair. In ``mode="rebuild"`` it counts the
-        legacy rebuild-on-first-poll-after-add events.
-        """
-        return self._rebuild_count
-
-    @property
     def match_count(self) -> int:
         """Structural matches currently known to the detector."""
-        if self._matcher is not None:
-            return self._matcher.match_count
-        return len(self._matches) if self._matches is not None else 0
+        return self._matcher.match_count
 
     @property
     def num_events(self) -> int:
         """Total interactions ingested."""
         return self._graph.num_events
-
-    def stats(self) -> dict:
-        """Deprecated: use :meth:`metrics` (shared ``stream.*`` namespace).
-
-        Kept as a thin adapter over the registry-backed counters so
-        existing dashboards keep working; the dict shape is unchanged.
-        """
-        warnings.warn(
-            "StreamingDetector.stats() is deprecated; use "
-            "StreamingDetector.metrics() for the registry-backed view",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._stats_dict()
-
-    def _stats_dict(self) -> dict:
-        base = {
-            "mode": self.mode,
-            "events": self._graph.num_events,
-            "pairs": self._graph.num_series,
-            "matches": self.match_count,
-            "emitted": self._emitted,
-            "rebuilds": self._rebuild_count,
-            "slack": self.slack,
-            "pending": len(self._pending),
-            "late_dropped": self._late_dropped,
-        }
-        if self._matcher is not None:
-            base["scheduled_matches"] = self._matcher.scheduled_count
-            base["feasibility_checks"] = self._matcher.feasibility_checks
-        return base
 
     def metrics(self) -> "MetricsRegistry":
         """The detector's state as a fresh :class:`MetricsRegistry`.
@@ -321,7 +232,6 @@ class StreamingDetector:
         registry = MetricsRegistry()
         registry.counter("stream.events").inc(self._graph.num_events)
         registry.counter("stream.emitted").inc(self._emitted)
-        registry.counter("stream.rebuilds").inc(self._rebuild_count)
         registry.counter("stream.late_dropped").inc(self._late_dropped)
         registry.gauge("stream.pairs").set(self._graph.num_series)
         registry.gauge("stream.matches").set(self.match_count)
@@ -333,60 +243,28 @@ class StreamingDetector:
             self._watermark - self._pending[0][0] if self._pending else 0.0
         )
         registry.gauge("stream.watermark_lag").set(lag)
-        if self._matcher is not None:
-            matcher = self._matcher
-            registry.gauge("stream.scheduled_matches").set(
-                matcher.scheduled_count
-            )
-            registry.counter("p1.matches_discovered").inc(
-                matcher.matches_discovered
-            )
-            registry.counter("p1.feasibility_checks").inc(
-                matcher.feasibility_checks
-            )
-            registry.counter("p1.expansions").inc(matcher.expansions)
-            registry.counter("p1.watchlist_hits").inc(matcher.watchlist_hits)
-            registry.counter("stream.heap_pushes").inc(matcher.heap_pushes)
-            registry.counter("stream.heap_pops").inc(matcher.heap_pops)
+        matcher = self._matcher
+        registry.gauge("stream.scheduled_matches").set(matcher.scheduled_count)
+        registry.counter("p1.matches_discovered").inc(
+            matcher.matches_discovered
+        )
+        registry.counter("p1.feasibility_checks").inc(
+            matcher.feasibility_checks
+        )
+        registry.counter("p1.expansions").inc(matcher.expansions)
+        registry.counter("p1.watchlist_hits").inc(matcher.watchlist_hits)
+        registry.counter("stream.heap_pushes").inc(matcher.heap_pushes)
+        registry.counter("stream.heap_pops").inc(matcher.heap_pops)
         return registry
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
 
-    def _emit_for_horizon_rebuild(self, horizon: float, sink) -> None:
-        if self._dirty or self._ts is None:
-            # Legacy behaviour: rebuild the whole view and re-enumerate
-            # all structural matches — O(|E| + matches) per dirty poll.
-            self._ts = TimeSeriesGraph(
-                EdgeSeries(s.src, s.dst, list(s.times), list(s.flows))
-                for s in self._graph.all_series()
-            )
-            self._matches = list(
-                iter_structural_matches(
-                    self._ts, self.motif, phi=self.phi, temporal_pruning=True
-                )
-            )
-            self._rebuild_count += 1
-            self._dirty = False
-        for match in self._matches:
-            if not match_is_feasible(match.series, self.phi):
-                continue
-            key = match_key(match)
-            progress = self._progress.get(key)
-            if progress is None:
-                progress = self._progress[key] = MatchProgress()
-            sweep_closed_windows(
-                match, progress, horizon, self.delta, self.phi, sink
-            )
-
     def _emit_for_horizon(self, horizon: float) -> List[MotifInstance]:
         buffer = self._out_buffer
         if self._graph.num_events > 0:
-            if self._matcher is not None:
-                self._matcher.emit_closed(horizon, buffer.append)
-            else:
-                self._emit_for_horizon_rebuild(horizon, buffer.append)
+            self._matcher.emit_closed(horizon, buffer.append)
         instances = list(buffer)
         buffer.clear()
         self._emitted += len(instances)

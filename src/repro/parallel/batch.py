@@ -5,8 +5,10 @@ independent of δ and φ; the Figure 9/10 sweeps therefore pay it once per
 motif *shape* and vary only phase P2. :class:`BatchRunner` lifts that
 saving to whole grids of ``(motif, δ, φ)`` configurations: configurations
 whose motifs share a spanning path form a *topology group* that computes
-structural matches exactly once — per shard when running sharded, once
-globally when running serially.
+structural matches exactly once per shard. A one-shard run (``jobs=1``)
+goes through the same shard kernel with a single shard covering the
+whole timeline, so it shares P1 once globally and emits the same
+``p1.match``/``p2.enumerate`` spans as a sharded run.
 
 >>> from repro import InteractionGraph, Motif
 >>> g = InteractionGraph.from_tuples([
@@ -90,13 +92,12 @@ class BatchRunner:
     graph:
         The interaction multigraph or its time-series view.
     jobs:
-        Worker count. With one shard (the ``jobs=1`` default) the grid
-        runs serially with a single shared phase-P1 pass per topology
-        group; with several shards the timeline is partitioned once
-        (halo = the grid's maximum δ) and fanned out, each worker
-        sharing P1 across the whole grid for its shard. ``jobs=1`` with
-        an explicit ``shards`` runs the sharded path in-process
-        (determinism testing, as in the engine).
+        Worker count. The timeline is partitioned once (halo = the
+        grid's maximum δ) and each shard shares P1 across the whole
+        grid. With one shard (the ``jobs=1`` default) that shard covers
+        the whole timeline and runs in-process; ``jobs=1`` with an
+        explicit ``shards`` runs every shard in-process (determinism
+        testing, as in the engine).
     shards, backend:
         As in :class:`~repro.parallel.engine.ParallelFlowMotifEngine`.
     adaptive:
@@ -187,26 +188,24 @@ class BatchRunner:
                 "shard_imbalance_ratio": 1.0,
             }
             return []
+        halo = max(c.effective_delta for c in resolved)
         with _tracing.span(
             "query.batch", configs=len(resolved), shards=self.num_shards
         ):
             with Timer() as wall:
-                if self.num_shards == 1:
-                    results = self._run_serial(resolved, collect)
+                if self.adaptive and len(resolved) > 1 and self.num_shards > 1:
+                    results = self._run_adaptive(resolved, halo, collect)
                 else:
-                    results = self._run_sharded(resolved, collect)
+                    results = self._run_wave(resolved, halo, collect)
+        # The fan-out/merge wall time is shared by the whole grid; record
+        # it on every config's report so efficiency charts have a
+        # non-zero denominator.
+        for result in results:
+            result.shard_timings.wall_seconds = wall.elapsed
         groups = {c.motif.spanning_path for c in resolved}
         # Shard imbalance (max/mean shard wall time) of the batch: the
-        # worst ratio across the grid — 1.0 on the serial path, where no
-        # sharding (and hence no imbalance) exists.
-        imbalance = max(
-            (
-                r.shard_timings.imbalance_ratio
-                for r in results
-                if r.shard_timings is not None
-            ),
-            default=1.0,
-        )
+        # worst ratio across the grid (1.0 for a single shard).
+        imbalance = max(r.shard_timings.imbalance_ratio for r in results)
         self.last_stats = {
             "num_configs": len(resolved),
             "num_topology_groups": len(groups),
@@ -219,89 +218,12 @@ class BatchRunner:
         return results
 
     # ------------------------------------------------------------------
-    # Serial path: one shared P1 pass per topology group
+    # One partition, whole grid per shard
     # ------------------------------------------------------------------
-
-    def _run_serial(
-        self, configs: Sequence[MotifConfig], collect: bool
-    ) -> List[SearchResult]:
-        from repro.core import enumeration as _enumeration
-        from repro.core.instance import MotifInstance
-        from repro.core.matching import find_structural_matches
-
-        matches_by_path: dict = {}
-        p1_charged: set = set()
-        p1_by_path: Dict[Tuple, float] = {}
-        results: List[SearchResult] = []
-        for config in configs:
-            motif = config.motif
-            key = motif.spanning_path
-            if key not in matches_by_path:
-                with Timer() as t1:
-                    matches_by_path[key] = find_structural_matches(self._ts, motif)
-                p1_by_path[key] = t1.elapsed
-            matches = matches_by_path[key]
-            result = SearchResult(motif=motif, num_matches=len(matches))
-            if key not in p1_charged:
-                # P1 is δ/φ-independent (Table 4): charged to the group's
-                # first configuration, shared by the rest.
-                result.p1_seconds = p1_by_path[key]
-                p1_charged.add(key)
-            counter = [0]
-            # Shared matches carry the group-first motif; instances must
-            # report *this* config's motif (matching the sharded path).
-            rebind = matches and matches[0].motif is not motif
-            if collect:
-                def sink(instance, _result=result, _counter=counter, _rebind=rebind, _motif=motif):
-                    _counter[0] += 1
-                    if _rebind:
-                        instance = MotifInstance(
-                            _motif, instance.vertex_map, instance.runs
-                        )
-                    _result.instances.append(instance)
-            else:
-                def sink(instance, _result=result, _counter=counter):
-                    _counter[0] += 1
-            with Timer() as t2:
-                _enumeration.find_instances(
-                    matches,
-                    delta=config.effective_delta,
-                    phi=config.effective_phi,
-                    on_instance=sink,
-                )
-            result.p2_seconds = t2.elapsed
-            result.count = counter[0]
-            results.append(result)
-        return results
-
-    # ------------------------------------------------------------------
-    # Sharded path: one partition, whole grid per shard
-    # ------------------------------------------------------------------
-
-    def _run_sharded(
-        self, configs: Sequence[MotifConfig], collect: bool
-    ) -> List[SearchResult]:
-        with Timer() as wall:
-            halo = max(c.effective_delta for c in configs)
-            if (
-                self.adaptive
-                and len(configs) > 1
-                and self._engine.num_shards > 1
-            ):
-                results = self._run_adaptive(configs, halo, collect)
-            else:
-                _, results = self._run_wave(configs, halo, collect)
-        # The fan-out/merge wall time is shared by the whole grid; record
-        # it on every config's report so efficiency charts have a
-        # non-zero denominator.
-        for result in results:
-            if result.shard_timings is not None:
-                result.shard_timings.wall_seconds = wall.elapsed
-        return results
 
     def _run_wave(
         self, configs: Sequence[MotifConfig], halo: float, collect: bool
-    ) -> Tuple[List, List[SearchResult]]:
+    ) -> List[SearchResult]:
         """Fan one sub-grid out over the current partition and merge.
 
         When a cost model is attached, every merged result's per-shard
@@ -329,7 +251,7 @@ class BatchRunner:
             )
             self._engine._observe_costs(shards, result)
             results.append(result)
-        return shards, results
+        return results
 
     def _run_adaptive(
         self, configs: Sequence[MotifConfig], halo: float, collect: bool
@@ -344,20 +266,10 @@ class BatchRunner:
         predicted-vs-actual error are published as
         ``parallel.adaptive.*`` gauges and mirrored in ``last_stats``.
         """
-        _, probe_results = self._run_wave(configs[:1], halo, collect)
-        probe_timings = probe_results[0].shard_timings
-        before = (
-            probe_timings.imbalance_ratio if probe_timings is not None else 1.0
-        )
-        _, rest_results = self._run_wave(configs[1:], halo, collect)
-        after = max(
-            (
-                r.shard_timings.imbalance_ratio
-                for r in rest_results
-                if r.shard_timings is not None
-            ),
-            default=before,
-        )
+        probe_results = self._run_wave(configs[:1], halo, collect)
+        before = probe_results[0].shard_timings.imbalance_ratio
+        rest_results = self._run_wave(configs[1:], halo, collect)
+        after = max(r.shard_timings.imbalance_ratio for r in rest_results)
         model = self.cost_model
         error = model.mean_abs_rel_error if model is not None else 0.0
         self._adaptive_stats = {

@@ -3,8 +3,7 @@
 A checkpoint is a JSON-safe ``dict`` capturing everything the detector's
 exactly-once contract depends on:
 
-* the query — motif spanning path, δ, φ, mode, reorder slack and late
-  policy;
+* the query — motif spanning path, δ, φ, reorder slack and late policy;
 * the graph — every per-pair series as ``[src, dst, times, flows]``;
 * per-match emission cursors — ``(last_anchor, prev_lam)`` keyed by the
   structural match's full identity (vertex map + edge pairs), the
@@ -15,13 +14,18 @@ exactly-once contract depends on:
 * the out-buffer — instances finalized but not yet returned by a poll
   (their cursors have already moved, so dropping them would lose
   emissions forever);
-* counters — watermark, emitted count, rebuild count, flushed flag.
+* counters — watermark, emitted count, flushed flag.
 
 The structural match *set* is not stored: it is a pure function of the
 graph, so :func:`restore_detector` re-derives it and then overlays the
 saved cursors (:meth:`IncrementalMatcher.apply_progress`). Emission
 content is therefore bit-identical after restore; only intra-poll
 ordering may differ (heap ties break on rediscovery order).
+
+Older version-1 checkpoints also carry ``mode`` and ``rebuilds`` fields
+(from a since-removed rebuild-on-poll detector mode); both are optional
+and ignored, and such a checkpoint resumes on the incremental detector —
+the per-match cursors were always stored in the same form.
 
 ``json.dumps``-safe by construction: ``±inf`` watermarks and anchors are
 mapped to ``None`` (JSON has no infinities), and node labels must be
@@ -103,13 +107,7 @@ def detector_state(detector) -> Dict[str, Any]:
         )
 
     progress_rows: List[List[Any]] = []
-    if detector._matcher is not None:
-        exported = detector._matcher.export_progress()
-    else:
-        exported = {
-            key: (p.last_anchor, p.prev_lam)
-            for key, p in detector._progress.items()
-        }
+    exported = detector._matcher.export_progress()
     for (vertex_map, pairs), (last_anchor, prev_lam) in exported.items():
         if last_anchor == _NEG_INF and prev_lam is None:
             continue  # untouched cursor; the restore default
@@ -145,12 +143,10 @@ def detector_state(detector) -> Dict[str, Any]:
         },
         "delta": detector.delta,
         "phi": detector.phi,
-        "mode": detector.mode,
         "slack": detector.slack,
         "late": detector.late,
         "watermark": _encode_anchor(detector._watermark),
         "emitted": detector._emitted,
-        "rebuilds": detector._rebuild_count,
         "flushed": detector._flushed,
         "late_dropped": detector._late_dropped,
         "seq": detector._seq,
@@ -169,7 +165,6 @@ def restore_detector(state: Dict[str, Any]):
     reorder buffer, same not-yet-returned emissions.
     """
     # Imported lazily: streaming imports this module for checkpoint().
-    from repro.core.incremental import MatchProgress
     from repro.core.instance import MotifInstance, Run
     from repro.core.motif import Motif
     from repro.core.streaming import StreamingDetector
@@ -196,7 +191,6 @@ def restore_detector(state: Dict[str, Any]):
             motif,
             delta=state["delta"],
             phi=state["phi"],
-            mode=state["mode"],
             slack=state["slack"],
             late=state["late"],
         )
@@ -207,7 +201,6 @@ def restore_detector(state: Dict[str, Any]):
         detector._graph = graph
         detector._watermark = _decode_anchor(state["watermark"])
         detector._emitted = int(state["emitted"])
-        detector._rebuild_count = int(state["rebuilds"])
         detector._flushed = bool(state["flushed"])
         detector._late_dropped = int(state["late_dropped"])
         detector._seq = int(state["seq"])
@@ -222,23 +215,12 @@ def restore_detector(state: Dict[str, Any]):
             )
             progress_by_key[key] = (_decode_anchor(last_anchor), prev_lam)
 
-        if detector._matcher is not None:
-            # Re-derive the match set from the restored graph, then overlay
-            # the saved cursors so the sweep resumes, not restarts.
-            detector._matcher = type(detector._matcher)(
-                graph, motif, detector.delta, detector.phi
-            )
-            detector._matcher.apply_progress(progress_by_key)
-        else:
-            detector._dirty = True
-            detector._ts = None
-            detector._matches = None
-            detector._progress = {}
-            for key, (last_anchor, prev_lam) in progress_by_key.items():
-                progress = MatchProgress()
-                progress.last_anchor = last_anchor
-                progress.prev_lam = prev_lam
-                detector._progress[key] = progress
+        # Re-derive the match set from the restored graph, then overlay
+        # the saved cursors so the sweep resumes, not restarts.
+        detector._matcher = type(detector._matcher)(
+            graph, motif, detector.delta, detector.phi
+        )
+        detector._matcher.apply_progress(progress_by_key)
 
         out_buffer = []
         for record in state["out_buffer"]:

@@ -1,6 +1,6 @@
 """Small shared utilities: timing, table rendering, validation."""
 
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import Timer
 from repro.utils.tables import format_table, format_series
 from repro.utils.validation import (
     require,
@@ -9,7 +9,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Stopwatch",
     "Timer",
     "format_table",
     "format_series",

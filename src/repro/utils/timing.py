@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List
@@ -32,46 +31,6 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-class Stopwatch:
-    """Accumulating stopwatch for measuring several phases separately.
-
-    Each named phase accumulates the total time spent in blocks opened with
-    :meth:`measure`. Used by the engine to report P1 vs P2 time the way the
-    paper does (Table 4 reports phase-1 time alone).
-    """
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = {}
-        # Concurrent measure() blocks on the same phase race on the
-        # read-modify-write in add(); the lock makes accumulation exact
-        # (regression-tested in tests/test_utils.py).
-        self._lock = threading.Lock()
-
-    def measure(self, phase: str) -> "_PhaseContext":
-        """Return a context manager adding its duration to ``phase``."""
-        return _PhaseContext(self, phase)
-
-    def add(self, phase: str, seconds: float) -> None:
-        """Add ``seconds`` to the accumulated total of ``phase``."""
-        with self._lock:
-            self._totals[phase] = self._totals.get(phase, 0.0) + seconds
-
-    def total(self, phase: str) -> float:
-        """Total seconds accumulated for ``phase`` (0.0 if never measured)."""
-        with self._lock:
-            return self._totals.get(phase, 0.0)
-
-    def phases(self) -> dict[str, float]:
-        """A copy of all accumulated phase totals."""
-        with self._lock:
-            return dict(self._totals)
-
-    def reset(self) -> None:
-        """Clear all accumulated totals."""
-        with self._lock:
-            self._totals.clear()
 
 
 @dataclass
@@ -170,18 +129,3 @@ class ShardTimingReport:
             "imbalance_ratio": self.imbalance_ratio,
         }
 
-
-class _PhaseContext:
-    __slots__ = ("_watch", "_phase", "_start")
-
-    def __init__(self, watch: Stopwatch, phase: str) -> None:
-        self._watch = watch
-        self._phase = phase
-        self._start = 0.0
-
-    def __enter__(self) -> "_PhaseContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._watch.add(self._phase, time.perf_counter() - self._start)

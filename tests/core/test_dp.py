@@ -126,16 +126,38 @@ class TestDPEqualsEnumerationMax:
         assert ok, reason
 
 
-class TestBisectMethodEquivalence:
+def tied_decimal_graph(seed, nodes=5, events=70, horizon=40):
+    """Integer timestamps (so many ties) and one-decimal flows 0.1..0.9,
+    whose sums are not exact in binary floating point."""
+    rng = random.Random(seed)
+    g = InteractionGraph()
+    for _ in range(events):
+        src = rng.randrange(nodes)
+        dst = rng.randrange(nodes)
+        while dst == src:
+            dst = rng.randrange(nodes)
+        g.add_interaction(src, dst, rng.randrange(horizon), rng.randint(1, 9) / 10)
+    return g
+
+
+class TestMethodEquivalence:
     @pytest.mark.parametrize("seed", range(10))
-    def test_quadratic_vs_bisect(self, seed):
-        g = random_graph(seed, nodes=5, events=70, horizon=40)
+    def test_methods_agree_on_tied_decimal_flows(self, seed):
+        """Per match, every method finds the same best flow on tied
+        timestamps and decimal flows, and the reconstructed instance
+        achieves it."""
+        g = tied_decimal_graph(seed)
         motif = Motif.chain(3, delta=18, phi=0)
-        matches = find_structural_matches(g.to_time_series(), motif)
+        ts = g.to_time_series()
+        matches = find_structural_matches(ts, motif)
+        assert matches
         for match in matches[:10]:
             quad = top_one_in_match(match, method="quadratic", reconstruct=False)
-            bis = top_one_in_match(match, method="bisect", reconstruct=False)
-            assert quad.flow == pytest.approx(bis.flow)
+            for method in ("fused", "auto"):
+                best = top_one_in_match(match, method=method)
+                assert best.flow == pytest.approx(quad.flow)
+                if best.instance is not None:
+                    assert best.instance.flow == pytest.approx(best.flow)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_quadratic_vs_fused(self, seed):
@@ -178,6 +200,12 @@ class TestBisectMethodEquivalence:
     def test_invalid_method_rejected(self, fig7_match):
         with pytest.raises(ValueError, match="method"):
             max_flow_in_window(fig7_match.series, Window(10, 20), method="magic")
+
+    def test_bisect_method_removed(self, fig7_match):
+        with pytest.raises(ValueError, match="method"):
+            max_flow_in_window(fig7_match.series, Window(10, 20), method="bisect")
+        with pytest.raises(ValueError, match="method"):
+            top_one_in_match(fig7_match, method="bisect")
 
 
 class TestExtensibilityVariants:

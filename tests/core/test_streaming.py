@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -32,11 +33,30 @@ def offline_keys(stream, motif):
     return {i.canonical_key() for i in result.instances}
 
 
-def streamed_keys(stream, motif, poll_every, mode="incremental"):
-    detector = StreamingDetector(motif, mode=mode)
+def round_trip(detector):
+    """Checkpoint through real JSON and restore, like a resumed process."""
+    return StreamingDetector.restore(
+        json.loads(json.dumps(detector.checkpoint()))
+    )
+
+
+def maybe_resume(detector, resumed):
+    return round_trip(detector) if resumed else detector
+
+
+#: ``resumed`` replays a test with the detector checkpointed and restored
+#: at every step, so each cut point of the stream is also a resume point.
+RESUMED = pytest.mark.parametrize(
+    "resumed", [False, True], ids=["live", "resumed"]
+)
+
+
+def streamed_keys(stream, motif, poll_every, resumed=False):
+    detector = StreamingDetector(motif)
     emitted = []
     for i, (src, dst, t, f) in enumerate(stream):
         detector.add(src, dst, t, f)
+        detector = maybe_resume(detector, resumed)
         if poll_every and i % poll_every == 0:
             emitted.extend(detector.poll())
     emitted.extend(detector.flush())
@@ -48,20 +68,20 @@ def streamed_keys(stream, motif, poll_every, mode="incremental"):
 class TestStreamingEqualsOffline:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("poll_every", [1, 7, 0])
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_chain(self, seed, poll_every, mode):
+    @RESUMED
+    def test_chain(self, seed, poll_every, resumed):
         stream = random_stream(seed)
         motif = Motif.chain(3, delta=12, phi=2)
-        assert streamed_keys(stream, motif, poll_every, mode) == offline_keys(
-            stream, motif
-        )
+        assert streamed_keys(
+            stream, motif, poll_every, resumed
+        ) == offline_keys(stream, motif)
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_cycle(self, seed, mode):
+    @RESUMED
+    def test_cycle(self, seed, resumed):
         stream = random_stream(seed, nodes=5)
         motif = Motif.cycle(3, delta=15, phi=0)
-        assert streamed_keys(stream, motif, 5, mode) == offline_keys(
+        assert streamed_keys(stream, motif, 5, resumed) == offline_keys(
             stream, motif
         )
 
@@ -139,64 +159,55 @@ class TestStreamingBehaviour:
 
 
 class TestIncrementalContract:
-    """The incremental detector's hard contract: ``rebuild_count`` stays 0
-    for its whole lifetime — adds grow the graph in place, polls pop only
-    matches with ready windows, nothing is recomputed from scratch."""
+    """The incremental detector's contract: adds grow the graph in place,
+    polls pop only matches with ready windows, nothing is recomputed from
+    scratch."""
 
-    def _fed_detector(self, **kwargs):
-        detector = StreamingDetector(Motif.chain(3, delta=5, phi=0), **kwargs)
+    def _fed_detector(self):
+        detector = StreamingDetector(Motif.chain(3, delta=5, phi=0))
         detector.add("a", "b", 1, 2)
         detector.add("b", "c", 3, 4)
         detector.add("x", "y", 50, 1)
         return detector
 
-    def test_rebuild_count_stays_zero(self):
+    @staticmethod
+    def _heap_pops(detector):
+        return detector.metrics().snapshot()["counters"]["stream.heap_pops"]
+
+    def test_noop_polls_touch_no_match(self):
         detector = self._fed_detector()
         first = detector.poll()
         assert len(first) == 1
+        pops = self._heap_pops(detector)
         for _ in range(3):
             assert detector.poll() == []  # nothing new: exactly-once holds
-        assert detector.rebuild_count == 0
+        assert self._heap_pops(detector) == pops
 
-    def test_interleaved_adds_and_polls_never_rebuild(self):
-        """The sequence that previously forced a rebuild per batch: every
-        add dirties the view, every poll pays O(|E| + matches). Now the
-        counter must stay flat at zero after warmup."""
+    def test_interleaved_adds_and_polls_emit_incrementally(self):
+        """Every add followed by a poll: each poll pays only for the
+        matches whose windows closed, and the same graph keeps growing."""
         detector = self._fed_detector()
         detector.poll()
-        assert detector.rebuild_count == 0  # warmup done, contract holds
+        graph = detector._graph
         emitted = []
         for t in range(60, 90, 3):
             detector.add("a", "b", t, 2)
             detector.add("b", "c", t + 1, 3)
             emitted.extend(detector.poll())
         emitted.extend(detector.flush())
-        assert detector.rebuild_count == 0
+        assert detector._graph is graph
         assert any(i.vertex_map == ("a", "b", "c") for i in emitted)
 
-    def test_rebuild_mode_still_counts(self):
-        """The legacy baseline keeps its semantics (benchmark ablation)."""
-        detector = self._fed_detector(mode="rebuild")
+    def test_single_detector_implementation(self):
+        """There is one detector: no mode switch, no rebuild counter and
+        no deprecated ``stats()`` dict adapter."""
+        with pytest.raises(TypeError, match="mode"):
+            StreamingDetector(Motif.chain(2, delta=1), mode="rebuild")
+        detector = self._fed_detector()
+        assert not hasattr(detector, "rebuild_count")
+        assert not hasattr(detector, "stats")
         detector.poll()
-        rebuilds = detector.rebuild_count
-        assert rebuilds >= 1
-        detector.poll()
-        assert detector.rebuild_count == rebuilds  # cached between polls
-        detector.add("a", "b", 60, 2)
-        detector.add("z", "w", 99, 1)
-        detector.poll()
-        assert detector.rebuild_count == rebuilds + 1
-
-    def test_modes_emit_identically(self):
-        stream = random_stream(seed=23)
-        motif = Motif.chain(3, delta=9, phi=1)
-        assert streamed_keys(stream, motif, 4, "incremental") == streamed_keys(
-            stream, motif, 4, "rebuild"
-        )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            StreamingDetector(Motif.chain(2, delta=1), mode="magic")
+        assert "stream.rebuilds" not in detector.metrics().snapshot()["counters"]
 
     def test_metrics_counters(self):
         detector = self._fed_detector()
@@ -204,7 +215,6 @@ class TestIncrementalContract:
         snapshot = detector.metrics().snapshot()
         assert snapshot["counters"]["stream.events"] == 3
         assert snapshot["gauges"]["stream.pairs"] == 3
-        assert snapshot["counters"]["stream.rebuilds"] == 0
         assert snapshot["counters"]["stream.emitted"] == 1
         assert detector.match_count >= 1
         assert detector.num_events == 3
@@ -223,75 +233,76 @@ class TestIncrementalContract:
                     chatty.update(i.canonical_key() for i in detector.poll())
         chatty.update(i.canonical_key() for i in detector.flush())
         assert chatty == baseline
-        assert detector.rebuild_count == 0
 
 
 class TestStreamingEdgeCases:
     """Boundary behaviour around the watermark, horizons and anchors."""
 
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_duplicate_timestamps_at_watermark(self, mode):
+    @RESUMED
+    def test_duplicate_timestamps_at_watermark(self, resumed):
         """Events tied with the watermark must still land inside any open
         window; closing happens only when the watermark strictly passes."""
-        detector = StreamingDetector(
-            Motif.chain(2, delta=4, phi=0), mode=mode
-        )
+        detector = StreamingDetector(Motif.chain(2, delta=4, phi=0))
         detector.add("a", "b", 1, 2)
         detector.add("a", "b", 5, 3)   # at window end of [1, 5]
         detector.add("c", "d", 5, 1)   # tied with the watermark
+        detector = maybe_resume(detector, resumed)
         assert detector.poll() == []   # [1, 5] not closed: more t=5 possible
+        detector = maybe_resume(detector, resumed)
         detector.add("a", "b", 5, 4)   # another tie, still inside [1, 5]
         detector.add("z", "w", 20, 1)
+        detector = maybe_resume(detector, resumed)
         emitted = [
             i for i in detector.poll() if i.vertex_map == ("a", "b")
         ]
         flows = sorted(i.flow for i in emitted)
         assert flows[-1] == 9.0  # all three t<=5 events aggregated
 
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_window_closing_exactly_at_horizon_stays_open(self, mode):
-        detector = StreamingDetector(
-            Motif.chain(2, delta=4, phi=0), mode=mode
-        )
+    @RESUMED
+    def test_window_closing_exactly_at_horizon_stays_open(self, resumed):
+        detector = StreamingDetector(Motif.chain(2, delta=4, phi=0))
         detector.add("a", "b", 1, 2)
         detector.add("x", "y", 5, 1)   # watermark == window end of [1, 5]
+        detector = maybe_resume(detector, resumed)
         assert detector.poll() == []
+        detector = maybe_resume(detector, resumed)
         detector.add("a", "b", 5, 3)   # lands inside [1, 5]!
         detector.add("z", "w", 20, 1)
+        detector = maybe_resume(detector, resumed)
         [instance] = [
             i for i in detector.poll() if i.vertex_map == ("a", "b")
         ]
         assert instance.flow == 5.0
         # flush() closes the remaining windows exactly once.
+        detector = maybe_resume(detector, resumed)
         remaining = detector.flush()
         keys = [i.canonical_key() for i in remaining]
         assert len(keys) == len(set(keys))
 
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_poll_before_any_add(self, mode):
-        detector = StreamingDetector(
-            Motif.chain(3, delta=10, phi=0), mode=mode
-        )
+    @RESUMED
+    def test_poll_before_any_add(self, resumed):
+        detector = StreamingDetector(Motif.chain(3, delta=10, phi=0))
+        detector = maybe_resume(detector, resumed)
         assert detector.poll() == []
+        detector = maybe_resume(detector, resumed)
         assert detector.flush() == []
-        assert detector.rebuild_count == 0
 
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_equal_timestamp_anchor_dedup(self, mode):
+    @RESUMED
+    def test_equal_timestamp_anchor_dedup(self, resumed):
         """Several first-edge events at one timestamp anchor one window —
         emissions must not duplicate."""
-        detector = StreamingDetector(
-            Motif.chain(2, delta=3, phi=0), mode=mode
-        )
+        detector = StreamingDetector(Motif.chain(2, delta=3, phi=0))
         detector.add("a", "b", 2, 1)
         detector.add("a", "b", 2, 2)
         detector.add("a", "b", 2, 4)
         detector.add("z", "w", 50, 1)
+        detector = maybe_resume(detector, resumed)
         emitted = detector.poll()
         keys = [i.canonical_key() for i in emitted]
         assert len(keys) == len(set(keys))
         [instance] = [i for i in emitted if i.vertex_map == ("a", "b")]
         assert instance.flow == 7.0
+        detector = maybe_resume(detector, resumed)
         assert detector.poll() == []  # exactly once
 
     def test_add_after_flush_rejected(self):
@@ -303,8 +314,7 @@ class TestStreamingEdgeCases:
         assert detector.flush() == []  # idempotent
 
     def test_new_pair_after_warmup_discovers_matches(self):
-        """A pair first seen late must still create its matches — and
-        without any rebuild."""
+        """A pair first seen late must still create its matches."""
         detector = StreamingDetector(Motif.chain(3, delta=8, phi=0))
         detector.add("a", "b", 1, 2)
         detector.add("q", "r", 30, 1)
@@ -317,7 +327,6 @@ class TestStreamingEdgeCases:
         detector.add("z", "w", 99, 1)
         emitted = detector.poll()
         assert any(i.vertex_map == ("a", "b", "c") for i in emitted)
-        assert detector.rebuild_count == 0
 
 
 class TestEmissionBufferRecovery:

@@ -107,12 +107,12 @@ class TestStreamCommand:
         records = [json.loads(line) for line in captured.out.splitlines()]
         assert len(records) == 1
         assert records[0]["flow"] == 10.0
-        assert "0 rebuilds" in captured.err
+        assert "1 instances emitted" in captured.err
 
     def test_stream_batched_polling(self, edges_file, capsys):
         code = main(
             ["stream", edges_file, "--motif", "M(3,3)", "--delta", "10",
-             "--phi", "7", "--batch", "5", "--mode", "rebuild"]
+             "--phi", "7", "--batch", "5"]
         )
         assert code == 0
         captured = capsys.readouterr()
@@ -163,17 +163,19 @@ class TestStreamCommand:
         assert code == 2
         assert "out-of-order" in capsys.readouterr().err
 
-    def test_stream_on_error_skip_is_deprecated_alias(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,5,1\na,b,4,1\nz,w,50,1\n")
-        code = main(
-            ["stream", str(path), "--motif", "0-1", "--delta", "2",
-             "--on-error", "skip"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "2 events" in captured.err  # the t=4 row was dropped
-        assert "deprecated" in captured.err
+    @pytest.mark.parametrize(
+        "flag", [["--on-error", "skip"], ["--mode", "rebuild"]]
+    )
+    def test_stream_removed_flags_rejected(self, edges_file, flag, capsys):
+        """``--on-error`` (use ``--strict``) and ``--mode`` (one detector)
+        are gone: argparse rejects them instead of ignoring them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["stream", edges_file, "--motif", "0-1", "--delta", "2"]
+                + flag
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stream_follow_rejects_stdin(self, capsys):
         code = main(["stream", "-", "--follow", "--motif", "0-1", "--delta", "2"])

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
+from repro.graph.interaction import InteractionGraph
+from repro.obs.tracing import stitch_trace
 from repro.parallel import BatchRunner, MotifConfig
 
 
@@ -25,19 +28,63 @@ def _grid(delta=10, phi=7):
     ]
 
 
+def _real_valued_graph():
+    """Decimal flows (0.1 + 0.2 != 0.3 in floating point) with tied
+    timestamps on every pair."""
+    return InteractionGraph.from_tuples([
+        ("a", "b", 1.0, 0.1), ("a", "b", 1.0, 0.2), ("b", "c", 2.0, 0.3),
+        ("b", "c", 3.0, 0.1), ("c", "a", 4.0, 0.2), ("c", "a", 4.0, 0.1),
+        ("a", "b", 5.0, 0.3), ("b", "c", 5.0, 0.2), ("b", "c", 6.0, 0.1),
+        ("c", "a", 7.0, 0.3), ("a", "b", 8.0, 0.1), ("b", "c", 8.0, 0.2),
+    ])
+
+
+def _real_valued_grid():
+    # φ = 0.3 is reached both by a lone 0.3 event and by 0.1 + 0.2.
+    triangle = Motif.cycle(3, delta=4, phi=0.3)
+    chain = Motif.chain(3, delta=3, phi=0.3)
+    return [
+        MotifConfig(triangle),
+        MotifConfig(triangle, phi=0.1),
+        MotifConfig(triangle, delta=6, phi=0.2),
+        MotifConfig(chain),
+        MotifConfig(chain, phi=0.2),
+        MotifConfig(chain, delta=1),
+    ]
+
+
 class TestSerialBatch:
     def test_results_align_with_serial_engine(self, fig2_graph):
-        runner = BatchRunner(fig2_graph, jobs=1)
-        configs = _grid()
-        results = runner.run(configs)
-        assert len(results) == len(configs)
-        engine = FlowMotifEngine(fig2_graph)
-        for config, result in zip(configs, results):
-            reference = engine.find_instances(
-                config.motif, delta=config.delta, phi=config.phi
-            )
-            assert result.count == reference.count
-            assert _keys(result.instances) == _keys(reference.instances)
+        inputs = [
+            (fig2_graph, _grid()),
+            (_real_valued_graph(), _real_valued_grid()),
+        ]
+        for graph, configs in inputs:
+            results = BatchRunner(graph, jobs=1).run(configs)
+            assert len(results) == len(configs)
+            engine = FlowMotifEngine(graph)
+            for config, result in zip(configs, results):
+                reference = engine.find_instances(
+                    config.motif, delta=config.delta, phi=config.phi
+                )
+                assert result.count == reference.count
+                assert _keys(result.instances) == _keys(reference.instances)
+            assert any(r.count for r in results)
+
+    def test_traced_run_emits_phase_spans(self, fig2_graph):
+        """A one-shard batch runs the shard kernel, so its P1/P2 work is
+        attributed under ``query.batch`` like a sharded run's."""
+        with obs.observe() as observation:
+            BatchRunner(fig2_graph, jobs=1).run(_grid())
+        [root] = stitch_trace(observation.spans())
+        assert root.span.name == "query.batch"
+        names = set()
+        pending = list(root.children)
+        while pending:
+            node = pending.pop()
+            names.add(node.span.name)
+            pending.extend(node.children)
+        assert {"p1.match", "p2.enumerate"} <= names
 
     def test_p1_shared_per_topology_group(self, fig2_graph):
         runner = BatchRunner(fig2_graph, jobs=1)
@@ -125,9 +172,11 @@ class TestRunnerConfigValidation:
             assert result.shard_timings is not None
             assert result.shard_timings.wall_seconds > 0.0
 
-    def test_serial_path_has_no_shard_report(self, fig2_graph):
+    def test_serial_path_has_one_shard_report(self, fig2_graph):
         results = BatchRunner(fig2_graph, jobs=1).run(_grid())
-        assert all(r.shard_timings is None for r in results)
+        for result in results:
+            assert result.shard_timings.num_shards == 1
+            assert result.shard_timings.imbalance_ratio == 1.0
 
 
 class TestInstanceMotifAttachment:

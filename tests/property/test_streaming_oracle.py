@@ -4,7 +4,7 @@ The tentpole contract of the incremental streaming matcher: for random
 graphs and *random interleavings* of ``add``/``poll``/``flush``, the union
 of everything the detector ever emits equals — as a multiset of canonical
 instances — the offline :func:`find_instances` on the full stream, for
-every tested motif topology, and without a single rebuild.
+every tested motif topology.
 
 Seeds come from the shared ``base_seed`` fixture (tests/conftest.py), so
 a failure report prints the exact seed to reproduce.
@@ -49,13 +49,13 @@ def _offline_multiset(stream, motif):
     return Counter(i.canonical_key() for i in find_instances(matches))
 
 
-def _streamed_multiset(stream, motif, rng, mode):
+def _streamed_multiset(stream, motif, rng):
     """Replay with a random interleaving of polls; flush ends the run.
 
     Each emission batch is checked for internal duplicates too, so a
     multiset match here really means "each instance exactly once".
     """
-    detector = StreamingDetector(motif, mode=mode)
+    detector = StreamingDetector(motif)
     emitted = Counter()
     for src, dst, t, f in stream:
         detector.add(src, dst, t, f)
@@ -65,8 +65,6 @@ def _streamed_multiset(stream, motif, rng, mode):
     if rng.random() < 0.5:
         emitted.update(i.canonical_key() for i in detector.poll())
     emitted.update(i.canonical_key() for i in detector.flush())
-    if mode == "incremental":
-        assert detector.rebuild_count == 0
     return emitted
 
 
@@ -77,25 +75,21 @@ def test_streaming_equals_offline_multiset(topology, case, base_seed):
     stream = _random_stream(rng)
     motif = TOPOLOGIES[topology]()
     offline = _offline_multiset(stream, motif)
-    streamed = _streamed_multiset(stream, motif, rng, "incremental")
+    streamed = _streamed_multiset(stream, motif, rng)
     assert streamed == offline
     assert max(streamed.values(), default=1) == 1  # exactly once
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_rebuild_baseline_agrees_with_incremental(topology, base_seed):
-    """Both modes share the window sweep; their emissions must coincide
-    under *different* random interleavings of the same stream."""
+def test_interleavings_agree(topology, base_seed):
+    """Emissions must coincide under *different* random interleavings of
+    polls over the same stream."""
     rng = random.Random(base_seed)
     stream = _random_stream(rng, nodes=5, events=60)
     motif = TOPOLOGIES[topology]()
-    incremental = _streamed_multiset(
-        stream, motif, random.Random(base_seed + 1), "incremental"
-    )
-    rebuild = _streamed_multiset(
-        stream, motif, random.Random(base_seed + 2), "rebuild"
-    )
-    assert incremental == rebuild == _offline_multiset(stream, motif)
+    first = _streamed_multiset(stream, motif, random.Random(base_seed + 1))
+    second = _streamed_multiset(stream, motif, random.Random(base_seed + 2))
+    assert first == second == _offline_multiset(stream, motif)
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -107,7 +101,7 @@ def test_dense_pair_streams(case, base_seed):
     for topology in sorted(TOPOLOGIES):
         motif = TOPOLOGIES[topology]()
         assert _streamed_multiset(
-            stream, motif, rng, "incremental"
+            stream, motif, rng
         ) == _offline_multiset(stream, motif), topology
 
 
@@ -125,7 +119,6 @@ def test_poll_heavy_and_poll_free_extremes(base_seed):
         emitted.update(i.canonical_key() for i in chatty.poll())
     emitted.update(i.canonical_key() for i in chatty.flush())
     assert emitted == offline
-    assert chatty.rebuild_count == 0
 
     silent = StreamingDetector(motif)
     for src, dst, t, f in stream:

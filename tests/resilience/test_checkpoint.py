@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -59,20 +60,22 @@ def _keys(instances):
 
 
 class TestRoundTripEquivalence:
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
+    @pytest.mark.parametrize("poll_every", [1, 5])
     @pytest.mark.parametrize("cut", [1, 20, 59])
-    def test_interrupted_equals_uninterrupted(self, mode, cut, base_seed):
+    def test_interrupted_equals_uninterrupted(
+        self, cut, poll_every, base_seed
+    ):
         rng = random.Random(base_seed + cut)
         stream = random_stream(rng)
         motif = Motif.chain(3, delta=12, phi=3)
 
-        whole = StreamingDetector(motif, mode=mode)
-        expected = _drive(whole, stream) + whole.flush()
+        whole = StreamingDetector(motif)
+        expected = _drive(whole, stream, poll_every) + whole.flush()
 
-        first = StreamingDetector(motif, mode=mode)
-        emitted = _drive(first, stream[:cut])
+        first = StreamingDetector(motif)
+        emitted = _drive(first, stream[:cut], poll_every)
         resumed = _round_trip(first)
-        emitted += _drive(resumed, stream[cut:]) + resumed.flush()
+        emitted += _drive(resumed, stream[cut:], poll_every) + resumed.flush()
 
         assert _keys(emitted) == _keys(expected)
         # ...and both agree with offline search.
@@ -83,8 +86,10 @@ class TestRoundTripEquivalence:
             i.canonical_key() for i in offline.instances
         }
 
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_round_trip_with_reorder_buffer_pending(self, mode, base_seed):
+    @pytest.mark.parametrize("poll_every", [1, 5])
+    def test_round_trip_with_reorder_buffer_pending(
+        self, poll_every, base_seed
+    ):
         """A checkpoint taken while events sit in the slack buffer must
         carry them: they have been accepted, losing them is data loss."""
         rng = random.Random(base_seed)
@@ -93,12 +98,13 @@ class TestRoundTripEquivalence:
         perturbed = reorder_within_slack(stream, slack, rng)
         motif = Motif.chain(2, delta=8, phi=2)
 
-        first = StreamingDetector(motif, mode=mode, slack=slack)
-        emitted = _drive(first, perturbed[:30])
+        first = StreamingDetector(motif, slack=slack)
+        emitted = _drive(first, perturbed[:30], poll_every)
         assert first.pending_count > 0  # the interesting precondition
         resumed = _round_trip(first)
         assert resumed.pending_count == first.pending_count
-        emitted += _drive(resumed, perturbed[30:]) + resumed.flush()
+        emitted += _drive(resumed, perturbed[30:], poll_every)
+        emitted += resumed.flush()
 
         offline = FlowMotifEngine(
             InteractionGraph.from_tuples(stream)
@@ -118,9 +124,9 @@ class TestRoundTripEquivalence:
 
 
 class TestStatePreservation:
-    def _fed(self, **kwargs):
+    def _fed(self):
         detector = StreamingDetector(
-            Motif.chain(2, delta=4, phi=0), late="drop", slack=2.0, **kwargs
+            Motif.chain(2, delta=4, phi=0), late="drop", slack=2.0
         )
         detector.add("a", "b", 1.0, 2.0)
         detector.add("a", "b", 5.0, 2.0)
@@ -134,7 +140,6 @@ class TestStatePreservation:
         assert resumed.watermark == detector.watermark
         assert resumed.slack == detector.slack
         assert resumed.late == detector.late
-        assert resumed.mode == detector.mode
         assert resumed.late_dropped == detector.late_dropped == 1
         assert resumed.emitted_count == detector.emitted_count
         assert resumed.num_events == detector.num_events
@@ -169,6 +174,71 @@ class TestStatePreservation:
         payload = json.dumps(detector.checkpoint())
         assert "-Infinity" not in payload and "Infinity" not in payload
         assert json.loads(payload)["format"] == FORMAT
+
+
+#: Real-valued flows with a timestamp tie; the checkpoint below was taken
+#: after the first nine events, polling after every third.
+LEGACY_STREAM = [
+    ("a", "b", 1.0, 0.1), ("b", "c", 2.0, 0.2), ("b", "c", 2.0, 0.3),
+    ("a", "b", 4.0, 0.3), ("b", "c", 5.0, 0.1), ("c", "a", 6.0, 0.4),
+    ("a", "b", 9.0, 0.2), ("b", "c", 11.0, 0.3), ("x", "y", 14.0, 1.0),
+    ("a", "b", 15.0, 0.5), ("b", "c", 16.0, 0.2), ("b", "c", 18.0, 0.1),
+    ("c", "a", 19.0, 0.3), ("x", "y", 30.0, 1.0),
+]
+
+#: A version-1 checkpoint as written by the removed rebuild-on-poll
+#: detector mode (note ``mode`` and ``rebuilds``), mid-stream.
+LEGACY_REBUILD_CHECKPOINT = {
+    "format": "repro-streaming-checkpoint", "version": 1,
+    "motif": {"path": [0, 1, 2], "delta": 5.0, "phi": 0.3, "name": "M(3,2)"},
+    "delta": 5.0, "phi": 0.3, "mode": "rebuild", "slack": 0.0,
+    "late": "raise", "watermark": 14.0, "emitted": 1, "rebuilds": 3,
+    "flushed": False, "late_dropped": 0, "seq": 0, "pending": [],
+    "series": [
+        ["a", "b", [1.0, 4.0, 9.0], [0.1, 0.3, 0.2]],
+        ["b", "c", [2.0, 2.0, 5.0, 11.0], [0.2, 0.3, 0.1, 0.3]],
+        ["c", "a", [6.0], [0.4]],
+        ["x", "y", [14.0], [1.0]],
+    ],
+    "progress": [
+        [["a", "b", "c"], [["a", "b"], ["b", "c"]], 4.0, 5.0],
+        [["b", "c", "a"], [["b", "c"], ["c", "a"]], 5.0, 6.0],
+        [["c", "a", "b"], [["c", "a"], ["a", "b"]], 6.0, 9.0],
+    ],
+    "out_buffer": [],
+}
+
+#: Canonical key of the one instance emitted before that checkpoint.
+LEGACY_PRE_EMITTED = (
+    ("b", "c", "a"),
+    (((2.0, 0.2), (2.0, 0.3), (5.0, 0.1)), ((6.0, 0.4),)),
+)
+
+
+class TestLegacyCheckpoints:
+    def test_rebuild_mode_checkpoint_resumes_incrementally(self):
+        """A version-1 checkpoint from rebuild mode continues on the
+        incremental detector: resumed emissions plus the one emitted
+        before the checkpoint equal offline search, exactly once."""
+        state = json.loads(json.dumps(LEGACY_REBUILD_CHECKPOINT))
+        resumed = restore_detector(state)
+        assert resumed.emitted_count == 1
+        emitted = _drive(resumed, LEGACY_STREAM[9:], poll_every=2)
+        emitted += resumed.flush()
+        motif = Motif.chain(3, delta=5, phi=0.3)
+        offline = FlowMotifEngine(
+            InteractionGraph.from_tuples(LEGACY_STREAM)
+        ).find_instances(motif)
+        streamed = Counter(_keys(emitted))
+        streamed[LEGACY_PRE_EMITTED] += 1
+        assert streamed == Counter(_keys(offline.instances))
+
+    def test_new_checkpoints_omit_mode_and_rebuilds(self):
+        detector = StreamingDetector(Motif.chain(2, delta=4, phi=0))
+        detector.add("a", "b", 1.0, 2.0)
+        state = detector.checkpoint()
+        assert state["version"] == VERSION == 1
+        assert "mode" not in state and "rebuilds" not in state
 
 
 class TestMalformedCheckpoints:

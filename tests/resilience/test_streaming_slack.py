@@ -53,15 +53,17 @@ def streamed_keys(stream, motif, poll_every=7, **kwargs):
 
 class TestSlackEqualsOracle:
     @pytest.mark.parametrize("case", range(4))
-    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
-    def test_perturbed_stream_matches_offline(self, case, mode, base_seed):
+    @pytest.mark.parametrize("poll_every", [1, 7])
+    def test_perturbed_stream_matches_offline(
+        self, case, poll_every, base_seed
+    ):
         rng = random.Random(base_seed + case)
         stream = random_stream(rng)
         motif = Motif.chain(3, delta=12, phi=3)
         slack = 5.0
         perturbed = reorder_within_slack(stream, slack, rng)
         assert streamed_keys(
-            perturbed, motif, mode=mode, slack=slack
+            perturbed, motif, poll_every, slack=slack
         ) == offline_keys(stream, motif)
 
     def test_perturbed_with_duplicates_matches_perturbed_oracle(
@@ -145,14 +147,6 @@ class TestLateEvents:
         assert snapshot["gauges"]["stream.slack"] == 5.0
         assert snapshot["counters"]["stream.late_dropped"] == 1
         assert snapshot["gauges"]["stream.reorder_depth"] >= detector.pending_count
-
-    def test_stats_adapter_still_warns(self):
-        # The deprecated dict adapter must keep warning until removal.
-        detector = self._fed(slack=5.0, late="drop")
-        with pytest.warns(DeprecationWarning, match="metrics"):
-            stats = detector.stats()
-        assert stats["slack"] == 5.0
-        assert stats["pending"] == detector.pending_count
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.utils.tables import format_series, format_table
-from repro.utils.timing import Stopwatch, Timer
+from repro.utils.timing import ShardTiming, ShardTimingReport, Timer
 from repro.utils.validation import require, require_non_negative, require_positive
 
 
@@ -15,43 +15,40 @@ class TestTimer:
             sum(range(100))
         assert t.elapsed >= 0.0
 
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure("p1"):
-            pass
-        with watch.measure("p1"):
-            pass
-        with watch.measure("p2"):
-            pass
-        assert watch.total("p1") >= 0.0
-        assert set(watch.phases()) == {"p1", "p2"}
-        watch.reset()
-        assert watch.phases() == {}
 
-    def test_unknown_phase_is_zero(self):
-        assert Stopwatch().total("nothing") == 0.0
+class TestShardTimingReport:
+    def _report(self):
+        return ShardTimingReport([
+            ShardTiming(0, p1_seconds=1.0, p2_seconds=3.0),
+            ShardTiming(1, p1_seconds=0.5, p2_seconds=0.5),
+            ShardTiming(2, p2_seconds=1.0),
+        ], wall_seconds=4.5)
 
-    def test_stopwatch_concurrent_adds_are_exact(self):
-        """Regression: add() is a read-modify-write; without the lock,
-        concurrent threads lose updates and the total drifts low."""
-        import threading
+    def test_aggregates(self):
+        report = self._report()
+        assert report.num_shards == 3
+        assert report.max_seconds == 4.0
+        assert report.sum_seconds == 6.0
+        assert report.mean_seconds == 2.0
+        assert report.imbalance_ratio == 2.0
 
-        watch = Stopwatch()
-        threads = 8
-        per_thread = 2000
-        barrier = threading.Barrier(threads)
+    def test_empty_report_is_balanced(self):
+        report = ShardTimingReport()
+        assert report.num_shards == 0
+        assert report.max_seconds == report.sum_seconds == 0.0
+        assert report.mean_seconds == 0.0
+        assert report.imbalance_ratio == 1.0
 
-        def hammer():
-            barrier.wait()
-            for _ in range(per_thread):
-                watch.add("phase", 1.0)
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert watch.total("phase") == float(threads * per_thread)
+    def test_summary_matches_properties(self):
+        report = self._report()
+        assert report.summary() == {
+            "num_shards": 3,
+            "wall_seconds": 4.5,
+            "max_seconds": 4.0,
+            "sum_seconds": 6.0,
+            "mean_seconds": 2.0,
+            "imbalance_ratio": 2.0,
+        }
 
 
 class TestTables:
