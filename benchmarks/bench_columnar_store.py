@@ -9,9 +9,10 @@ writes them to ``BENCH_columnar.json``:
    set, comparing the paper's ``quadratic`` method with the ``fused``
    two-pointer sweep — on both list-backed and columnar graphs.
    Acceptance: fused ≥ 2× over quadratic.
-2. **Process fan-out**: bytes a worker spawn must deserialize — pickled
-   shard slices versus the ``(shm_name, shard bounds)`` zero-copy
-   envelope — plus the one-off shared-memory export time and the
+2. **Process fan-out**: bytes a worker spawn must deserialize — a
+   :class:`~repro.parallel.worker.ShardTask` carrying the pickled shard
+   slice versus one carrying only ``shm_name`` and the shard bounds —
+   plus the one-off shared-memory export time and the
    worker-side attach + re-materialize time. Acceptance: payload ≥ 10×
    smaller.
 
@@ -46,6 +47,7 @@ from repro.graph.columnar import ColumnStore
 from repro.graph.interaction import InteractionGraph
 from repro.parallel import ParallelFlowMotifEngine
 from repro.parallel.partition import materialize_shard, partition_time_range
+from repro.parallel.worker import ShardTask
 
 DP_METHODS = ("quadratic", "fused")
 
@@ -136,9 +138,10 @@ def run_fanout_benchmark(quick: bool) -> dict:
     delta, phi, shards = 40.0, 2.0, 4
     motif = Motif.chain(3, delta=delta, phi=phi)
 
+    queries = ((motif, delta, phi),)
     pickled_shards = partition_time_range(ts, shards, delta)
     pickled_bytes = sum(
-        len(pickle.dumps(("search", s, motif, delta, phi, True, True, True)))
+        len(pickle.dumps(ShardTask("search", s.bounds, queries, phi, shard=s)))
         for s in pickled_shards
     )
 
@@ -151,8 +154,10 @@ def run_fanout_benchmark(quick: bool) -> dict:
         zero_copy_bytes = sum(
             len(
                 pickle.dumps(
-                    ("columnar", shared.shm_name, s.bounds, "search",
-                     motif, delta, phi, True, True, True)
+                    ShardTask(
+                        "search", s.bounds, queries, phi,
+                        shm_name=shared.shm_name,
+                    )
                 )
             )
             for s in light_shards

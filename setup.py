@@ -1,8 +1,9 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Setup shim for the legacy ``setup.py develop`` editable install.
 
-All metadata lives in pyproject.toml; this file only enables the legacy
-``setup.py develop`` editable-install path (offline machines without PEP 660
-support can run ``pip install -e . --no-build-isolation``).
+All metadata lives in ``pyproject.toml``; this file exists only for
+offline machines whose pip cannot build a PEP 660 editable wheel (no
+``wheel`` package): ``python setup.py develop`` installs the package and
+its ``flow-motifs`` script from ``src/``.
 """
 
 from setuptools import setup

@@ -39,7 +39,7 @@ from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import span as _span
-from repro.utils.timing import ShardTimingReport, Timer
+from repro.utils.timing import ShardTimingReport
 
 
 @dataclass
@@ -225,11 +225,11 @@ class FlowMotifEngine:
             "query.find_instances", motif=str(motif), backend="serial"
         ):
             if use_cache:
-                with _span("p1.match"), Timer() as t1:
+                with _span("p1.match") as t1:
                     matches = self.structural_matches(motif, use_cache=True)
                 result.num_matches = len(matches)
                 result.p1_seconds = t1.elapsed
-                with _span("p2.enumerate"), Timer() as t2:
+                with _span("p2.enumerate") as t2:
                     _enumeration.find_instances(
                         matches,
                         delta=delta,
@@ -241,7 +241,7 @@ class FlowMotifEngine:
                 result.p2_seconds = t2.elapsed
             else:
                 effective_phi = motif.phi if phi is None else phi
-                with _span("p2.enumerate", fused=True), Timer() as t2:
+                with _span("p2.enumerate", fused=True) as t2:
                     for match in iter_structural_matches(
                         self._ts, motif, phi=effective_phi,
                         temporal_pruning=True
@@ -276,11 +276,11 @@ class FlowMotifEngine:
         with _span(
             "query.count_instances", motif=str(motif), backend="serial"
         ):
-            with _span("p1.match"), Timer() as t1:
+            with _span("p1.match") as t1:
                 matches = self.structural_matches(motif, use_cache=use_cache)
             result.num_matches = len(matches)
             result.p1_seconds = t1.elapsed
-            with _span("p2.count"), Timer() as t2:
+            with _span("p2.count") as t2:
                 result.count = _counting.count_instances(
                     matches, delta=delta, phi=phi
                 )

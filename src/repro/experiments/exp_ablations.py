@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from repro.core.dp import top_one_instance
 from repro.core.prefix_sharing import find_instances_shared
 from repro.experiments.common import build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -35,26 +35,26 @@ def run(
             engine = bundle.engine
             matches = engine.structural_matches(motif)
 
-            with Timer() as baseline_t:
+            with span("experiment.baseline") as baseline_t:
                 baseline = engine.find_instances(motif, collect=False)
-            with Timer() as no_pruning_t:
+            with span("experiment.no_pruning") as no_pruning_t:
                 engine.find_instances(
                     motif, collect=False, prefix_pruning=False
                 )
-            with Timer() as no_skip_t:
+            with span("experiment.no_skip") as no_skip_t:
                 no_skip = engine.find_instances(
                     motif, collect=False, skip_rule=False
                 )
-            with Timer() as counting_t:
+            with span("experiment.counting") as counting_t:
                 counted = engine.count_instances(motif)
-            with Timer() as shared_t:
+            with span("experiment.prefix_sharing") as shared_t:
                 find_instances_shared(matches)
-            with Timer() as dp_quad_t:
+            with span("experiment.dp_quadratic") as dp_quad_t:
                 quad = top_one_instance(
                     matches, delta=bundle.delta, method="quadratic",
                     reconstruct=False,
                 )
-            with Timer() as dp_fused_t:
+            with span("experiment.dp_fused") as dp_fused_t:
                 fused = top_one_instance(
                     matches, delta=bundle.delta, method="fused",
                     reconstruct=False,

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import PHI_GRIDS, build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -28,7 +28,7 @@ def run(
         for name, motif in catalog.items():
             bundle.engine.structural_matches(motif)  # warm the P1 cache
             for phi in grid:
-                with Timer() as timer:
+                with span("experiment.find") as timer:
                     result = bundle.engine.find_instances(
                         motif, phi=phi, collect=False
                     )

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from repro.core.dp import top_one_instance
 from repro.core.topk import top_k_instances
 from repro.experiments.common import build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -28,9 +28,9 @@ def run(
         rows = []
         for name, motif in bundle.motifs(motifs).items():
             matches = bundle.engine.structural_matches(motif)
-            with Timer() as topk_timer:
+            with span("experiment.top_k") as topk_timer:
                 top = top_k_instances(matches, 1, delta=bundle.delta)
-            with Timer() as dp_timer:
+            with span("experiment.dp") as dp_timer:
                 dp_best = top_one_instance(
                     matches, delta=bundle.delta, method=dp_method, reconstruct=False
                 )

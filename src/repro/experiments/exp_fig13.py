@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from repro.core.engine import FlowMotifEngine
 from repro.experiments.common import PREFIX_SAMPLES, build_datasets
 from repro.graph.transform import time_prefix
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -38,7 +38,7 @@ def run(
             sizes["#edges"].append(subgraph.num_edges)
             engine = FlowMotifEngine(subgraph)
             for name, motif in catalog.items():
-                with Timer() as timer:
+                with span("experiment.find") as timer:
                     result = engine.find_instances(
                         motif, collect=False, use_cache=False
                     )

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from repro.baselines.join import join_find_instances
 from repro.experiments.common import build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -27,11 +27,11 @@ def run(
         rows = []
         ts_graph = bundle.engine.time_series_graph
         for name, motif in bundle.motifs(motifs).items():
-            with Timer() as two_phase_timer:
+            with span("experiment.two_phase") as two_phase_timer:
                 result = bundle.engine.find_instances(
                     motif, collect=False, use_cache=False
                 )
-            with Timer() as join_timer:
+            with span("experiment.join") as join_timer:
                 join_result = join_find_instances(ts_graph, motif)
             if len(join_result) != result.count:
                 raise AssertionError(

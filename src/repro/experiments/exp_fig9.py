@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.experiments.common import DELTA_GRIDS, build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -32,7 +32,7 @@ def run(
             for name, motif in catalog.items():
                 bundle.engine.structural_matches(motif)  # warm the P1 cache
                 for delta in grid:
-                    with Timer() as timer:
+                    with span("experiment.find") as timer:
                         result = bundle.engine.find_instances(
                             motif, delta=delta, collect=False
                         )

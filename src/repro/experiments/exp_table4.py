@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.common import build_datasets
-from repro.utils.timing import Timer
+from repro.obs.tracing import span
 
 
 def run(
@@ -22,7 +22,7 @@ def run(
         names = []
         for name, motif in bundle.motifs(motifs).items():
             names.append(name)
-            with Timer() as timer:
+            with span("experiment.p1") as timer:
                 matches = bundle.engine.structural_matches(motif, use_cache=False)
             match_row.append(len(matches))
             time_row.append(round(timer.elapsed, 4))

@@ -29,8 +29,8 @@ without copying a byte. The creator calls ``close(unlink=True)`` when every
 worker is done; attachers either call ``close()`` or simply exit (the
 segment is reference-counted by the OS, not the interpreter). The parallel
 engine (:mod:`repro.parallel.engine`) uses exactly this path so process
-workers receive only ``(shm_name, shard bounds)`` instead of pickled event
-lists.
+workers receive a :class:`~repro.parallel.worker.ShardTask` holding only
+the shm name and shard bounds instead of pickled event lists.
 """
 
 from __future__ import annotations

@@ -252,8 +252,9 @@ class SegmentColumnStore(ColumnStore):
     — but the backing pages are demand-loaded by the OS, so a store much
     larger than RAM opens instantly and only the touched ranges occupy
     memory. The parallel engine recognizes the :attr:`path` attribute
-    and ships workers ``(path, shard bounds)`` envelopes; each worker
-    maps the file itself (see :mod:`repro.parallel.worker`).
+    and ships workers shard tasks holding only the path and shard
+    bounds; each worker maps the file itself (see
+    :mod:`repro.parallel.worker`).
     """
 
     def __init__(self, pairs, times, flows, cum, offsets, block, path):
@@ -753,7 +754,7 @@ class SegmentStore:
         With exactly one live segment (the steady state after
         :meth:`compact`) and no requested memtable, the graph is a pure
         zero-copy view over the segment's mmap — the parallel engine
-        then fans workers out with ``(path, bounds)`` envelopes and no
+        then fans workers out with (path, bounds) shard tasks and no
         event ever crosses a process boundary. Multiple live segments
         (or ``include_memtable=True``) fall back to a materialized
         k-way merge; compact first to stay zero-copy.

@@ -10,7 +10,7 @@ Five pieces, one activation model:
   stitch back into a single trace tree.
 * :mod:`repro.obs.profiler` — sampling wall-clock profiler attributing
   collapsed stacks to the ambient trace span; per-task profiles ride
-  the worker envelope home exactly like metrics snapshots do.
+  the shard reply home exactly like metrics snapshots do.
 * :mod:`repro.obs.flight` — bounded in-memory flight recorder dumping
   a JSONL diagnostic bundle on shard retries, degradations and
   SIGTERM.

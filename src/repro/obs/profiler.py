@@ -19,11 +19,12 @@ sample shares reconcile with the tracer's own ``span_totals``.
 
 Like metrics and tracing, profiling is **off by default**, activated
 per thread (:func:`active`/:func:`activate`), and crosses process
-boundaries through the worker envelope: the parallel engine ships the
-active profiler's rate inside each shard task, the worker trampoline
-arms a per-task :class:`Profiler` around the task, and the serialized
-:class:`ProfileReport` rides home in the ``("obs", ...)`` return
-payload where the dispatcher :meth:`~Profiler.adopt`\\ s it.
+boundaries through the shard task: the parallel engine ships the
+active profiler's rate inside each :class:`~repro.parallel.worker.
+ShardTask`, the worker arms a per-task :class:`Profiler` around the
+task, and the serialized :class:`ProfileReport` rides home in the
+:class:`~repro.parallel.worker.ShardReply`, where the dispatcher
+:meth:`~Profiler.adopt`\\ s it.
 
 >>> prof = Profiler(hz=50)
 >>> prof.start(); _ = sum(i * i for i in range(100000)); prof.stop()

@@ -8,8 +8,8 @@ which span. That is the whole cross-process story:
 
 1. the dispatcher opens ``query.*`` spans and captures its current
    :class:`TraceContext` (trace id + current span id);
-2. the context rides inside the shard task envelope (the same payload
-   that already ships ``(shm_name, shard bounds)``);
+2. the context rides in the :class:`~repro.parallel.worker.ShardTask`
+   (next to the shard's store ref and bounds);
 3. the worker activates a fresh tracer parented at the shipped context,
    runs the task under ``p1.*``/``p2.*`` spans, and returns its
    serialized span list with the shard output;
@@ -18,8 +18,9 @@ which span. That is the whole cross-process story:
    provably crosses the worker boundary.
 
 Like the metrics registry (:mod:`repro.obs.metrics`), tracing is
-activated per thread and the module-level :func:`span` helper is a
-no-op returning a shared singleton while no tracer is active.
+activated per thread. While no tracer is active the module-level
+:func:`span` helper records nothing; it still returns a clock whose
+``elapsed`` times the block, so timing code never needs a second timer.
 
 Span taxonomy (see README "Observability"): ``query.*`` engine entry
 points, ``p1.*`` structural matching, ``p2.*`` instance search /
@@ -110,7 +111,7 @@ def _ambient_update(stack: "List[Span]") -> None:
 
 #: ``(trace_id, parent_span_id)`` — everything a worker needs to open
 #: spans under the dispatcher's tree. Kept a plain tuple so it pickles
-#: as a few bytes inside the task envelope.
+#: as a few bytes inside the shard task.
 TraceContext = Tuple[str, Optional[str]]
 
 
@@ -179,48 +180,63 @@ class Span:
         return span_obj
 
 
-class _SpanHandle:
-    """Context manager recording one span on its tracer."""
+class _Clock:
+    """Times one ``with`` block: the handle every :func:`span` returns.
+
+    ``elapsed`` reads live inside the block and is final after it, so a
+    caller can time a phase (or the part of a query before its merge)
+    from the span handle alone, with tracing on or off.
+    """
+
+    __slots__ = ("_start", "_end")
+
+    def __init__(self) -> None:
+        self._start = self._end = 0.0
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds since enter (until exit, once the block has closed)."""
+        end = self._end if self._end else time.perf_counter()
+        return end - self._start
+
+    def set(self, **attrs: object) -> "_Clock":
+        """Attach attributes to the live span (nothing to attach to here)."""
+        return self
+
+    def __enter__(self) -> "_Clock":
+        self._end = 0.0
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._end = time.perf_counter()
+
+
+class _SpanHandle(_Clock):
+    """A :class:`_Clock` that also records its block as a span."""
 
     __slots__ = ("_tracer", "_span")
 
     def __init__(self, tracer: "Tracer", span_obj: Span) -> None:
+        super().__init__()
         self._tracer = tracer
         self._span = span_obj
 
     def set(self, **attrs: object) -> "_SpanHandle":
-        """Attach attributes to the live span."""
         self._span.attrs.update(attrs)
         return self
 
     def __enter__(self) -> "_SpanHandle":
         self._tracer._push(self._span)
-        self._span.start = self._span.end = time.perf_counter()
+        self._end = 0.0
+        self._start = self._span.start = self._span.end = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._span.end = time.perf_counter()
+        self._end = self._span.end = time.perf_counter()
         if exc_type is not None:
             self._span.attrs.setdefault("error", exc_type.__name__)
         self._tracer._pop(self._span)
-
-
-class _NoopSpan:
-    """Shared do-nothing span handle returned while tracing is off."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: object) -> "_NoopSpan":
-        return self
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
@@ -360,11 +376,17 @@ def activate(tracer: Optional[Tracer]) -> Optional[Tracer]:
     return previous
 
 
-def span(name: str, **attrs: object):
-    """Open a span on the active tracer (shared no-op handle when off)."""
+def span(name: str, **attrs: object) -> _Clock:
+    """Open a span on the active tracer; a bare :class:`_Clock` when off.
+
+    Either way the handle's ``elapsed`` times the block — the one clock
+    behind every phase timing (``p1_seconds``, ``p2_seconds``, a query's
+    ``wall_seconds``), so a traced run's span durations equal its
+    reported timings exactly.
+    """
     tracer = _STATE.tracer
     if tracer is None:
-        return NOOP_SPAN
+        return _Clock()
     return tracer.span(name, **attrs)
 
 

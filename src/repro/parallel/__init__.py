@@ -10,12 +10,14 @@ to exactly one owning shard. This package builds on that observation:
 * :mod:`repro.parallel.partition` — the δ-overlap **time-range
   partitioner** (:func:`partition_time_range`, :class:`TimeShard`) and the
   anchored-ownership rule that makes sharded output exact;
-* :mod:`repro.parallel.worker` — module-level worker functions (search,
-  count, top-k, batch) that a :class:`~concurrent.futures.Executor` can
-  pickle, plus the ``"columnar"`` zero-copy envelope: process workers
-  receive ``(shm_name, shard bounds)``, attach the shared
-  :class:`~repro.graph.columnar.ColumnStore` once per process, and slice
-  their shard as memoryviews over the shared block;
+* :mod:`repro.parallel.worker` — the :class:`~repro.parallel.worker.
+  ShardTask` every sharded query ships per shard (kind ``search``,
+  ``count``, ``top_k`` or ``batch``; the shard as a shared-memory name,
+  a sealed-segment path, or the pickled slice; the queries; the trace
+  context), the :class:`~repro.parallel.worker.ShardReply` that comes
+  back, and the one P1→P2 kernel :func:`~repro.parallel.worker.
+  run_shard_task` runs for every kind. Store-ref workers attach or map
+  the store once per process and slice their shard as zero-copy views;
 * :mod:`repro.parallel.merge` — the **deduplicating merger** that rebinds
   shard-local instances onto the parent graph's series and aggregates
   per-shard timings;

@@ -38,10 +38,8 @@ from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.parallel import merge as _merge
-from repro.parallel import worker as _worker
 from repro.parallel.costmodel import ShardCostModel
 from repro.parallel.engine import ParallelFlowMotifEngine
-from repro.utils.timing import Timer
 
 
 @dataclass(frozen=True)
@@ -191,17 +189,17 @@ class BatchRunner:
         halo = max(c.effective_delta for c in resolved)
         with _tracing.span(
             "query.batch", configs=len(resolved), shards=self.num_shards
-        ):
-            with Timer() as wall:
-                if self.adaptive and len(resolved) > 1 and self.num_shards > 1:
-                    results = self._run_adaptive(resolved, halo, collect)
-                else:
-                    results = self._run_wave(resolved, halo, collect)
+        ) as query:
+            if self.adaptive and len(resolved) > 1 and self.num_shards > 1:
+                results = self._run_adaptive(resolved, halo, collect)
+            else:
+                results = self._run_wave(resolved, halo, collect)
+        wall = query.elapsed
         # The fan-out/merge wall time is shared by the whole grid; record
         # it on every config's report so efficiency charts have a
         # non-zero denominator.
         for result in results:
-            result.shard_timings.wall_seconds = wall.elapsed
+            result.shard_timings.wall_seconds = wall
         groups = {c.motif.spanning_path for c in resolved}
         # Shard imbalance (max/mean shard wall time) of the batch: the
         # worst ratio across the grid (1.0 for a single shard).
@@ -211,7 +209,7 @@ class BatchRunner:
             "num_topology_groups": len(groups),
             "p1_seconds": sum(r.p1_seconds for r in results),
             "p2_seconds": sum(r.p2_seconds for r in results),
-            "wall_seconds": wall.elapsed,
+            "wall_seconds": wall,
             "shard_imbalance_ratio": imbalance,
         }
         self.last_stats.update(self._adaptive_stats)
@@ -231,19 +229,13 @@ class BatchRunner:
         fresher densities.
         """
         shards = self._engine.partition(halo)
-        specs = [
-            (i, c.motif, c.effective_delta, c.effective_phi)
-            for i, c in enumerate(configs)
+        queries = [
+            (c.motif, c.effective_delta, c.effective_phi) for c in configs
         ]
-        tasks = self._engine._shard_tasks(shards, "batch", specs, collect)
-        grouped = self._engine._dispatch(tasks)
-        # grouped[s] is the list of per-config outputs from shard s.
-        per_config: List[List[_worker.ShardSearchOutput]] = [
-            [] for _ in configs
-        ]
-        for shard_outputs in grouped:
-            for output in shard_outputs:
-                per_config[output.config_index].append(output)
+        # P1 with φ = 0: one match list serves every φ of a topology group.
+        per_config = self._engine._run_queries(
+            shards, "batch", queries, 0.0, collect=collect
+        )
         results: List[SearchResult] = []
         for config, outputs in zip(configs, per_config):
             result = _merge.merge_search_results(

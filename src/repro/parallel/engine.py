@@ -22,9 +22,10 @@ Backends
     :class:`concurrent.futures.ProcessPoolExecutor` — true multi-core
     speedup. With ``use_shared_memory=True`` (default) the graph is
     exported once into a shared-memory
-    :class:`~repro.graph.columnar.ColumnStore` and each worker receives
-    only ``(shm_name, shard bounds)`` — zero-copy fan-out; workers
-    rebuild their slice as memoryview views over the shared block.
+    :class:`~repro.graph.columnar.ColumnStore` and each worker's
+    :class:`~repro.parallel.worker.ShardTask` carries only the shm name
+    and shard bounds — zero-copy fan-out; workers rebuild their slice
+    as memoryview views over the shared block.
     Results must still pickle (they do for all built-in node types;
     pass ``backend="thread"`` for exotic ones).
 ``"thread"``
@@ -45,7 +46,7 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.engine import SearchResult
 from repro.core.instance import MotifInstance
@@ -71,7 +72,6 @@ from repro.resilience.retry import (
     ShardExecutionError,
     ShardTimeoutError,
 )
-from repro.utils.timing import Timer
 
 LOG = logging.getLogger("repro.parallel.engine")
 
@@ -114,8 +114,8 @@ class ParallelFlowMotifEngine:
         ``"width"`` (equal-length time intervals).
     use_shared_memory:
         Process backend only: export the graph once into a shared-memory
-        :class:`~repro.graph.columnar.ColumnStore` and ship workers
-        ``(shm_name, shard bounds)`` instead of pickled series (default
+        :class:`~repro.graph.columnar.ColumnStore` and ship workers its
+        name and the shard bounds instead of pickled series (default
         True). Disable to fall back to pickled shard slices, e.g. on
         platforms without POSIX shared memory. Graphs whose node ids are
         not ``int``/``str`` fall back automatically.
@@ -329,119 +329,138 @@ class ParallelFlowMotifEngine:
                 pass  # logging machinery itself torn down at interpreter exit
 
     def _shard_tasks(
-        self, shards: Sequence[TimeShard], kind: str, *args
-    ) -> List[Tuple]:
-        """Wrap one inner task per shard in the backend's payload form.
+        self,
+        shards: Sequence[TimeShard],
+        kind: str,
+        queries: Sequence[_worker.ShardQuery],
+        p1_phi: float,
+        **options,
+    ) -> List[_worker.ShardTask]:
+        """One :class:`~repro.parallel.worker.ShardTask` per shard.
 
-        Zero-copy mode envelopes the inner task as ``("columnar",
-        shm_name, shard.bounds, kind, *args)`` — the only per-worker
-        payload is the shared-memory name and five numbers. A graph
-        backed by a durable sealed segment
-        (:class:`~repro.graph.segments.SegmentColumnStore`) ships
-        ``("segment", path, shard.bounds, kind, *args)`` instead:
-        workers mmap the file themselves, so no shm export is ever
-        created and graphs larger than RAM fan out by path. Other modes
-        ship the materialized shard inline: ``(kind, shard, *args)``.
+        The transport is picked once for the whole fan-out. Zero-copy
+        mode ships the engine's shared-memory export name
+        (``shm_name``) and the shard's ``bounds`` — a name and five
+        numbers per worker. A graph backed by a durable sealed segment
+        (:class:`~repro.graph.segments.SegmentColumnStore`) ships its
+        ``segment_path`` instead: workers mmap the file themselves, so
+        no shm export is ever created and graphs larger than RAM fan out
+        by path. Otherwise the materialized shard travels in the task.
 
         A single shard never leaves this process (``_dispatch`` runs it
-        inline), so the envelope — and the shared-memory export it would
-        force — is skipped. A graph the columnar store cannot hold
-        bit-exactly (exotic node ids, values not exact in float64) is
-        detected on the first export attempt and permanently flips the
-        engine to the pickled transport — one validation scan, no
-        query-time failure.
+        inline), so the shared-memory export it would force is skipped.
+        A graph the columnar store cannot hold bit-exactly (exotic node
+        ids, values not exact in float64) is detected on the first
+        export attempt and permanently flips the engine to the pickled
+        transport — one validation scan, no query-time failure. Light
+        shards reaching the pickled path are materialized here,
+        list-backed (safe to pickle), and cached in place so repeat
+        queries on the same partition pay the copy once.
 
-        Light shards reaching the inline/pickled path are materialized
-        here, list-backed (safe to pickle), and cached in place so
-        repeat queries on the same partition pay the copy once.
+        When a tracer, metrics registry or profiler is active on this
+        (the dispatching) thread, every task also carries the trace
+        context and profile rate; see
+        :func:`repro.parallel.worker.run_shard_task`.
         """
+        transport: dict = {}
         if self._zero_copy and len(shards) > 1:
             base = getattr(self._ts, "_column_store", None)
             segment_path = getattr(base, "path", None)
             if segment_path is not None:
-                return [
-                    ("segment", str(segment_path), shard.bounds, kind) + args
-                    for shard in shards
-                ]
-            try:
-                name = self._shared_store().shm_name
-            except (TypeError, ValueError, OSError):
-                # TypeError/ValueError: the graph cannot live in a
-                # ColumnStore bit-exactly (exotic node ids, values not
-                # exact in float64). OSError: shared memory itself is
-                # unavailable or too small (e.g. a container's 64 MB
-                # /dev/shm). Either way the pickled transport works.
-                self._zero_copy = False
-                self._partition_cache.clear()
+                transport = {"segment_path": str(segment_path)}
             else:
-                return [
-                    ("columnar", name, shard.bounds, kind) + args
-                    for shard in shards
-                ]
-        for shard in shards:
-            if shard.graph is None:
-                shard.graph = materialize_shard(
-                    self._ts, shard.bounds, zero_copy=False
-                ).graph
-        return [(kind, shard) + args for shard in shards]
-
-    def _wrap_traced(self, tasks: Sequence[Tuple]) -> Sequence[Tuple]:
-        """Envelope tasks with the caller's observability context.
-
-        When a tracer, metrics registry, or profiler is active on the
-        dispatching thread, each task becomes ``("traced", (trace_id,
-        parent_span_id), attrs, opts, inner_task)``: the worker
-        trampoline activates a fresh registry/tracer around the inner
-        task — arming a per-task sampling profiler when ``opts`` ships a
-        ``profile_hz`` — and ships spans + snapshot + profile back (see
-        :func:`repro.parallel.worker.run_shard_task`). With
-        observability off, tasks pass through untouched — the envelope,
-        the per-task registries, and the return wrapping all vanish.
-        """
+                try:
+                    transport = {"shm_name": self._shared_store().shm_name}
+                except (TypeError, ValueError, OSError):
+                    # TypeError/ValueError: the graph cannot live in a
+                    # ColumnStore bit-exactly (exotic node ids, values
+                    # not exact in float64). OSError: shared memory
+                    # itself is unavailable or too small (e.g. a
+                    # container's 64 MB /dev/shm). Either way the
+                    # pickled transport works.
+                    self._zero_copy = False
+                    self._partition_cache.clear()
+        if not transport:
+            for shard in shards:
+                if shard.graph is None:
+                    shard.graph = materialize_shard(
+                        self._ts, shard.bounds, zero_copy=False
+                    ).graph
         tracer = _tracing.active()
         prof = _profiler.active()
-        if tracer is None and _obs_metrics.active() is None and prof is None:
-            return tasks
-        ctx = tracer.context() if tracer is not None else (None, None)
-        opts = {"profile_hz": prof.hz} if prof is not None else {}
+        if (
+            tracer is not None
+            or prof is not None
+            or _obs_metrics.active() is not None
+        ):
+            options["trace"] = (
+                tracer.context() if tracer is not None else (None, None)
+            )
+            options["profile_hz"] = prof.hz if prof is not None else None
+        queries = tuple(queries)
         return [
-            ("traced", ctx, {"shard": index}, opts, task)
-            for index, task in enumerate(tasks)
+            _worker.ShardTask(
+                kind,
+                shard.bounds,
+                queries,
+                p1_phi,
+                shard=None if transport else shard,
+                **transport,
+                **options,
+            )
+            for shard in shards
         ]
 
-    def _unwrap_traced(self, results: List) -> List:
-        """Fold worker observability payloads back into this thread.
+    def _adopt_replies(
+        self, replies: Sequence[_worker.ShardReply]
+    ) -> List[List[_worker.ShardSearchOutput]]:
+        """Fold worker observability payloads back into this thread and
+        return each shard's outputs.
 
-        Worker results arrive as ``("obs", spans, snapshot, profile,
-        inner)``: spans are adopted by the active tracer (stitching the
-        worker subtrees under the dispatching span via their shipped
-        parent ids), snapshots merge associatively into the active
-        registry, and profiles fold into the active profiler's report.
-        Results from retried attempts that ultimately failed never reach
-        this point, so each shard contributes exactly one snapshot.
+        Spans are adopted by the active tracer (stitching the worker
+        subtrees under the dispatching span via their shipped parent
+        ids), snapshots merge associatively into the active registry,
+        and profiles fold into the active profiler's report. Replies from
+        retried attempts that ultimately failed never reach this point,
+        so each shard contributes exactly one snapshot.
         """
         tracer = _tracing.active()
         registry = _obs_metrics.active()
         prof = _profiler.active()
         recorder = _flight.installed()
-        unwrapped: List = []
-        for item in results:
-            if isinstance(item, tuple) and len(item) == 5 and item[0] == "obs":
-                _, spans, snapshot, profile, inner = item
-                if tracer is not None and spans:
-                    tracer.add_spans(spans)
-                if registry is not None and snapshot:
-                    registry.merge(snapshot)
-                if prof is not None and profile:
-                    prof.adopt(profile)
-                if recorder is not None and snapshot:
-                    recorder.note_metrics(snapshot)
-                unwrapped.append(inner)
-            else:
-                unwrapped.append(item)
-        return unwrapped
+        for reply in replies:
+            if tracer is not None and reply.spans:
+                tracer.add_spans(reply.spans)
+            if registry is not None and reply.snapshot:
+                registry.merge(reply.snapshot)
+            if prof is not None and reply.profile:
+                prof.adopt(reply.profile)
+            if recorder is not None and reply.snapshot:
+                recorder.note_metrics(reply.snapshot)
+        return [reply.outputs for reply in replies]
 
-    def _dispatch(self, tasks: Sequence[Tuple]) -> List:
+    def _run_queries(
+        self,
+        shards: Sequence[TimeShard],
+        kind: str,
+        queries: Sequence[_worker.ShardQuery],
+        p1_phi: float,
+        **options,
+    ) -> List[List[_worker.ShardSearchOutput]]:
+        """Fan ``queries`` out over ``shards``; outputs regrouped per query
+        (``result[q][s]`` answers query ``q`` on shard ``s``)."""
+        tasks = self._shard_tasks(shards, kind, queries, p1_phi, **options)
+        per_query: List[List[_worker.ShardSearchOutput]] = [
+            [] for _ in queries
+        ]
+        for outputs in self._dispatch(tasks):
+            for output in outputs:
+                per_query[output.config_index].append(output)
+        return per_query
+
+    def _dispatch(
+        self, tasks: Sequence[_worker.ShardTask]
+    ) -> List[List[_worker.ShardSearchOutput]]:
         """Run shard tasks on the configured backend, preserving order.
 
         Fault-tolerant: failed or timed-out shards are retried per
@@ -458,10 +477,9 @@ class ParallelFlowMotifEngine:
         """
         report = DispatchReport(backend=self.backend, final_backend=self.backend)
         self.last_dispatch = report
-        tasks = self._wrap_traced(tasks)
         if self.jobs == 1 or self.backend == "serial" or len(tasks) <= 1:
             report.backend = report.final_backend = "serial"
-            return self._unwrap_traced(
+            return self._adopt_replies(
                 [_worker.run_shard_task(task) for task in tasks]
             )
         policy = self.retry_policy
@@ -487,7 +505,7 @@ class ParallelFlowMotifEngine:
                     tasks, results, pending, backend, round_no, report
                 )
                 if not pending:
-                    return self._unwrap_traced(results)
+                    return self._adopt_replies(results)
             if not policy.degrade:
                 break
         raise ShardExecutionError(
@@ -500,7 +518,7 @@ class ParallelFlowMotifEngine:
 
     def _run_round(
         self,
-        tasks: Sequence[Tuple],
+        tasks: Sequence[_worker.ShardTask],
         results: List,
         pending: List[int],
         backend: str,
@@ -599,22 +617,19 @@ class ParallelFlowMotifEngine:
             delta=effective_delta,
             backend=self.backend,
             shards=self.num_shards,
-        ):
-            with Timer() as wall:
-                shards = self.partition(effective_delta)
-                tasks = self._shard_tasks(
-                    shards,
-                    "search",
-                    motif,
-                    effective_delta,
-                    effective_phi,
-                    collect,
-                    skip_rule,
-                    prefix_pruning,
-                )
-                outputs = self._dispatch(tasks)
+        ) as query:
+            shards = self.partition(effective_delta)
+            (outputs,) = self._run_queries(
+                shards,
+                "search",
+                [(motif, effective_delta, effective_phi)],
+                effective_phi,
+                collect=collect,
+                skip_rule=skip_rule,
+                prefix_pruning=prefix_pruning,
+            )
             result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=wall.elapsed
+                motif, shards, outputs, self._ts, wall_seconds=query.elapsed
             )
             self._observe_costs(shards, result)
             return result
@@ -634,15 +649,16 @@ class ParallelFlowMotifEngine:
             delta=effective_delta,
             backend=self.backend,
             shards=self.num_shards,
-        ):
-            with Timer() as wall:
-                shards = self.partition(effective_delta)
-                tasks = self._shard_tasks(
-                    shards, "count", motif, effective_delta, effective_phi
-                )
-                outputs = self._dispatch(tasks)
+        ) as query:
+            shards = self.partition(effective_delta)
+            (outputs,) = self._run_queries(
+                shards,
+                "count",
+                [(motif, effective_delta, effective_phi)],
+                effective_phi,
+            )
             result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=wall.elapsed
+                motif, shards, outputs, self._ts, wall_seconds=query.elapsed
             )
             self._observe_costs(shards, result)
             return result
@@ -675,8 +691,8 @@ class ParallelFlowMotifEngine:
             shards=self.num_shards,
         ):
             shards = self.partition(effective_delta)
-            tasks = self._shard_tasks(
-                shards, "top_k", motif, k, effective_delta
+            # P1 with φ = 0: ranking by flow needs every structural match.
+            (outputs,) = self._run_queries(
+                shards, "top_k", [(motif, effective_delta, 0.0)], 0.0, k=k
             )
-            outputs = self._dispatch(tasks)
             return _merge.merge_top_k(motif, shards, outputs, self._ts, k)

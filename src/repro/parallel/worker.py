@@ -1,18 +1,30 @@
-"""Shard worker functions — the code that runs inside pool workers.
+"""The shard task, its reply, and the one P1→P2 kernel pool workers run.
 
-Everything here is module-level and operates on picklable payloads
-(:class:`~repro.parallel.partition.TimeShard`, :class:`~repro.core.motif.
-Motif`, plain floats), so the functions can be dispatched over a
-:class:`concurrent.futures.ProcessPoolExecutor` as well as called inline
-for the thread/serial backends.
+Every sharded query — find, count, top-k, or a batch grid — ships one
+:class:`ShardTask` per shard and gets one :class:`ShardReply` back. The
+task is a frozen, picklable value, so it is dispatched over a
+:class:`concurrent.futures.ProcessPoolExecutor` as readily as it is run
+inline by the thread/serial backends. It carries the shard in one of
+three ways:
 
-The process backend's default transport is the ``"columnar"`` envelope:
-instead of a pickled :class:`TimeShard`, a task carries the name of a
-shared-memory :class:`~repro.graph.columnar.ColumnStore` plus the shard's
-cut bounds. The worker attaches the store once per process (cached in
-:data:`_ATTACHED`), rebuilds the graph as zero-copy memoryview views, and
-re-materializes its shard slice locally — spawn payload drops from
-O(events) to O(1) per shard.
+* the name of a shared-memory :class:`~repro.graph.columnar.ColumnStore`
+  (``shm_name``), the process backend's default;
+* the path of a sealed segment file (``segment_path``) when the graph is
+  backed by the durable store;
+* the materialized :class:`~repro.parallel.partition.TimeShard` itself,
+  for the pickled transport and the in-process backends.
+
+With a store ref only the shard's ``bounds`` travel; the worker resolves
+the store once per process (:data:`_STORES`) as zero-copy views and
+re-slices its shard locally, so the spawn payload is O(1) per shard
+instead of O(events).
+
+:func:`run_shard_task` runs one kernel for every kind: phase P1 once per
+spanning path, then each query's phase-P2 op (enumerate, count or top-k).
+P1 runs with the output-preserving fused pruning of
+:func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
+True``): a shard only materializes matches that can host an instance
+*somewhere in the shard*, a superset of what its owned windows need.
 
 Workers do **not** ship :class:`~repro.core.instance.MotifInstance`
 objects back to the parent: an instance found in a shard is reduced to a
@@ -21,18 +33,12 @@ compact :class:`InstanceRecord` — the vertex map plus one shard-local
 the parent graph's series using the shard's slice offsets, so merged
 instances are bit-identical to what a serial search would have produced
 (including being backed by the parent's own :class:`EdgeSeries` objects).
-
-Phase P1 runs per shard with the output-preserving fused pruning of
-:func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
-True``): a shard only materializes matches that can host an instance
-*somewhere in the shard*, which is a superset of what its owned windows
-need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import counting as _counting
 from repro.core import enumeration as _enumeration
@@ -47,9 +53,8 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import profiler as _obs_profiler
 from repro.obs import tracing as _tracing
 from repro.obs.tracing import span as _span
-from repro.resilience import faultinject as _faultinject
 from repro.parallel.partition import TimeShard, materialize_shard
-from repro.utils.timing import Timer
+from repro.resilience import faultinject as _faultinject
 
 #: Compact shard-local form of one instance: the vertex map plus one
 #: inclusive (lo, hi) index range per motif edge, indices into the
@@ -79,13 +84,156 @@ def _record(instance: MotifInstance) -> InstanceRecord:
     )
 
 
-def _shard_matches(shard: TimeShard, motif: Motif, phi: float):
-    """Phase P1 on the shard slice, with output-preserving fused pruning."""
-    return list(
-        iter_structural_matches(
-            shard.graph, motif, phi=phi, temporal_pruning=True
-        )
-    )
+#: One query of a shard task: ``(motif, delta, phi)`` with the effective
+#: (motif-default-resolved) constraints. A batch task's outputs answer
+#: its queries in order (``ShardSearchOutput.config_index``).
+ShardQuery = Tuple[Motif, float, float]
+
+#: The P2 span (and op) of each task kind.
+_P2_SPANS = {
+    "search": "p2.enumerate",
+    "batch": "p2.enumerate",
+    "count": "p2.count",
+    "top_k": "p2.top_k",
+}
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """Everything one worker needs to answer its shard's queries.
+
+    Attributes
+    ----------
+    kind:
+        ``"search"``, ``"count"``, ``"top_k"`` or ``"batch"`` — the P2 op,
+        and the task kind :class:`~repro.resilience.FaultSpec` filters on.
+    bounds:
+        The shard's :attr:`TimeShard.bounds`; the shard index is
+        ``bounds[0]``.
+    queries:
+        The :data:`ShardQuery` tuples to answer (one unless ``"batch"``).
+    p1_phi:
+        The φ phase P1 prunes with: the query's own φ for search/count,
+        0 for top-k (ranking needs every flow) and batch (one match list
+        serves every φ of a topology group).
+    shm_name, segment_path, shard:
+        Where the shard comes from — exactly one is set: a shared-memory
+        store, a sealed segment file, or the materialized shard itself.
+    collect, skip_rule, prefix_pruning:
+        Enumeration options (``collect=False`` counts without records).
+    k:
+        Top-k size (``"top_k"`` only).
+    trace:
+        The dispatcher's ``(trace_id, parent_span_id)`` when observability
+        is on (``(None, None)`` with metrics but no tracer); ``None`` runs
+        the task unobserved.
+    profile_hz:
+        Arms a per-task sampling profiler at this rate.
+    """
+
+    kind: str
+    bounds: Tuple[int, int, float, float, float]
+    queries: Tuple[ShardQuery, ...]
+    p1_phi: float
+    shm_name: Optional[str] = None
+    segment_path: Optional[str] = None
+    shard: Optional[TimeShard] = None
+    collect: bool = True
+    skip_rule: bool = True
+    prefix_pruning: bool = True
+    k: int = 0
+    trace: Optional[Tuple[Optional[str], Optional[str]]] = None
+    profile_hz: Optional[float] = None
+
+    def __reduce__(self):
+        # Pickle positionally: the field names would double the spawn
+        # payload of a store-ref task.
+        return (ShardTask, tuple(getattr(self, f.name) for f in fields(self)))
+
+
+@dataclass
+class ShardReply:
+    """What :func:`run_shard_task` returns: one output per query, plus the
+    worker's spans, metrics snapshot and profile when the task was
+    observed (``None`` otherwise)."""
+
+    outputs: List[ShardSearchOutput]
+    spans: Optional[List[dict]] = None
+    snapshot: Optional[dict] = None
+    profile: Optional[dict] = None
+
+
+def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
+    """Answer ``task.queries`` over one materialized shard.
+
+    Phase P1 runs once per spanning path (with ``task.p1_phi``) and its
+    time is charged to the first query of each topology group; the
+    others report ``p1_seconds == 0.0``, so summing per-query timings
+    reflects the real total work. Each query then runs the kind's P2 op
+    restricted to the shard's owned anchors. The ``anchor_range``
+    restriction is also what makes merged top-k exact: every globally
+    top-k instance is owned by some shard and is among that shard's
+    local top-k, while halo-anchored windows (possibly truncated by the
+    shard's data boundary) never displace genuine owned candidates.
+    """
+    outputs: List[ShardSearchOutput] = []
+    empty = shard.graph.num_series == 0
+    anchor_range = shard.anchor_range
+    p2_name = _P2_SPANS[task.kind]
+    matches_by_path: Dict[tuple, list] = {}
+    for config_index, (motif, delta, phi) in enumerate(task.queries):
+        out = ShardSearchOutput(shard_index=shard.index, config_index=config_index)
+        outputs.append(out)
+        if empty:
+            continue
+        key = motif.spanning_path
+        matches = matches_by_path.get(key)
+        if matches is None:
+            with _span("p1.match", shard=shard.index) as p1:
+                matches = matches_by_path[key] = list(
+                    iter_structural_matches(
+                        shard.graph, motif, phi=task.p1_phi,
+                        temporal_pruning=True,
+                    )
+                )
+            out.p1_seconds = p1.elapsed
+        out.num_matches = len(matches)
+        attrs = {"config": config_index} if task.kind == "batch" else {}
+        with _span(p2_name, shard=shard.index, **attrs) as p2:
+            if task.kind == "count":
+                out.count = _counting.count_instances(
+                    matches, delta=delta, phi=phi, anchor_range=anchor_range
+                )
+            elif task.kind == "top_k":
+                instances = _topk.top_k_instances(
+                    matches, task.k, delta=delta, anchor_range=anchor_range
+                )
+                out.records = [_record(inst) for inst in instances]
+                out.count = len(instances)
+            else:
+                _enumeration.find_instances(
+                    matches,
+                    delta=delta,
+                    phi=phi,
+                    on_instance=_sink(out, task.collect),
+                    skip_rule=task.skip_rule,
+                    prefix_pruning=task.prefix_pruning,
+                    anchor_range=anchor_range,
+                )
+        out.p2_seconds = p2.elapsed
+    return outputs
+
+
+def _sink(out: ShardSearchOutput, collect: bool):
+    """The enumeration callback counting (and recording) into ``out``."""
+    if collect:
+        def sink(instance: MotifInstance) -> None:
+            out.count += 1
+            out.records.append(_record(instance))
+    else:
+        def sink(instance: MotifInstance) -> None:
+            out.count += 1
+    return sink
 
 
 def search_shard(
@@ -103,289 +251,98 @@ def search_shard(
     engine applies motif defaults before dispatch), and ``delta`` must not
     exceed the shard's halo width.
     """
-    out = ShardSearchOutput(shard_index=shard.index)
-    if shard.graph.num_series == 0:
-        return out
-    # The p1/p2 spans wrap exactly the Timer blocks feeding
-    # p1_seconds/p2_seconds, so span totals reconcile with the merged
-    # ShardTimingReport (asserted in tests/obs/test_observed_search.py).
-    with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, phi)
-    out.num_matches = len(matches)
-    out.p1_seconds = t1.elapsed
-
-    counter = [0]
-    if collect:
-        def sink(instance: MotifInstance) -> None:
-            counter[0] += 1
-            out.records.append(_record(instance))
-    else:
-        def sink(instance: MotifInstance) -> None:
-            counter[0] += 1
-
-    with _span("p2.enumerate", shard=shard.index), Timer() as t2:
-        _enumeration.find_instances(
-            matches,
-            delta=delta,
-            phi=phi,
-            on_instance=sink,
-            skip_rule=skip_rule,
-            prefix_pruning=prefix_pruning,
-            anchor_range=shard.anchor_range,
-        )
-    out.p2_seconds = t2.elapsed
-    out.count = counter[0]
-    return out
+    task = ShardTask(
+        "search", shard.bounds, ((motif, delta, phi),), phi, shard=shard,
+        collect=collect, skip_rule=skip_rule, prefix_pruning=prefix_pruning,
+    )
+    return _run_kernel(task, shard)[0]
 
 
-def count_shard(
-    shard: TimeShard,
-    motif: Motif,
-    delta: float,
-    phi: float,
-) -> ShardSearchOutput:
-    """Count the shard's owned maximal instances without constructing them
-    (the memoized :mod:`repro.core.counting` recursion, anchor-filtered)."""
-    out = ShardSearchOutput(shard_index=shard.index)
-    if shard.graph.num_series == 0:
-        return out
-    with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, phi)
-    out.num_matches = len(matches)
-    out.p1_seconds = t1.elapsed
-    with _span("p2.count", shard=shard.index), Timer() as t2:
-        out.count = _counting.count_instances(
-            matches, delta=delta, phi=phi, anchor_range=shard.anchor_range
-        )
-    out.p2_seconds = t2.elapsed
-    return out
+#: Per-process cache of resolved stores and their graph views, keyed by
+#: shm name or segment path. Pool workers handle several shard tasks per
+#: query; attaching (or mapping and validating every CRC) and building
+#: the zero-copy graph view once per store amortizes the only non-trivial
+#: setup cost of a store-ref task.
+_STORES: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
 
 
-def top_k_shard(
-    shard: TimeShard,
-    motif: Motif,
-    k: int,
-    delta: float,
-) -> ShardSearchOutput:
-    """The shard's k best owned instances by flow.
+def _store_graph(task: ShardTask) -> TimeSeriesGraph:
+    """The columnar graph view behind a store-ref task (cached).
 
-    Every globally top-k instance is owned by some shard and is therefore
-    among that shard's local top-k, so merging the per-shard candidate
-    lists and re-ranking yields the exact global answer. The
-    ``anchor_range`` restriction is essential here: windows anchored in
-    the halo can be truncated by the shard's data boundary, and allowing
-    their (spurious) high-flow instances into the heap could displace
-    genuine owned candidates.
-    """
-    out = ShardSearchOutput(shard_index=shard.index)
-    if shard.graph.num_series == 0:
-        return out
-    with _span("p1.match", shard=shard.index), Timer() as t1:
-        matches = _shard_matches(shard, motif, 0.0)
-    out.num_matches = len(matches)
-    out.p1_seconds = t1.elapsed
-    with _span("p2.top_k", shard=shard.index), Timer() as t2:
-        instances = _topk.top_k_instances(
-            matches, k, delta=delta, anchor_range=shard.anchor_range
-        )
-    out.p2_seconds = t2.elapsed
-    out.records = [_record(inst) for inst in instances]
-    out.count = len(instances)
-    return out
-
-
-def batch_search_shard(
-    shard: TimeShard,
-    specs: Sequence[Tuple[int, Motif, float, float]],
-    collect: bool = True,
-) -> List[ShardSearchOutput]:
-    """Run several (motif, δ, φ) configurations over one shard, sharing P1.
-
-    ``specs`` is a list of ``(config_index, motif, delta, phi)`` with
-    resolved constraints; configurations whose motifs share a spanning
-    path reuse one phase-P1 match list (computed with φ = 0 so it serves
-    every φ in the group). The shared P1 time is attributed to the first
-    configuration of each topology group; the others report ``p1_seconds
-    == 0.0`` — summing per-config timings therefore reflects the real
-    total work, exactly the saving the runner exists to exploit.
-    """
-    outputs: List[ShardSearchOutput] = []
-    empty = shard.graph.num_series == 0
-    matches_by_path: dict = {}
-    for config_index, motif, delta, phi in specs:
-        out = ShardSearchOutput(shard_index=shard.index, config_index=config_index)
-        if empty:
-            outputs.append(out)
-            continue
-        key = motif.spanning_path
-        if key not in matches_by_path:
-            with _span("p1.match", shard=shard.index), Timer() as t1:
-                # φ = 0: the unpruned match set serves every φ in the group.
-                matches_by_path[key] = _shard_matches(shard, motif, 0.0)
-            out.p1_seconds = t1.elapsed
-        matches = matches_by_path[key]
-        out.num_matches = len(matches)
-
-        counter = [0]
-        if collect:
-            def sink(instance: MotifInstance, _out=out, _counter=counter) -> None:
-                _counter[0] += 1
-                _out.records.append(_record(instance))
-        else:
-            def sink(instance: MotifInstance, _out=out, _counter=counter) -> None:
-                _counter[0] += 1
-
-        with _span(
-            "p2.enumerate", shard=shard.index, config=config_index
-        ), Timer() as t2:
-            _enumeration.find_instances(
-                matches,
-                delta=delta,
-                phi=phi,
-                on_instance=sink,
-                anchor_range=shard.anchor_range,
-            )
-        out.p2_seconds = t2.elapsed
-        out.count = counter[0]
-        outputs.append(out)
-    return outputs
-
-
-#: Per-process cache of attached shared-memory stores and their graph
-#: views, keyed by shm name. Pool workers handle several shard tasks per
-#: query; attaching and rebuilding the (zero-copy) graph view once per
-#: store amortizes the only non-trivial setup cost of the columnar path.
-_ATTACHED: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
-
-#: Per-process cache of mmap'd durable segments, keyed by file path —
-#: the file-tier twin of :data:`_ATTACHED`. Validation (every CRC) runs
-#: once per process on first map; later shard tasks reuse the view.
-_MAPPED: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
-
-
-def _attached_graph(shm_name: str) -> TimeSeriesGraph:
-    """The columnar graph view of one shared store (cached per process)."""
-    entry = _ATTACHED.get(shm_name)
-    if entry is None:
-        store = ColumnStore.attach(shm_name)
-        entry = (store, store.to_graph())
-        _ATTACHED[shm_name] = entry
-    return entry[1]
-
-
-def _mapped_graph(path: str) -> TimeSeriesGraph:
-    """The columnar graph view of one sealed segment file (cached).
-
-    Workers never quarantine: a corrupt segment raises
+    Workers never quarantine a segment: a corrupt file raises
     :class:`~repro.resilience.SegmentCorruptionError` back to the
-    dispatcher (classified as a task error, not retried into the same
-    corruption forever thanks to the retry policy's bounded rounds);
-    the *owner* of the store decides about renaming files.
+    dispatcher (a task error, retried a bounded number of rounds); the
+    *owner* of the store decides about renaming files.
     """
-    entry = _MAPPED.get(path)
+    ref = task.shm_name or task.segment_path
+    entry = _STORES.get(ref)
     if entry is None:
-        from repro.graph.segments import open_segment
+        if task.shm_name is not None:
+            store = ColumnStore.attach(ref)
+        else:
+            from repro.graph.segments import open_segment
 
-        store = open_segment(path, quarantine=False)
-        entry = (store, store.to_graph())
-        _MAPPED[path] = entry
+            store = open_segment(ref, quarantine=False)
+        entry = _STORES[ref] = (store, store.to_graph())
     return entry[1]
 
 
 def detach_all() -> None:
-    """Drop every cached attachment (test hygiene; workers never need it
-    — process exit releases the mappings)."""
-    for cache in (_ATTACHED, _MAPPED):
-        while cache:
-            _, (store, graph) = cache.popitem()
-            # Free the graph's series views before closing: they hold
-            # memoryviews over the store's buffers, and a mapping with
-            # live exports cannot be closed.
-            del graph
-            try:
-                store.close()
-            except BufferError:  # a shard slice outlives us; OS cleans up
-                pass
+    """Drop every cached store (test hygiene; workers never need it —
+    process exit releases the mappings)."""
+    while _STORES:
+        _, (store, graph) = _STORES.popitem()
+        # Free the graph's series views before closing: they hold
+        # memoryviews over the store's buffers, and a mapping with live
+        # exports cannot be closed.
+        del graph
+        try:
+            store.close()
+        except BufferError:  # a shard slice outlives us; OS cleans up
+            pass
 
 
-def run_shard_task(task: Tuple) -> object:
-    """Trampoline for executor dispatch: ``(kind, args...) -> output``.
-
-    A single top-level entry point keeps pool submission uniform across
-    the search/count/top-k/batch worker kinds.
-
-    The ``"columnar"`` kind is the zero-copy process-backend envelope:
-    ``("columnar", shm_name, shard_bounds, inner_kind, args...)``. The
-    worker attaches the named shared-memory :class:`ColumnStore` (cached
-    per process), re-materializes the shard as memoryview slices of the
-    shared buffers, and runs the inner task — the payload that crossed
-    the process boundary is a name and five numbers instead of pickled
-    event lists.
-
-    The ``"segment"`` kind is the same light-shard envelope over the
-    durable tier: ``("segment", file_path, shard_bounds, inner_kind,
-    args...)``. The worker mmaps the sealed segment (validated once per
-    process, cached in :data:`_MAPPED`) instead of attaching shm — so a
-    graph larger than RAM fans out with only its path crossing the
-    process boundary, and the OS pages in exactly the ranges each shard
-    touches.
-    """
-    kind, args = task[0], task[1:]
-    if kind == "traced":
-        return _run_traced(*args)
-    if kind == "columnar":
-        shm_name, bounds, inner_kind = args[0], args[1], args[2]
-        shard = materialize_shard(_attached_graph(shm_name), bounds)
-        return run_shard_task((inner_kind, shard) + tuple(args[3:]))
-    if kind == "segment":
-        path, bounds, inner_kind = args[0], args[1], args[2]
-        shard = materialize_shard(_mapped_graph(path), bounds)
-        return run_shard_task((inner_kind, shard) + tuple(args[3:]))
+def _execute(task: ShardTask) -> List[ShardSearchOutput]:
+    """Resolve and materialize the shard, fire the chaos hook, run."""
+    shard = task.shard
+    if shard is None:
+        shard = materialize_shard(_store_graph(task), task.bounds)
     # Chaos hook: a no-op dict lookup unless a fault plan is armed in the
-    # environment (tests/resilience). Placed on the unwrapped path so a
-    # columnar-enveloped task is subject to exactly one injection.
-    if kind in ("search", "count", "top_k", "batch"):
-        _faultinject.maybe_inject(args[0].index, kind)
-    if kind == "search":
-        return search_shard(*args)
-    if kind == "count":
-        return count_shard(*args)
-    if kind == "top_k":
-        return top_k_shard(*args)
-    if kind == "batch":
-        return batch_search_shard(*args)
-    raise ValueError(f"unknown shard task kind {kind!r}")
+    # environment (tests/resilience). Fires exactly once per task.
+    _faultinject.maybe_inject(shard.index, task.kind)
+    return _run_kernel(task, shard)
 
 
-def _run_traced(ctx: Tuple, attrs: Dict, opts: Dict, inner: Tuple) -> Tuple:
-    """Run one task under the dispatcher's observability context.
+def run_shard_task(task: ShardTask) -> ShardReply:
+    """The pool entry point: run one shard task, observed if it asks.
 
-    ``ctx`` is the shipped ``(trace_id, parent_span_id)`` (``(None,
-    None)`` when only metrics were active). A *fresh* per-task registry
-    and tracer are activated on this thread — thread-local activation
-    means concurrent thread-backend tasks never share mutable state —
-    and the previous state is restored afterwards, so the serial inline
-    path leaves the dispatcher's own registry untouched.
+    An untraced task (``task.trace is None``) just runs. Otherwise a
+    *fresh* per-task registry and tracer are activated on this thread —
+    thread-local activation means concurrent thread-backend tasks never
+    share mutable state — and the previous state is restored afterwards,
+    so the serial inline path leaves the dispatcher's own registry
+    untouched. The tracer is parented at the shipped context, and the
+    whole task (store resolve and materialize included) runs under one
+    ``worker.shard_task`` span. ``profile_hz`` arms a sampling
+    :class:`~repro.obs.profiler.Profiler` pinned to this thread — unless
+    one is already sampling it (the serial inline path, where a second
+    profiler would double-count).
 
-    ``opts`` carries per-task extras; a ``"profile_hz"`` entry arms a
-    sampling :class:`~repro.obs.profiler.Profiler` pinned to this thread
-    for the task's duration — unless a profiler is already active here
-    (the serial inline path, where the dispatcher's own profiler is
-    sampling this very thread and a second one would double-count).
-
-    Returns ``("obs", spans, snapshot, profile, inner_result)`` for the
-    engine's ``_unwrap_traced`` to stitch, merge, and adopt parent-side.
+    The reply's spans, snapshot and profile are what the engine stitches,
+    merges and adopts parent-side.
     """
-    trace_id, parent_id = ctx
+    if task.trace is None:
+        return ShardReply(_execute(task))
+    trace_id, parent_id = task.trace
     registry = _obs_metrics.MetricsRegistry()
     tracer = (
         _tracing.Tracer(trace_id, parent_id) if trace_id is not None else None
     )
-    hz = opts.get("profile_hz") if opts else None
     ambient_prof = _obs_profiler.active()
     profiler = (
-        _obs_profiler.Profiler(hz=hz)
-        if hz and (ambient_prof is None or not ambient_prof.sampling_here)
+        _obs_profiler.Profiler(hz=task.profile_hz)
+        if task.profile_hz
+        and (ambient_prof is None or not ambient_prof.sampling_here)
         else None
     )
     prev_registry = _obs_metrics.activate(registry)
@@ -394,15 +351,18 @@ def _run_traced(ctx: Tuple, attrs: Dict, opts: Dict, inner: Tuple) -> Tuple:
         profiler.start()
     try:
         if tracer is not None:
-            with tracer.span("worker.shard_task", **attrs):
-                result = run_shard_task(inner)
+            with tracer.span("worker.shard_task", shard=task.bounds[0]):
+                outputs = _execute(task)
         else:
-            result = run_shard_task(inner)
+            outputs = _execute(task)
     finally:
         if profiler is not None:
             profiler.stop()
         _obs_metrics.activate(prev_registry)
         _tracing.activate(prev_tracer)
-    spans = tracer.spans() if tracer is not None else []
-    profile = profiler.report.to_dict() if profiler is not None else None
-    return ("obs", spans, registry.snapshot(), profile, result)
+    return ShardReply(
+        outputs,
+        spans=tracer.spans() if tracer is not None else [],
+        snapshot=registry.snapshot(),
+        profile=profiler.report.to_dict() if profiler is not None else None,
+    )

@@ -6,9 +6,10 @@ Two families of faults:
 :class:`FaultPlan` (a list of :class:`FaultSpec`) is serialized into the
 ``REPRO_FAULT_PLAN`` environment variable by the :func:`inject` context
 manager; :func:`maybe_inject` — called by
-:func:`repro.parallel.worker.run_shard_task` at the top of every shard
-task, in whatever process it runs — matches the current (shard, task kind)
-against the plan and fires the configured fault:
+:func:`repro.parallel.worker.run_shard_task` exactly once per shard task
+(after the shard is resolved on any transport, before the kernel runs),
+in whatever process it runs — matches the shard index and the task's
+``kind`` against the plan and fires the configured fault:
 
 ``"kill"``   ``os._exit`` the worker process mid-shard (downgraded to a
              raised :class:`InjectedFault` when running in the process

@@ -1,6 +1,5 @@
-"""Small shared utilities: timing, table rendering, validation."""
+"""Small shared utilities: timing reports, table rendering, validation."""
 
-from repro.utils.timing import Timer
 from repro.utils.tables import format_table, format_series
 from repro.utils.validation import (
     require,
@@ -9,7 +8,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
     "format_table",
     "format_series",
     "require",

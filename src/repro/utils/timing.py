@@ -1,36 +1,12 @@
-"""Timing helpers used by the experiment harness and benchmarks."""
+"""Per-shard timing reports of parallel searches.
+
+Blocks are timed with :func:`repro.obs.tracing.span` handles (their
+``elapsed``), the one clock every phase timing reads."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List
-
-
-class Timer:
-    """Context manager measuring wall-clock time of a block.
-
-    Example
-    -------
-    >>> with Timer() as t:
-    ...     sum(range(1000))
-    499500
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    __slots__ = ("elapsed", "_start")
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
 
 
 @dataclass

@@ -4,7 +4,6 @@ import threading
 
 from repro.obs import tracing
 from repro.obs.tracing import (
-    NOOP_SPAN,
     Tracer,
     render_trace_tree,
     span_totals,
@@ -82,12 +81,36 @@ class TestTracer:
 class TestNoopPath:
     def test_module_span_is_noop_when_inactive(self):
         assert tracing.active() is None
-        with tracing.span("anything", k="v") as handle:
-            assert handle is NOOP_SPAN
+        finished = []
+        tracing.set_span_hook(finished.append)
+        try:
+            with tracing.span("anything", k="v") as handle:
+                assert handle.set(more=1) is handle
+        finally:
+            tracing.set_span_hook(None)
+        assert finished == []
+        assert handle.elapsed >= 0.0
 
-    def test_noop_span_is_reentrant_singleton(self):
-        with tracing.span("a") as a, tracing.span("b") as b:
-            assert a is b is NOOP_SPAN
+    def test_untraced_spans_nest_with_independent_clocks(self):
+        with tracing.span("a") as a:
+            with tracing.span("b") as b:
+                sum(range(1000))
+            inner = b.elapsed
+            assert b.elapsed == inner  # final once its block closed
+            assert a.elapsed >= inner  # still live inside its block
+        assert a is not b
+        assert a.elapsed >= inner >= 0.0
+
+    def test_traced_handle_elapsed_is_the_span_duration(self):
+        tracer = Tracer()
+        previous = tracing.activate(tracer)
+        try:
+            with tracing.span("timed") as handle:
+                sum(range(1000))
+        finally:
+            tracing.activate(previous)
+        (record,) = tracer.spans()
+        assert handle.elapsed == record["end"] - record["start"]
 
 
 class TestStitching:

@@ -19,6 +19,7 @@ from repro.graph.columnar import columnarize
 from repro.graph.interaction import InteractionGraph
 from repro.parallel import BatchRunner, MotifConfig, ParallelFlowMotifEngine
 from repro.parallel.partition import partition_time_range
+from repro.parallel.worker import ShardTask
 
 
 def _random_graph(seed: int, num_events: int = 90) -> InteractionGraph:
@@ -85,21 +86,23 @@ def test_zero_copy_process_equals_pickled_process(seed):
 
 
 def test_spawn_payload_at_least_10x_smaller():
-    """Per-worker task payloads: (shm_name, bounds) vs pickled slices."""
+    """Per-worker ShardTask payloads: (shm_name, bounds) vs pickled slices."""
     graph = _random_graph(0, num_events=600)
     ts = graph.to_time_series()
     motif = Motif.chain(3, delta=9, phi=4)
+    queries = ((motif, 9.0, 4.0),)
     pickled_shards = partition_time_range(ts, 4, 9.0)
     pickled_bytes = sum(
-        len(pickle.dumps(("search", s, motif, 9.0, 4.0, True, True, True)))
+        len(pickle.dumps(ShardTask("search", s.bounds, queries, 4.0, shard=s)))
         for s in pickled_shards
     )
     with ParallelFlowMotifEngine(
         graph, jobs=2, shards=4, backend="process"
     ) as engine:
         tasks = engine._shard_tasks(
-            engine.partition(9.0), "search", motif, 9.0, 4.0, True, True, True
+            engine.partition(9.0), "search", queries, 4.0
         )
+        assert all(t.shm_name and t.shard is None for t in tasks)
         zero_copy_bytes = sum(len(pickle.dumps(t)) for t in tasks)
     assert pickled_bytes >= 10 * zero_copy_bytes, (
         f"payload only shrank {pickled_bytes / zero_copy_bytes:.1f}x "

@@ -1,19 +1,27 @@
-"""Utility helpers: timing, tables, validation."""
+"""Utility helpers: the span clock, timing reports, tables, validation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.utils.tables import format_series, format_table
-from repro.utils.timing import ShardTiming, ShardTimingReport, Timer
+from repro.obs import tracing
+from repro.utils.timing import ShardTiming, ShardTimingReport
 from repro.utils.validation import require, require_non_negative, require_positive
 
 
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer() as t:
-            sum(range(100))
+class TestClock:
+    def test_untraced_span_times_block_and_records_nothing(self):
+        assert tracing.active() is None
+        finished = []
+        tracing.set_span_hook(finished.append)
+        try:
+            with tracing.span("utils.clock") as t:
+                sum(range(100))
+        finally:
+            tracing.set_span_hook(None)
         assert t.elapsed >= 0.0
+        assert finished == []
 
 
 class TestShardTimingReport:
