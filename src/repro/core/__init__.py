@@ -7,12 +7,15 @@ Layout (matching the paper's sections):
 * :mod:`repro.core.instance` — motif instances, Definition 3.2 validation and
   Definition 3.3 maximality checking.
 * :mod:`repro.core.matching` — phase P1: structural spanning-path matches.
-* :mod:`repro.core.windows` — maximal δ-window iteration with the skip rule.
-* :mod:`repro.core.enumeration` — phase P2: Algorithm 1 (``FindInstances``).
-* :mod:`repro.core.counting` — instance counting without construction.
-* :mod:`repro.core.topk` — top-k search with a floating threshold (Section 5).
+* :mod:`repro.core.windows` — the one maximal δ-window walk: skip rule, tied
+  anchors, shard ownership and streaming resumption.
+* :mod:`repro.core.enumeration` — phase P2: Algorithm 1 (``FindInstances``)
+  and its one prefix-branch step, ``window_branches``.
+* :mod:`repro.core.counting` — instance counting without construction, a
+  memo over the same branch step.
+* :mod:`repro.core.topk` — top-k search with a floating threshold (Section 5),
+  a depth-first search over the same branch step.
 * :mod:`repro.core.dp` — the dynamic-programming top-1 module (Section 5.1).
-* :mod:`repro.core.prefix_sharing` — shared-prefix phase-2 evaluation.
 * :mod:`repro.core.dag` — DAG-motif generalization (Section 7 future work).
 * :mod:`repro.core.engine` — the :class:`FlowMotifEngine` facade.
 """

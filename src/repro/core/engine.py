@@ -147,7 +147,6 @@ class FlowMotifEngine:
         jobs: Optional[int] = None,
         shards: Optional[int] = None,
         backend: str = "process",
-        partition_strategy: str = "events",
         use_shared_memory: bool = True,
     ):
         """A :class:`~repro.parallel.ParallelFlowMotifEngine` over the same
@@ -169,7 +168,6 @@ class FlowMotifEngine:
             jobs=jobs,
             shards=shards,
             backend=backend,
-            partition_strategy=partition_strategy,
             use_shared_memory=use_shared_memory,
         )
 

@@ -25,6 +25,10 @@ the output exactly the *maximal* instances:
    The ``prefix_pruning=False`` ablation defers the φ test to complete
    instances; the result set is identical, only slower to produce.
 
+Both checks live in :func:`window_branches`, the one branch step of the
+recursion; :mod:`repro.core.counting` and :mod:`repro.core.topk` recurse
+over the same step.
+
 Duplicate freedom: within a window, distinct breakpoint choices produce
 distinct edge-sets; across windows, every emitted instance starts exactly at
 its window anchor (first edge-set always contains the anchor element) and
@@ -33,6 +37,7 @@ anchors are distinct.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.instance import MotifInstance, Run
@@ -76,6 +81,59 @@ def match_is_feasible(
     return True
 
 
+def window_branches(
+    series_list: Sequence[EdgeSeries],
+    i: int,
+    start: int,
+    end: float,
+    phi: float,
+) -> List[Tuple[int, int, float]]:
+    """One step of ``FindInstances``: the valid prefixes of edge ``i``.
+
+    Edge ``i``'s edge-set starts at index ``start`` of ``series_list[i]``
+    and may take elements up to the window end ``end``. Returns one
+    ``(j, next_start, prefix_flow)`` per prefix ``[start, j]`` that passes
+    prefix validity and carries at least ``phi`` flow, where ``next_start``
+    is the first element of edge ``i + 1`` after the prefix (``-1`` for the
+    last edge, whose only prefix runs to the window end). Enumeration,
+    counting and top-k all recurse over this step; it is the only place
+    that applies the two checks of the module docstring.
+    """
+    series = series_list[i]
+    times = series.times
+    if start >= len(times) or times[start] > end:
+        return []
+    last_idx = bisect_right(times, end) - 1
+    cum = series._cum  # prefix sums (friend access)
+    base = cum[start]
+    if i == len(series_list) - 1:
+        flow = cum[last_idx + 1] - base
+        return [(last_idx, -1, flow)] if flow >= phi else []
+    next_times = series_list[i + 1].times
+    next_n = len(next_times)
+    # First element of the next edge strictly after the running prefix end;
+    # advanced incrementally as the prefix grows.
+    next_idx = bisect_right(next_times, times[start])
+    branches = []
+    for j in range(start, last_idx + 1):
+        t_j = times[j]
+        while next_idx < next_n and next_times[next_idx] <= t_j:
+            next_idx += 1
+        if next_idx >= next_n or next_times[next_idx] > end:
+            # No next-edge element left in the window; longer prefixes
+            # only push the requirement later — stop.
+            break
+        if j < last_idx and times[j + 1] < next_times[next_idx]:
+            # Prefix validity: element j+1 would be addable to this
+            # edge-set, so completions would be non-maximal.
+            continue
+        flow = cum[j + 1] - base
+        if flow < phi:
+            continue  # φ-pruning (line 16 of Algorithm 1)
+        branches.append((j, next_idx, flow))
+    return branches
+
+
 def enumerate_window_ranges(
     series_list: Sequence[EdgeSeries],
     window: Window,
@@ -86,60 +144,25 @@ def enumerate_window_ranges(
     """Run ``FindInstances`` for one window, emitting index-range tuples.
 
     ``series_list[i]`` is ``R(e_{i+1})`` of the match. Ranges are inclusive
-    ``(lo, hi)`` index pairs into the corresponding series.
+    ``(lo, hi)`` index pairs into the corresponding series. With
+    ``prefix_pruning=False`` no prefix is cut on φ (flows are positive, so
+    a cut at 0 keeps every valid prefix) and the caller applies φ to the
+    emitted assignments.
     """
-    m = len(series_list)
     anchor, end = window
-    runs: List[Optional[Tuple[int, int]]] = [None] * m
+    cut = phi if prefix_pruning else 0.0
+    last = len(series_list) - 1
+    runs: List[Tuple[int, int]] = [(0, -1)] * (last + 1)
 
-    def recurse(i: int, lower_t: float, inclusive: bool) -> None:
-        series = series_list[i]
-        times = series.times
-        n = len(times)
-        start_idx = (
-            series.first_index_at_or_after(lower_t)
-            if inclusive
-            else series.first_index_after(lower_t)
-        )
-        if start_idx >= n or times[start_idx] > end:
-            return
-        last_idx = series.last_index_at_or_before(end)
+    def recurse(i: int, start: int) -> None:
+        for j, next_start, _ in window_branches(series_list, i, start, end, cut):
+            runs[i] = (start, j)
+            if i == last:
+                emit(tuple(runs))
+            else:
+                recurse(i + 1, next_start)
 
-        if i == m - 1:
-            # Last motif edge: take everything up to the window end. In
-            # ablation mode the φ test is deferred to the emit callback.
-            if not prefix_pruning or series.flow_between(start_idx, last_idx) >= phi:
-                runs[i] = (start_idx, last_idx)
-                emit(tuple(runs))  # type: ignore[arg-type]
-                runs[i] = None
-            return
-
-        next_series = series_list[i + 1]
-        next_times = next_series.times
-        next_n = len(next_times)
-        # First element of the next edge strictly after the running prefix
-        # end; advanced incrementally as the prefix grows.
-        next_idx = next_series.first_index_after(times[start_idx])
-
-        for j in range(start_idx, last_idx + 1):
-            t_j = times[j]
-            while next_idx < next_n and next_times[next_idx] <= t_j:
-                next_idx += 1
-            if next_idx >= next_n or next_times[next_idx] > end:
-                # No next-edge element left in the window; longer prefixes
-                # only push the requirement later — stop.
-                return
-            if j + 1 <= last_idx and times[j + 1] < next_times[next_idx]:
-                # Prefix validity: element j+1 would be addable to this
-                # edge-set, so completions would be non-maximal.
-                continue
-            if prefix_pruning and series.flow_between(start_idx, j) < phi:
-                continue  # φ-pruning (line 16 of Algorithm 1)
-            runs[i] = (start_idx, j)
-            recurse(i + 1, t_j, False)
-            runs[i] = None
-
-    recurse(0, anchor, True)
+    recurse(0, bisect_left(series_list[0].times, anchor))
 
 
 def find_instances_in_match(
@@ -169,9 +192,7 @@ def find_instances_in_match(
     anchor_range:
         Optional half-open interval ``[lo, hi)``: only windows whose anchor
         (== the emitted instances' start time) falls inside it are
-        enumerated. Windows outside the range are still *iterated* so the
-        skip rule sees the same history as an unrestricted run — this is
-        what makes δ-overlap sharding (:mod:`repro.parallel`) exact.
+        enumerated (see :func:`repro.core.windows.iter_maximal_windows`).
     """
     motif = match.motif
     delta = motif.delta if delta is None else delta
@@ -192,13 +213,9 @@ def find_instances_in_match(
         sink(instance)
 
     for window in iter_maximal_windows(
-        series_list[0], series_list[-1], delta, skip_rule=skip_rule
+        series_list[0], series_list[-1], delta, skip_rule,
+        anchor_range=anchor_range,
     ):
-        if anchor_range is not None:
-            if window.start >= anchor_range[1]:
-                break  # anchors are non-decreasing; nothing owned follows
-            if window.start < anchor_range[0]:
-                continue  # halo window: skip-rule state only
         enumerate_window_ranges(
             series_list, window, phi, emit, prefix_pruning=prefix_pruning
         )

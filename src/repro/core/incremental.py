@@ -22,7 +22,11 @@ search:
    unprocessed anchor gives the next deadline; a min-heap over these
    deadlines lets :meth:`IncrementalMatcher.emit_closed` pop exactly the
    matches with ready windows — a poll touches no match whose windows are
-   all still open or already drained.
+   all still open or already drained. A popped match resumes the offline
+   window walk (:func:`repro.core.windows.iter_maximal_windows`) from its
+   :class:`MatchProgress` cursor and enumerates each closed window with the
+   offline Algorithm 1 step, so the two paths share every window and
+   branch decision.
 
 Matches that cannot yet host any instance (no strictly time-respecting
 chain, or total flow below φ — both *monotone* in appended events) are
@@ -46,7 +50,7 @@ from repro.core.enumeration import enumerate_window_ranges, match_is_feasible
 from repro.core.instance import MotifInstance, Run
 from repro.core.matching import StructuralMatch, iter_structural_matches
 from repro.core.motif import Motif
-from repro.core.windows import Window
+from repro.core.windows import iter_maximal_windows
 from repro.graph.events import Node
 from repro.graph.timeseries import GrowableTimeSeriesGraph
 
@@ -84,8 +88,10 @@ class MatchProgress:
     ``last_anchor`` is the latest window anchor already processed (all
     windows at or before it are finalized — the exactly-once cursor);
     ``prev_lam`` is the last-edge frontier ``Λ`` of the previously emitted
-    window (the paper's skip-rule state). ``feasible``/``drained`` track
-    the scheduling lifecycle inside :class:`IncrementalMatcher`.
+    window (the paper's skip-rule state). Together they are the ``cursor``
+    that :func:`repro.core.windows.iter_maximal_windows` resumes from and
+    advances. ``feasible``/``drained`` track the scheduling lifecycle
+    inside :class:`IncrementalMatcher`.
     """
 
     __slots__ = ("match", "last_anchor", "prev_lam", "feasible", "drained")
@@ -123,55 +129,26 @@ def sweep_closed_windows(
 ) -> int:
     """Emit all maximal instances of ``match`` in windows closed by ``horizon``.
 
-    Mirrors :func:`repro.core.windows.iter_maximal_windows` plus Algorithm
-    1's per-window enumeration, but resumes from ``progress`` (binary
-    search to the first unprocessed anchor — no O(n) rescan) and stops at
-    the first window whose end has not yet passed the horizon, leaving
-    ``progress`` positioned for the next call. Returns the number of
-    instances emitted.
+    Resumes the window walk of :func:`repro.core.windows.iter_maximal_windows`
+    from ``progress`` (binary search to the first unprocessed anchor — no
+    O(n) rescan) up to the horizon, runs Algorithm 1's per-window
+    enumeration on each window, and leaves ``progress`` positioned for the
+    next call. Returns the number of instances emitted.
     """
     series_list = match.series
-    first, last = series_list[0], series_list[-1]
-    times = first.times
-    last_times = last.times
-    n = len(times)
-    last_anchor = progress.last_anchor
-    prev_lam = progress.prev_lam
     emitted = 0
-
-    def emit(ranges: Tuple[Tuple[int, int], ...]) -> None:
-        nonlocal emitted
-        runs = tuple(
-            Run(series_list[k], lo, hi) for k, (lo, hi) in enumerate(ranges)
-        )
-        sink(MotifInstance(match.motif, match.vertex_map, runs))
-        emitted += 1
-
-    i = first.first_index_after(last_anchor)
-    while i < n:
-        anchor = times[i]
-        i += 1
-        if anchor <= last_anchor:
-            continue  # tied anchors produce one window
-        end = anchor + delta
-        if end >= horizon:
-            break  # later events could still land inside this window
-        j = last.last_index_at_or_before(end)
-        if j < 0:
-            last_anchor = anchor
-            continue
-        lam = last_times[j]
-        if lam < anchor:
-            last_anchor = anchor
-            continue  # no last-edge element inside the window
-        if prev_lam is not None and lam <= prev_lam:
-            last_anchor = anchor
-            continue  # the paper's skip rule
-        prev_lam = lam
-        last_anchor = anchor
-        enumerate_window_ranges(series_list, Window(anchor, end), phi, emit)
-    progress.last_anchor = last_anchor
-    progress.prev_lam = prev_lam
+    for window in iter_maximal_windows(
+        series_list[0], series_list[-1], delta,
+        cursor=progress, horizon=horizon,
+    ):
+        found: List[Tuple[Tuple[int, int], ...]] = []
+        enumerate_window_ranges(series_list, window, phi, found.append)
+        for ranges in found:
+            runs = tuple(
+                Run(series_list[k], lo, hi) for k, (lo, hi) in enumerate(ranges)
+            )
+            sink(MotifInstance(match.motif, match.vertex_map, runs))
+        emitted += len(found)
     return emitted
 
 

@@ -9,17 +9,23 @@ maximal instances (with φ = 0) satisfying δ that have the largest flow
   *floating threshold*: a prefix whose aggregated flow cannot exceed it is
   pruned (the instance flow is the minimum over edge-sets, so the partial
   minimum is an upper bound on any completion's flow).
+
+The recursion is a depth-first search over the same branch step as
+enumeration and counting (:func:`repro.core.enumeration.window_branches`),
+called with φ = 0: flows are positive, so every valid prefix is a branch and
+the floating threshold does all the pruning.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.enumeration import match_is_feasible
+from repro.core.enumeration import match_is_feasible, window_branches
 from repro.core.instance import MotifInstance, Run
 from repro.core.matching import StructuralMatch
-from repro.core.windows import iter_maximal_windows
+from repro.core.windows import Window, iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
 
 
@@ -76,78 +82,42 @@ class TopKCollector:
 
 def _search_window(
     series_list: Sequence[EdgeSeries],
-    anchor: float,
-    end: float,
+    window: Window,
     match: StructuralMatch,
     collector: TopKCollector,
 ) -> None:
     """Algorithm 1 recursion with floating-threshold pruning on one window."""
-    m = len(series_list)
-    motif = match.motif
-    runs: List[Optional[Tuple[int, int]]] = [None] * m
+    anchor, end = window
+    last = len(series_list) - 1
+    runs: List[Tuple[int, int]] = [(0, -1)] * (last + 1)
 
-    def recurse(i: int, lower_t: float, inclusive: bool, bound: float) -> None:
-        series = series_list[i]
-        times = series.times
-        n = len(times)
-        start_idx = (
-            series.first_index_at_or_after(lower_t)
-            if inclusive
-            else series.first_index_after(lower_t)
-        )
-        if start_idx >= n or times[start_idx] > end:
-            return
-        last_idx = series.last_index_at_or_before(end)
-
-        if i == m - 1:
-            flow = series.flow_between(start_idx, last_idx)
-            final = min(bound, flow)
-            if collector.full and final <= collector.threshold:
-                return
-            runs[i] = (start_idx, last_idx)
-            collector.offer(
-                MotifInstance(
-                    motif,
-                    match.vertex_map,
-                    tuple(
-                        Run(series_list[e], lo, hi)
-                        for e, (lo, hi) in enumerate(runs)  # type: ignore[misc]
-                    ),
-                )
-            )
-            runs[i] = None
-            return
-
-        next_series = series_list[i + 1]
-        next_times = next_series.times
-        next_n = len(next_times)
-        next_idx = next_series.first_index_after(times[start_idx])
-
-        for j in range(start_idx, last_idx + 1):
-            t_j = times[j]
-            while next_idx < next_n and next_times[next_idx] <= t_j:
-                next_idx += 1
-            if next_idx >= next_n or next_times[next_idx] > end:
-                return
-            if j + 1 <= last_idx and times[j + 1] < next_times[next_idx]:
-                continue  # prefix validity (maximality)
-            new_bound = min(bound, series.flow_between(start_idx, j))
-            if collector.full and new_bound <= collector.threshold:
+    def recurse(i: int, start: int, bound: float) -> None:
+        for j, next_start, flow in window_branches(series_list, i, start, end, 0.0):
+            bound_j = flow if flow < bound else bound
+            if collector.full and bound_j <= collector.threshold:
                 continue  # floating-threshold pruning
-            if new_bound < collector.floor:
-                continue
-            runs[i] = (start_idx, j)
-            recurse(i + 1, t_j, False, new_bound)
-            runs[i] = None
+            runs[i] = (start, j)
+            if i == last:
+                collector.offer(
+                    MotifInstance(
+                        match.motif,
+                        match.vertex_map,
+                        tuple(
+                            Run(series_list[e], lo, hi)
+                            for e, (lo, hi) in enumerate(runs)
+                        ),
+                    )
+                )
+            else:
+                recurse(i + 1, next_start, bound_j)
 
-    recurse(0, anchor, True, float("inf"))
+    recurse(0, bisect_left(series_list[0].times, anchor), float("inf"))
 
 
 def top_k_instances(
     matches: Sequence[StructuralMatch],
     k: int,
     delta: Optional[float] = None,
-    floor: float = 0.0,
     anchor_range: Optional[Tuple[float, float]] = None,
 ) -> List[MotifInstance]:
     """The k maximal instances with the largest flow, best first.
@@ -160,15 +130,13 @@ def top_k_instances(
         How many instances to return (fewer if the graph has fewer).
     delta:
         Duration override; defaults to the motif's δ.
-    floor:
-        Static lower bound on acceptable flow (paper uses 0).
     anchor_range:
         Optional half-open ``[lo, hi)`` restriction on window anchors (the
         :mod:`repro.parallel` shard-ownership contract): only owned windows
         feed the collector, so halo-truncated windows can never displace a
         genuine instance from the top-k heap.
     """
-    collector = TopKCollector(k, floor=floor)
+    collector = TopKCollector(k)
     for match in matches:
         motif_delta = match.motif.delta if delta is None else delta
         series_list = match.series
@@ -178,17 +146,13 @@ def top_k_instances(
         bound = min(s.total_flow for s in series_list)
         if collector.full and bound <= collector.threshold:
             continue
-        if not match_is_feasible(series_list, floor):
+        if not match_is_feasible(series_list, 0.0):
             continue
         for window in iter_maximal_windows(
-            series_list[0], series_list[-1], motif_delta
+            series_list[0], series_list[-1], motif_delta,
+            anchor_range=anchor_range,
         ):
-            if anchor_range is not None:
-                if window.start >= anchor_range[1]:
-                    break
-                if window.start < anchor_range[0]:
-                    continue
-            _search_window(series_list, window.start, window.end, match, collector)
+            _search_window(series_list, window, match, collector)
     return collector.results()
 
 

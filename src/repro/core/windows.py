@@ -22,13 +22,22 @@ violates δ and anchored instances can be maximal. Together with the prefix
 validity rule in :mod:`repro.core.enumeration` this yields *exactly* the
 maximal instances, each once — property-tested against a brute-force oracle
 in ``tests/property``.
+
+This module owns the one walk over a match's anchors: tied-anchor dedup,
+the skip rule, shard ownership (``anchor_range``) and resumption from a
+streaming cursor (``cursor``/``horizon``). Enumeration, counting, top-k,
+the DP module and the incremental sweep all iterate windows through it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from bisect import bisect_right
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from repro.graph.timeseries import EdgeSeries
+
+_INF = float("inf")
+_NEG_INF = float("-inf")
 
 
 class Window(NamedTuple):
@@ -43,6 +52,10 @@ def iter_maximal_windows(
     last_series: EdgeSeries,
     delta: float,
     skip_rule: bool = True,
+    *,
+    anchor_range: Optional[Tuple[float, float]] = None,
+    cursor=None,
+    horizon: float = _INF,
 ) -> Iterator[Window]:
     """Yield the window positions Algorithm 1 processes for one match.
 
@@ -61,6 +74,19 @@ def iter_maximal_windows(
         first-edge events are then returned (instances found in skipped
         windows are non-maximal duplicates, so correctness code must keep
         this on).
+    anchor_range:
+        Optional half-open interval ``[lo, hi)``: only windows anchored
+        inside it are yielded. Anchors below ``lo`` are still walked, so
+        the skip rule sees the same history as an unrestricted walk — this
+        is what makes δ-overlap sharding (:mod:`repro.parallel`) exact.
+    cursor, horizon:
+        Resume a streaming walk. ``cursor`` is any object with
+        ``last_anchor`` (the latest anchor already walked) and ``prev_lam``
+        (the skip-rule frontier, ``None`` before the first window), such
+        as :class:`repro.core.incremental.MatchProgress`. The walk starts
+        after ``cursor.last_anchor``, stops before the first window whose
+        end is not below ``horizon`` (later events could still land in
+        it), and writes its position back to ``cursor`` once exhausted.
 
     Notes
     -----
@@ -69,21 +95,36 @@ def iter_maximal_windows(
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta!r}")
-    previous_last = None
+    lo, hi = anchor_range if anchor_range is not None else (_NEG_INF, _INF)
     times = first_series.times
     last_times = last_series.times
-    for i, anchor in enumerate(times):
-        if i > 0 and times[i - 1] == anchor:
+    n = len(times)
+    if cursor is None:
+        last_anchor, prev_lam, i = _NEG_INF, None, 0
+    else:
+        last_anchor, prev_lam = cursor.last_anchor, cursor.prev_lam
+        i = bisect_right(times, last_anchor)
+    while i < n:
+        anchor = times[i]
+        i += 1
+        if anchor == last_anchor:
             continue  # tied anchors produce one window
         end = anchor + delta
-        j = last_series.last_index_at_or_before(end)
+        if anchor >= hi or end >= horizon:
+            break  # anchors are non-decreasing: nothing later qualifies
+        last_anchor = anchor
+        j = bisect_right(last_times, end) - 1
         if j < 0:
             continue
         lam = last_times[j]
         if lam < anchor:
             continue  # no last-edge element inside the window
         if skip_rule:
-            if previous_last is not None and lam <= previous_last:
+            if prev_lam is not None and lam <= prev_lam:
                 continue
-            previous_last = lam
-        yield Window(anchor, end)
+            prev_lam = lam
+        if anchor >= lo:
+            yield Window(anchor, end)
+    if cursor is not None:
+        cursor.last_anchor = last_anchor
+        cursor.prev_lam = prev_lam

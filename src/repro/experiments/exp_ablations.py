@@ -7,7 +7,6 @@ design claims directly:
 * the window skip rule on vs off (off also emits non-maximal duplicates,
   counted here);
 * memoized counting vs full enumeration (Section 7 future work);
-* shared-prefix phase-2 evaluation vs per-match (Section 7 future work);
 * the paper's O(τ²) DP recurrence vs the amortized O(τ) fused pass.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.dp import top_one_instance
-from repro.core.prefix_sharing import find_instances_shared
 from repro.experiments.common import build_datasets
 from repro.obs.tracing import span
 
@@ -47,8 +45,6 @@ def run(
                 )
             with span("experiment.counting") as counting_t:
                 counted = engine.count_instances(motif)
-            with span("experiment.prefix_sharing") as shared_t:
-                find_instances_shared(matches)
             with span("experiment.dp_quadratic") as dp_quad_t:
                 quad = top_one_instance(
                     matches, delta=bundle.delta, method="quadratic",
@@ -70,7 +66,6 @@ def run(
                     round(no_skip_t.elapsed, 4),
                     no_skip.count - baseline.count,
                     round(counting_t.elapsed, 4),
-                    round(shared_t.elapsed, 4),
                     round(dp_quad_t.elapsed, 4),
                     round(dp_fused_t.elapsed, 4),
                 ]
@@ -89,7 +84,6 @@ def run(
                     "no-skip (s)",
                     "extra non-max",
                     "count-only (s)",
-                    "shared-prefix (s)",
                     "DP quad (s)",
                     "DP fused (s)",
                 ],
@@ -98,7 +92,7 @@ def run(
         )
     return {
         "name": "ablations",
-        "title": "Ablations — pruning, skip rule, counting, sharing, DP method",
+        "title": "Ablations — pruning, skip rule, counting, DP method",
         "params": {"scale": scale, "seed": seed},
         "tables": tables,
     }

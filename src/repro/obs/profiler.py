@@ -27,7 +27,7 @@ task, and the serialized :class:`ProfileReport` rides home in the
 :meth:`~Profiler.adopt`\\ s it.
 
 >>> prof = Profiler(hz=50)
->>> prof.start(); _ = sum(i * i for i in range(100000)); prof.stop()
+>>> _ = prof.start(); _ = sum(i * i for i in range(100000)); _ = prof.stop()
 >>> prof.report.samples >= 0
 True
 """

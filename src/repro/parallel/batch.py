@@ -127,7 +127,6 @@ class BatchRunner:
         jobs: int = 1,
         shards: Optional[int] = None,
         backend: str = "process",
-        partition_strategy: str = "events",
         adaptive: bool = False,
         cost_model: Optional[ShardCostModel] = None,
     ) -> None:
@@ -142,7 +141,6 @@ class BatchRunner:
             jobs=jobs,
             shards=shards,
             backend=backend,
-            partition_strategy=partition_strategy,
             cost_model=cost_model,
         )
         self._ts = self._engine.time_series_graph

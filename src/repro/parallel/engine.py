@@ -109,9 +109,6 @@ class ParallelFlowMotifEngine:
         the pool latitude to balance uneven shards.
     backend:
         ``"process"``, ``"thread"`` or ``"serial"`` (see module notes).
-    partition_strategy:
-        ``"events"`` (load-balanced quantile cuts, default) or
-        ``"width"`` (equal-length time intervals).
     use_shared_memory:
         Process backend only: export the graph once into a shared-memory
         :class:`~repro.graph.columnar.ColumnStore` and ship workers its
@@ -133,7 +130,7 @@ class ParallelFlowMotifEngine:
     Notes
     -----
     Each query partitions the timeline with a halo equal to its effective
-    δ (partitions are memoized per (shards, halo, strategy), so δ-sweeps
+    δ (partitions are memoized per (shards, halo), so δ-sweeps
     à la Figure 9 reuse one partition per δ).
 
     A zero-copy engine owns one shared-memory block for its graph; it is
@@ -148,7 +145,6 @@ class ParallelFlowMotifEngine:
         jobs: Optional[int] = None,
         shards: Optional[int] = None,
         backend: str = "process",
-        partition_strategy: str = "events",
         use_shared_memory: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         cost_model: Optional[ShardCostModel] = None,
@@ -169,7 +165,6 @@ class ParallelFlowMotifEngine:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.num_shards = max(1, shards if shards is not None else self.jobs)
         self.backend = backend
-        self.partition_strategy = partition_strategy
         # Zero-copy fan-out only pays off (and only applies) when shard
         # tasks actually cross a process boundary. Graphs a ColumnStore
         # cannot hold bit-exactly (exotic node ids, values not exact in
@@ -216,7 +211,7 @@ class ParallelFlowMotifEngine:
         model_version = (
             model.version if model is not None and model.ready else 0
         )
-        key = (self.num_shards, halo, self.partition_strategy, model_version)
+        key = (self.num_shards, halo, model_version)
         cached = self._partition_cache.pop(key, None)
         if cached is not None:
             self._partition_cache[key] = cached  # refresh LRU position
@@ -236,7 +231,6 @@ class ParallelFlowMotifEngine:
             self._ts,
             self.num_shards,
             halo,
-            strategy=self.partition_strategy,
             sorted_times=self._sorted_times,
             # Zero-copy mode keeps parent-side shards light (bounds +
             # rebinding offsets, no sliced copies): workers re-slice
@@ -598,15 +592,13 @@ class ParallelFlowMotifEngine:
         delta: Optional[float] = None,
         phi: Optional[float] = None,
         collect: bool = True,
-        skip_rule: bool = True,
-        prefix_pruning: bool = True,
     ) -> SearchResult:
         """All maximal instances of ``motif`` — sharded Algorithm 1.
 
-        Accepts the same arguments as
-        :meth:`repro.core.engine.FlowMotifEngine.find_instances` (minus
-        ``use_cache``, which has no sharded meaning) and returns an
-        identical instance set; the merged result additionally carries a
+        Accepts the query arguments of
+        :meth:`repro.core.engine.FlowMotifEngine.find_instances` (not its
+        ablation switches or ``use_cache``) and returns an identical
+        instance set; the merged result additionally carries a
         per-shard :class:`~repro.utils.timing.ShardTimingReport`.
         """
         effective_delta = motif.delta if delta is None else delta
@@ -625,8 +617,6 @@ class ParallelFlowMotifEngine:
                 [(motif, effective_delta, effective_phi)],
                 effective_phi,
                 collect=collect,
-                skip_rule=skip_rule,
-                prefix_pruning=prefix_pruning,
             )
             result = _merge.merge_search_results(
                 motif, shards, outputs, self._ts, wall_seconds=query.elapsed

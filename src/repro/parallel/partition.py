@@ -129,23 +129,13 @@ class TimeShard:
         )
 
 
-def _cut_points(
-    times: List[float], num_shards: int, strategy: str
-) -> List[float]:
-    """The strictly increasing interior boundaries ``b_1 < ... < b_{k-1}``."""
-    if strategy == "width":
-        t_min, t_max = times[0], times[-1]
-        span = t_max - t_min
-        raw = [t_min + span * i / num_shards for i in range(1, num_shards)]
-    elif strategy == "events":
-        n = len(times)
-        raw = [times[min(n - 1, (n * i) // num_shards)] for i in range(1, num_shards)]
-    else:
-        raise ValueError(
-            f"partition strategy must be 'events' or 'width', got {strategy!r}"
-        )
+def _cut_points(times: List[float], num_shards: int) -> List[float]:
+    """The strictly increasing interior boundaries ``b_1 < ... < b_{k-1}``,
+    cut at event-count quantiles so shards carry similar load."""
+    n = len(times)
     cuts: List[float] = []
-    for b in raw:
+    for i in range(1, num_shards):
+        b = times[min(n - 1, (n * i) // num_shards)]
         if not cuts or b > cuts[-1]:
             cuts.append(b)
     return cuts
@@ -191,7 +181,6 @@ def partition_time_range(
     graph: Union[InteractionGraph, TimeSeriesGraph],
     num_shards: int,
     halo: float,
-    strategy: str = "events",
     sorted_times: Optional[List[float]] = None,
     materialize: bool = True,
     cut_points: Optional[List[float]] = None,
@@ -209,10 +198,6 @@ def partition_time_range(
         Overlap width on both sides of each core; must be at least the δ
         of every search run against the partition (pass δ, or the maximum
         δ of a batch grid).
-    strategy:
-        ``"events"`` (default) cuts at event-count quantiles so shards
-        carry similar load; ``"width"`` cuts the covered period into
-        equal-length intervals (the Figure 13 prefix-sample geometry).
     sorted_times:
         Optional pre-sorted list of every event timestamp in ``graph``.
         The flattened sort is O(|E| log |E|) and independent of the halo,
@@ -225,7 +210,8 @@ def partition_time_range(
         offsets: the zero-copy process backend ships those bounds and has
         each worker slice its own view of the shared columnar store.
     cut_points:
-        Explicit interior boundaries overriding ``strategy`` — the hook
+        Explicit interior boundaries overriding the event-count quantile
+        cuts — the hook
         for cost-adaptive sharding
         (:class:`~repro.parallel.costmodel.ShardCostModel`). Sanitized
         to a strictly increasing sequence; the anchored-ownership
@@ -265,7 +251,7 @@ def partition_time_range(
     elif num_shards == 1 or len(times) == 0:
         cuts = []
     else:
-        cuts = _cut_points(times, num_shards, strategy)
+        cuts = _cut_points(times, num_shards)
 
     bounds = [-math.inf] + cuts + [math.inf]
     shards: List[TimeShard] = []

@@ -119,8 +119,8 @@ class ShardTask:
     shm_name, segment_path, shard:
         Where the shard comes from — exactly one is set: a shared-memory
         store, a sealed segment file, or the materialized shard itself.
-    collect, skip_rule, prefix_pruning:
-        Enumeration options (``collect=False`` counts without records).
+    collect:
+        ``False`` counts search results without building records.
     k:
         Top-k size (``"top_k"`` only).
     trace:
@@ -139,8 +139,6 @@ class ShardTask:
     segment_path: Optional[str] = None
     shard: Optional[TimeShard] = None
     collect: bool = True
-    skip_rule: bool = True
-    prefix_pruning: bool = True
     k: int = 0
     trace: Optional[Tuple[Optional[str], Optional[str]]] = None
     profile_hz: Optional[float] = None
@@ -216,8 +214,6 @@ def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
                     delta=delta,
                     phi=phi,
                     on_instance=_sink(out, task.collect),
-                    skip_rule=task.skip_rule,
-                    prefix_pruning=task.prefix_pruning,
                     anchor_range=anchor_range,
                 )
         out.p2_seconds = p2.elapsed
@@ -242,8 +238,6 @@ def search_shard(
     delta: float,
     phi: float,
     collect: bool = True,
-    skip_rule: bool = True,
-    prefix_pruning: bool = True,
 ) -> ShardSearchOutput:
     """Find the shard's owned maximal instances (its slice of Algorithm 1).
 
@@ -253,7 +247,7 @@ def search_shard(
     """
     task = ShardTask(
         "search", shard.bounds, ((motif, delta, phi),), phi, shard=shard,
-        collect=collect, skip_rule=skip_rule, prefix_pruning=prefix_pruning,
+        collect=collect,
     )
     return _run_kernel(task, shard)[0]
 

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.enumeration import find_instances, find_instances_in_match
+from repro.core.enumeration import (
+    enumerate_window_ranges,
+    find_instances,
+    find_instances_in_match,
+    window_branches,
+)
 from repro.core.instance import is_maximal, is_valid_instance
 from repro.core.matching import find_structural_matches
 from repro.core.motif import Motif
+from repro.core.windows import Window
 from repro.graph.interaction import InteractionGraph
+from repro.graph.timeseries import EdgeSeries
 
 
 def chain_graph(*events):
@@ -201,3 +208,60 @@ class TestParallelMotifEdges:
         ]
         ok, reason = is_valid_instance(inst, ts)
         assert ok, reason
+
+
+def edge(src, dst, times, flows=None):
+    return EdgeSeries(src, dst, times, flows or [1.0] * len(times))
+
+
+class TestWindowBranches:
+    """The one ``FindInstances`` step shared by enumeration, counting and
+    top-k: ``(j, next_start, prefix_flow)`` per valid prefix of edge i."""
+
+    def test_start_outside_window_has_no_branches(self):
+        first = edge("a", "b", [1, 3, 20])
+        second = edge("b", "c", [2, 4])
+        pair = [first, second]
+        assert window_branches(pair, 0, 3, 10, 0.0) == []  # past the series
+        assert window_branches(pair, 0, 2, 10, 0.0) == []  # past the window
+        assert window_branches(pair, 1, 2, 10, 0.0) == []  # last edge too
+
+    def test_last_edge_takes_everything_to_the_window_end(self):
+        pair = [edge("a", "b", [1]), edge("b", "c", [2, 5, 11], [1.0, 2.0, 4.0])]
+        assert window_branches(pair, 1, 0, 10, 3.0) == [(1, -1, 3.0)]
+        # Below φ: the only prefix of the last edge is cut.
+        assert window_branches(pair, 1, 0, 10, 3.5) == []
+
+    def test_validity_skips_a_prefix_but_the_scan_continues(self):
+        # Prefix [1] is invalid: 2 precedes the first later e2 element (3),
+        # so 2 could join it. Prefix [1, 2] is valid and comes after it.
+        pair = [edge("a", "b", [1, 2, 5]), edge("b", "c", [3, 4])]
+        assert window_branches(pair, 0, 0, 10, 0.0) == [(1, 0, 2.0)]
+
+    def test_window_exit_ends_the_scan(self):
+        # After prefix [1, 3] the next e2 element (12) lies past the window
+        # end 10, and so does every later one: no longer prefix is offered.
+        pair = [edge("a", "b", [1, 3, 5]), edge("b", "c", [2, 12])]
+        assert window_branches(pair, 0, 0, 10, 0.0) == [(0, 0, 1.0)]
+        assert window_branches(pair, 0, 0, 20, 0.0) == [
+            (0, 0, 1.0), (2, 1, 3.0)
+        ]
+
+    def test_phi_cut_skips_light_prefixes_only(self):
+        pair = [edge("a", "b", [1, 3, 5]), edge("b", "c", [2, 4, 6])]
+        every = [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]
+        assert window_branches(pair, 0, 0, 10, 0.0) == every
+        assert window_branches(pair, 0, 0, 10, 2.0) == every[1:]
+
+    def test_prefix_pruning_off_emits_every_valid_assignment(self):
+        pair = [edge("a", "b", [1, 3, 5]), edge("b", "c", [2, 4, 6])]
+        window = Window(1, 10)
+        pruned, unpruned = [], []
+        enumerate_window_ranges(pair, window, 2.0, pruned.append)
+        enumerate_window_ranges(
+            pair, window, 2.0, unpruned.append, prefix_pruning=False
+        )
+        # Only the middle split gives both edge-sets a flow of at least 2;
+        # without pruning every valid assignment reaches the caller.
+        assert pruned == [((0, 1), (1, 2))]
+        assert unpruned == [((0, 0), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (2, 2))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.incremental import MatchProgress
 from repro.core.windows import iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
 
@@ -82,3 +83,71 @@ class TestSkipRule:
             j = last.last_index_at_or_before(w.end)
             lams.append(last.times[j])
         assert lams == sorted(set(lams))
+
+
+class TestOneWalk:
+    """Shard ownership and streaming resumption are options of the same
+    walk, so they cannot drift from the offline window set."""
+
+    @staticmethod
+    def spans(windows):
+        return [(w.start, w.end) for w in windows]
+
+    def test_resumed_walk_equals_one_uninterrupted_walk(self):
+        first = series(0, 1, 1, 3, 7, 8, 12, 20)
+        last = EdgeSeries("v", "w", [2, 4, 9, 13, 15, 26], [1.0] * 6)
+        whole = self.spans(iter_maximal_windows(first, last, delta=5))
+        cursor = MatchProgress()
+        resumed = []
+        for horizon in (0, 6, 6, 12.5, 13, 40, float("inf")):
+            resumed += self.spans(
+                iter_maximal_windows(
+                    first, last, 5, cursor=cursor, horizon=horizon
+                )
+            )
+        assert resumed == whole
+        assert cursor.last_anchor == 20
+
+    def test_horizon_waits_for_a_window_ending_on_it(self):
+        # The last-edge event sits exactly at anchor + δ: the window holds
+        # it, and it is final only once the horizon is past its end.
+        first = series(0)
+        last = EdgeSeries("v", "w", [10], [1.0])
+        assert self.spans(iter_maximal_windows(first, last, 10)) == [(0, 10)]
+        cursor = MatchProgress()
+        assert list(
+            iter_maximal_windows(first, last, 10, cursor=cursor, horizon=10)
+        ) == []
+        assert self.spans(
+            iter_maximal_windows(first, last, 10, cursor=cursor, horizon=10.5)
+        ) == [(0, 10)]
+
+    def test_halo_windows_advance_the_skip_rule(self):
+        # The halo window at 0 already reaches the last-edge event at 5, so
+        # the owned window at 1 adds nothing new and stays skipped.
+        first = series(0, 1, 30)
+        last = EdgeSeries("v", "w", [5, 33], [1.0, 1.0])
+        whole = self.spans(iter_maximal_windows(first, last, delta=10))
+        assert whole == [(0, 10), (30, 40)]
+        owned = self.spans(
+            iter_maximal_windows(first, last, 10, anchor_range=(0.5, 30))
+        )
+        assert owned == []
+        assert self.spans(
+            iter_maximal_windows(first, last, 10, anchor_range=(0.5, 31))
+        ) == [(30, 40)]
+
+    def test_tied_anchors_walk_once_across_a_resume(self):
+        first = EdgeSeries("u", "v", [5, 5, 5, 30], [1.0] * 4)
+        last = EdgeSeries("v", "w", [6, 35], [1.0, 1.0])
+        cursor = MatchProgress()
+        head = self.spans(
+            iter_maximal_windows(first, last, 10, cursor=cursor, horizon=20)
+        )
+        first.append(30, 1.0)  # another tie, on the pending anchor
+        tail = self.spans(iter_maximal_windows(first, last, 10, cursor=cursor))
+        assert head == [(5, 15)]
+        assert tail == [(30, 40)]
+        # Without the skip rule nothing else collapses the ties.
+        unskipped = iter_maximal_windows(first, last, 10, skip_rule=False)
+        assert self.spans(unskipped) == [(5, 15), (30, 40)]

@@ -93,12 +93,9 @@ class TestHaloNecessity:
         (instance,) = result.instances
         assert instance.start_time == 0.0  # anchored at the earliest event
 
-    @pytest.mark.parametrize("strategy", ["events", "width"])
-    def test_sharded_search_suppresses_boundary_duplicate(self, strategy):
+    def test_sharded_search_suppresses_boundary_duplicate(self):
         graph, motif = self._graph_and_motif()
-        engine = ParallelFlowMotifEngine(
-            graph, jobs=1, shards=2, partition_strategy=strategy
-        )
+        engine = ParallelFlowMotifEngine(graph, jobs=1, shards=2)
         result = engine.find_instances(motif)
         serial = FlowMotifEngine(graph).find_instances(motif)
         assert _keys(result.instances) == _keys(serial.instances)
