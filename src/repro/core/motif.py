@@ -50,7 +50,7 @@ class Motif:
     (3, 3, True)
     """
 
-    __slots__ = ("_path", "delta", "phi", "name")
+    __slots__ = ("_path", "_num_vertices", "delta", "phi", "name")
 
     def __init__(
         self,
@@ -72,6 +72,7 @@ class Motif:
                 mapping[vertex] = len(mapping)
             normalized.append(mapping[vertex])
         self._path: Tuple[int, ...] = tuple(normalized)
+        self._num_vertices = len(mapping)
         self.delta = float(delta)
         self.phi = float(phi)
         self.name = name
@@ -194,12 +195,12 @@ class Motif:
     @property
     def num_vertices(self) -> int:
         """``|V_M|``."""
-        return len(set(self._path))
+        return self._num_vertices
 
     @property
     def is_cyclic(self) -> bool:
         """Whether the spanning path revisits any vertex."""
-        return len(set(self._path)) < len(self._path)
+        return self._num_vertices < len(self._path)
 
     @property
     def display_name(self) -> str:

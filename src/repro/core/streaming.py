@@ -27,8 +27,10 @@ Correctness rests on two facts about Algorithm 1:
    anchor and its last-edge frontier per structural match.
 
 Complexity. The detector maintains everything per appended edge (see
-:mod:`repro.core.incremental`): the growable time-series graph gains the
-event in O(1) amortized, structural matches are extended only through
+:mod:`repro.core.incremental`): the growable time-series graph gains an
+event on a known pair in O(1) amortized, and the first event of a new
+pair in O(log degree) key comparisons plus one insert into each
+endpoint's adjacency list; structural matches are extended only through
 newly connected pairs, and polls pop exactly the matches whose next
 window deadline has passed — never the whole match set, and never a
 rebuilt graph. ``benchmarks/bench_streaming_incremental.py`` measures

@@ -232,6 +232,11 @@ class EdgeSeries:
         self._cum.append(self._cum[-1] + flow)
 
 
+def _adjacency_key(series: EdgeSeries) -> Tuple[str, str]:
+    """The key adjacency lists are sorted by."""
+    return (repr(series.src), repr(series.dst))
+
+
 class TimeSeriesGraph:
     """The time-series graph ``G_T(V, E_T)`` of Section 4.
 
@@ -257,16 +262,14 @@ class TimeSeriesGraph:
         # Deterministic iteration order helps seeded experiments reproduce.
         for adj in (self._out, self._in):
             for node in adj:
-                adj[node].sort(key=lambda s: (repr(s.src), repr(s.dst)))
-        # The graph is immutable after construction, so the aggregates the
-        # hot paths ask for repeatedly are computed once here: the frozen
-        # vertex set, the event count, and the (src, dst)-sorted series
-        # tuple (previously re-sorted on every all_series() call).
-        self._nodes: frozenset = frozenset(nodes)
+                adj[node].sort(key=_adjacency_key)
+        self._node_set: set = nodes
         self._num_events: int = sum(len(s) for s in self._by_pair.values())
-        self._all_series: Tuple[EdgeSeries, ...] = tuple(
-            self._by_pair[k] for k in sorted(self._by_pair, key=repr)
-        )
+        # Views the hot paths ask for repeatedly, built on first read and
+        # kept until the graph changes (None marks them stale): the frozen
+        # vertex set and the (src, dst)-sorted series tuple.
+        self._nodes: Optional[frozenset] = None
+        self._all_series: Optional[Tuple[EdgeSeries, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -296,11 +299,13 @@ class TimeSeriesGraph:
 
         Returned frozen: callers cannot mutate the graph's internal state.
         """
+        if self._nodes is None:
+            self._nodes = frozenset(self._node_set)
         return self._nodes
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._node_set)
 
     @property
     def num_series(self) -> int:
@@ -332,10 +337,14 @@ class TimeSeriesGraph:
     def all_series(self) -> List[EdgeSeries]:
         """Every edge series, in deterministic (src, dst) order.
 
-        Backed by the tuple cached at construction — per-call cost drops
-        from an ``O(|E_T| log |E_T|)`` sort to a shallow copy, and mutating
-        the returned list cannot corrupt the graph's internal ordering.
+        The sort runs on the first call after the graph changes; later
+        calls return a shallow copy of the cached tuple, so mutating the
+        returned list cannot corrupt the graph's internal ordering.
         """
+        if self._all_series is None:
+            self._all_series = tuple(
+                self._by_pair[k] for k in sorted(self._by_pair, key=repr)
+            )
         return list(self._all_series)
 
     def __repr__(self) -> str:
@@ -348,18 +357,20 @@ class TimeSeriesGraph:
 class GrowableTimeSeriesGraph(TimeSeriesGraph):
     """A :class:`TimeSeriesGraph` that accepts per-event appends.
 
-    The base class is immutable and precomputes its aggregates once; this
-    subclass maintains them incrementally so that online consumers (the
-    streaming detector) can grow the graph one interaction at a time:
+    Online consumers (the streaming detector) grow the graph one
+    interaction at a time, with every ordering the base class defines
+    kept exact:
 
     * appending to an **existing** pair is O(1) amortized — the event goes
       straight onto the pair's :class:`EdgeSeries` (whose identity never
       changes, so cached references stay live) and the event counter is
       bumped;
     * appending the first event of a **new** pair creates its series and
-      splices it into the adjacency lists and the deterministic
-      ``all_series()`` order — O(|E_T|) for the ordered insert, but it
-      happens at most once per connected pair.
+      inserts it into both endpoints' adjacency lists at the position the
+      base class's sort would give it, found by bisection over cached sort
+      keys — O(log degree) comparisons and one list insert. The cached
+      vertex set and ``all_series()`` order are only marked stale; the
+      next read rebuilds them.
 
     :meth:`append` returns whether the pair was new, which is exactly the
     signal the incremental structural-match index needs.
@@ -367,6 +378,14 @@ class GrowableTimeSeriesGraph(TimeSeriesGraph):
 
     def __init__(self, series: Iterable[EdgeSeries] = ()) -> None:
         super().__init__(series)
+        # Sort keys parallel to each adjacency list, so that a new pair
+        # finds its slot without re-computing a repr per neighbour.
+        self._out_keys: Dict[Node, List[Tuple[str, str]]] = {
+            node: list(map(_adjacency_key, adj)) for node, adj in self._out.items()
+        }
+        self._in_keys: Dict[Node, List[Tuple[str, str]]] = {
+            node: list(map(_adjacency_key, adj)) for node, adj in self._in.items()
+        }
 
     def append(self, src: Node, dst: Node, time: float, flow: float) -> bool:
         """Ingest one interaction; returns True when ``(src, dst)`` is new.
@@ -383,25 +402,20 @@ class GrowableTimeSeriesGraph(TimeSeriesGraph):
         series = EdgeSeries(src, dst, [time], [flow])
         self._by_pair[key] = series
         self._num_events += 1
-        sort_key = (repr(src), repr(dst))
-        for node, adj in ((src, self._out), (dst, self._in)):
-            lst = adj.setdefault(node, [])
-            at = len(lst)
-            for i, existing in enumerate(lst):
-                if (repr(existing.src), repr(existing.dst)) > sort_key:
-                    at = i
-                    break
-            lst.insert(at, series)
-        if src not in self._nodes or dst not in self._nodes:
-            self._nodes = self._nodes | {src, dst}
-        # Ordered splice (same repr-of-pair key the base class sorts by):
-        # O(|E_T|) per new pair, not a full O(|E_T| log |E_T|) re-sort.
-        pair_key = repr(key)
-        all_series = self._all_series
-        at = len(all_series)
-        for i, existing in enumerate(all_series):
-            if repr((existing.src, existing.dst)) > pair_key:
-                at = i
-                break
-        self._all_series = all_series[:at] + (series,) + all_series[at:]
+        sort_key = _adjacency_key(series)
+        for node, adj, adj_keys in (
+            (src, self._out, self._out_keys),
+            (dst, self._in, self._in_keys),
+        ):
+            keys = adj_keys.setdefault(node, [])
+            # After equal keys, before the first greater one: where the
+            # base class's stable sort puts a later-inserted series.
+            at = bisect_right(keys, sort_key)
+            keys.insert(at, sort_key)
+            adj.setdefault(node, []).insert(at, series)
+        if src not in self._node_set or dst not in self._node_set:
+            self._node_set.update(key)
+            self._nodes = None
+        self._all_series = None
         return True
+

@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.graph.events import Interaction
 from repro.graph.timeseries import EdgeSeries, TimeSeriesGraph
+
+
+class _CountingLabel:
+    """A node label that counts how often any label is repr()'d."""
+
+    calls = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return isinstance(other, _CountingLabel) and other.name == self.name
+
+    def __repr__(self):
+        _CountingLabel.calls += 1
+        return f"_CountingLabel({self.name!r})"
 
 
 @pytest.fixture
@@ -197,27 +218,66 @@ class TestGrowableTimeSeriesGraph:
         assert graph.num_events == 2
 
     def test_new_pair_splices_adjacency_and_order(self):
+        """Every read, interleaved with new-pair appends, equals a
+        from-scratch graph over the same series. The labels mix ints and
+        strs, whose repr order is not their natural order, so a stale
+        cache or a wrong insert position shows. The graph starts from
+        constructed series, as a checkpoint restore does."""
+        import random
+
         from repro.graph.timeseries import GrowableTimeSeriesGraph
 
-        graph = GrowableTimeSeriesGraph()
-        for src, dst, t in [("c", "d", 1.0), ("a", "b", 2.0), ("a", "d", 3.0), ("b", "d", 4.0)]:
-            graph.append(src, dst, t, 1.0)
-        # all_series order must match a from-scratch construction
-        rebuilt = TimeSeriesGraph(
-            EdgeSeries(s.src, s.dst, list(s.times), list(s.flows))
-            for s in graph.all_series()
+        def pairs(series_list):
+            return [(s.src, s.dst) for s in series_list]
+
+        labels = [1, "1", 10, "a", "b"]
+        all_pairs = [(u, v) for u in labels for v in labels if u != v]
+        random.Random(7).shuffle(all_pairs)
+        initial = 4
+        graph = GrowableTimeSeriesGraph(
+            EdgeSeries(u, v, [0.0], [1.0]) for u, v in all_pairs[:initial]
         )
-        assert [(s.src, s.dst) for s in graph.all_series()] == [
-            (s.src, s.dst) for s in rebuilt.all_series()
-        ]
-        assert [
-            (s.src, s.dst) for s in graph.out_series("a")
-        ] == [(s.src, s.dst) for s in rebuilt.out_series("a")]
-        assert [
-            (s.src, s.dst) for s in graph.in_series("d")
-        ] == [(s.src, s.dst) for s in rebuilt.in_series("d")]
-        assert graph.nodes == rebuilt.nodes
-        assert graph.num_series == 4
+        for t in range(initial, len(all_pairs)):
+            src, dst = all_pairs[t]
+            assert graph.append(src, dst, float(t), 1.0) is True
+            if t % 3 == 0:
+                assert graph.append(src, dst, float(t), 2.0) is False
+            rebuilt = TimeSeriesGraph(
+                EdgeSeries(u, v, list(s.times), list(s.flows))
+                for u, v in all_pairs[: t + 1]
+                for s in [graph.series(u, v)]
+            )
+            assert pairs(graph.all_series()) == pairs(rebuilt.all_series())
+            for node in labels:
+                assert pairs(graph.out_series(node)) == pairs(
+                    rebuilt.out_series(node)
+                )
+                assert pairs(graph.in_series(node)) == pairs(
+                    rebuilt.in_series(node)
+                )
+            assert graph.nodes == rebuilt.nodes
+            assert graph.num_nodes == rebuilt.num_nodes
+            assert graph.num_events == rebuilt.num_events
+        assert graph.num_series == len(all_pairs)
+
+    def test_new_pair_cost_is_logarithmic_in_degree(self):
+        """N new pairs out of one hub, then N into one sink, must stay
+        within c * N * log2(N) label reprs; a linear scan over the hub's
+        adjacency list per insert makes about N**2 / 2."""
+        from repro.graph.timeseries import GrowableTimeSeriesGraph
+
+        n = 400
+        hub, sink = _CountingLabel("hub"), _CountingLabel("sink")
+        leaves = [_CountingLabel(f"n{i:04d}") for i in range(n)]
+        graph = GrowableTimeSeriesGraph()
+        _CountingLabel.calls = 0
+        for t, leaf in enumerate(leaves):
+            graph.append(hub, leaf, float(t), 1.0)
+        for t, leaf in enumerate(leaves):
+            graph.append(leaf, sink, float(n + t), 1.0)
+        assert _CountingLabel.calls <= 2 * n * math.log2(n)
+        assert [s.dst for s in graph.out_series(hub)] == leaves
+        assert [s.src for s in graph.in_series(sink)] == leaves
 
     def test_growable_equals_from_interactions(self):
         """Growing event-by-event must give the same graph as batch

@@ -17,6 +17,7 @@ from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
 from repro.core.streaming import StreamingDetector
 from repro.graph.interaction import InteractionGraph
+from repro.graph.timeseries import EdgeSeries, TimeSeriesGraph
 from repro.resilience import reorder_within_slack
 from repro.resilience.checkpoint import (
     FORMAT,
@@ -121,6 +122,47 @@ class TestRoundTripEquivalence:
         once = _round_trip(detector)
         twice = _round_trip(once)
         assert _keys(once.flush()) == _keys(twice.flush())
+
+
+    def test_checkpoint_after_new_pair_lists_it_in_order(self, base_seed):
+        """A checkpoint taken after a new pair arrives must carry that pair
+        in from-scratch series order, not a cached pre-append order."""
+        rng = random.Random(base_seed)
+        stream = random_stream(rng, nodes=8)
+        motif = Motif.chain(3, delta=12, phi=3)
+        cut = 20
+        seen = {(src, dst) for src, dst, _, _ in stream[:cut]}
+        new_at = next(
+            i for i in range(cut, len(stream)) if stream[i][:2] not in seen
+        )
+        new_pair = stream[new_at][:2]
+
+        detector = StreamingDetector(motif)
+        emitted = _drive(detector, stream[:cut])
+        first = detector.checkpoint()
+        emitted += _drive(detector, stream[cut : new_at + 1])
+        second = json.loads(json.dumps(detector.checkpoint()))
+
+        def pairs(state):
+            return [(row[0], row[1]) for row in state["series"]]
+
+        assert new_pair not in pairs(first)
+        assert new_pair in pairs(second)
+        from_scratch = TimeSeriesGraph(
+            EdgeSeries(*row) for row in reversed(second["series"])
+        )
+        assert pairs(second) == [
+            (s.src, s.dst) for s in from_scratch.all_series()
+        ]
+
+        resumed = StreamingDetector.restore(second)
+        emitted += _drive(resumed, stream[new_at + 1 :]) + resumed.flush()
+        offline = FlowMotifEngine(
+            InteractionGraph.from_tuples(stream)
+        ).find_instances(motif)
+        assert set(_keys(emitted)) == {
+            i.canonical_key() for i in offline.instances
+        }
 
 
 class TestStatePreservation:
