@@ -141,7 +141,7 @@ def run_fanout_benchmark(quick: bool) -> dict:
     queries = ((motif, delta, phi),)
     pickled_shards = partition_time_range(ts, shards, delta)
     pickled_bytes = sum(
-        len(pickle.dumps(ShardTask("search", s.bounds, queries, phi, shard=s)))
+        len(pickle.dumps(ShardTask("search", s.bounds, queries, shard=s)))
         for s in pickled_shards
     )
 
@@ -155,8 +155,7 @@ def run_fanout_benchmark(quick: bool) -> dict:
             len(
                 pickle.dumps(
                     ShardTask(
-                        "search", s.bounds, queries, phi,
-                        shm_name=shared.shm_name,
+                        "search", s.bounds, queries, shm_name=shared.shm_name,
                     )
                 )
             )

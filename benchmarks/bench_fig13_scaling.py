@@ -18,7 +18,7 @@ FRACTIONS = [0.25, 0.5, 1.0]
 
 def _search(subgraph, motif):
     engine = FlowMotifEngine(subgraph)
-    return engine.find_instances(motif, collect=False, use_cache=False).count
+    return engine.find_instances(motif, collect=False).count
 
 
 @pytest.mark.parametrize("dataset", ["Bitcoin", "Facebook", "Passenger"])

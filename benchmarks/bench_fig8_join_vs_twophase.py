@@ -20,7 +20,7 @@ FIG8_MOTIFS = ["M(3,2)", "M(3,3)", "M(4,4)A"]
 
 def _two_phase(graph, motif):
     engine = FlowMotifEngine(graph)  # fresh: include P1 like the paper
-    return engine.find_instances(motif, collect=False, use_cache=False).count
+    return engine.find_instances(motif, collect=False).count
 
 
 def _join(graph, motif):

@@ -43,9 +43,8 @@ def _build():
 
 
 def _timed_serial(graph, motif):
-    # Default two-phase configuration — the exact search the parallel
-    # engine mirrors (the fused use_cache=False pipeline is a different
-    # algorithm and is benchmarked in bench_fig8_join_vs_twophase).
+    # Default two-phase configuration: the temporally pruned P1 the
+    # parallel engine's shard kernel also runs, then Algorithm 1.
     engine = FlowMotifEngine(graph)
     start = time.perf_counter()
     result = engine.find_instances(motif, collect=False)

@@ -37,8 +37,9 @@ def main() -> None:
 
     result = engine.find_instances(triangle)
     print(
-        f"phase P1 found {result.num_matches} structural matches; "
-        f"phase P2 found {result.count} maximal instance(s)"
+        f"phase P1 found {result.num_matches} temporally feasible "
+        f"structural matches; phase P2 found {result.count} maximal "
+        f"instance(s)"
     )
     for instance in result.instances:
         print(f"\n  instance with flow {instance.flow:g} "

@@ -171,7 +171,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
             instances = result.instances
             print(
                 f"{result.count} instances of {motif.display_name} "
-                f"({result.num_matches} structural matches, "
+                f"({result.num_matches} temporally feasible structural matches, "
                 f"{result.total_seconds:.3f}s)"
             )
             if result.shard_timings is not None:

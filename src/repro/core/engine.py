@@ -15,8 +15,10 @@ behind one object bound to an interaction graph:
 5.0
 
 Phase timings are recorded the way the paper reports them: phase P1
-(structural matching, independent of δ/φ — Table 4) and phase P2 (instance
-search — Figures 8–10).
+(structural matching, independent of δ/φ) and phase P2 (instance search —
+Figures 8–10). The engine's P1 also drops matches that cannot host a
+strictly time-respecting chain; Table 4's pure match count is
+:func:`repro.core.matching.find_structural_matches`.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from repro.core import dp as _dp
 from repro.core import enumeration as _enumeration
 from repro.core import topk as _topk
 from repro.core.instance import MotifInstance
-from repro.core.matching import (
-    StructuralMatch,
-    find_structural_matches,
-    iter_structural_matches,
-)
+from repro.core.matching import StructuralMatch, iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import TimeSeriesGraph
@@ -55,8 +53,11 @@ class SearchResult:
     count:
         Number of instances found (also set when not collecting).
     num_matches:
-        Number of phase-P1 structural matches (Table 4's "Instances").
-        Parallel runs report the sum of per-shard feasible match counts,
+        Number of phase-P1 structural matches the search read: serial runs
+        report the engine's temporally feasible matches (see
+        :meth:`FlowMotifEngine.structural_matches`), not Table 4's pure
+        count, which :func:`~repro.core.matching.find_structural_matches`
+        gives. Parallel runs report the sum of per-shard feasible match counts,
         which can differ from the serial count (a match whose events span
         several shards is examined by each of them).
     p1_seconds, p2_seconds:
@@ -97,9 +98,11 @@ class FlowMotifEngine:
 
     Notes
     -----
-    Structural matches are cached per motif *shape* (spanning path), since
-    they do not depend on δ/φ; repeated searches with different constraints
-    (the Figure 9/10 sweeps) pay phase P1 once.
+    Every query reads one cached P1 set per motif *shape* (spanning path):
+    the structural matches that admit a strictly time-respecting chain.
+    That test reads neither δ nor φ, so repeated searches with different
+    constraints (the Figure 9/10 sweeps), counts, top-k and the DP all pay
+    phase P1 once.
     """
 
     def __init__(self, graph: Union[InteractionGraph, TimeSeriesGraph]) -> None:
@@ -123,20 +126,23 @@ class FlowMotifEngine:
     # Phase P1
     # ------------------------------------------------------------------
 
-    def structural_matches(
-        self, motif: Motif, use_cache: bool = True
-    ) -> List[StructuralMatch]:
-        """All structural matches of the motif (phase P1, Table 4)."""
+    def structural_matches(self, motif: Motif) -> List[StructuralMatch]:
+        """The motif's temporally feasible structural matches (phase P1):
+        :func:`~repro.core.matching.iter_structural_matches` with
+        ``temporal_pruning=True`` at φ=0, cached per spanning path and bound
+        to ``motif``. No match it drops hosts an instance; Table 4's pure
+        set is :func:`~repro.core.matching.find_structural_matches`."""
         key = motif.spanning_path
-        if use_cache and key in self._match_cache:
-            cached = self._match_cache[key]
+        cached = self._match_cache.get(key)
+        if cached is None:
+            cached = self._match_cache[key] = list(
+                iter_structural_matches(self._ts, motif, temporal_pruning=True)
+            )
+        if cached and cached[0].motif is not motif:
             return [
                 StructuralMatch(motif, m.vertex_map, m.series) for m in cached
             ]
-        matches = find_structural_matches(self._ts, motif)
-        if use_cache:
-            self._match_cache[key] = matches
-        return matches
+        return list(cached)
 
     def clear_cache(self) -> None:
         """Drop cached structural matches (e.g. after graph changes)."""
@@ -183,9 +189,11 @@ class FlowMotifEngine:
         collect: bool = True,
         skip_rule: bool = True,
         prefix_pruning: bool = True,
-        use_cache: bool = True,
     ) -> SearchResult:
         """Find all maximal instances of ``motif`` (Sections 4, Algorithm 1).
+
+        Phase P1 is :meth:`structural_matches`; phase P2 runs Algorithm 1
+        over each of its matches.
 
         Parameters
         ----------
@@ -198,15 +206,6 @@ class FlowMotifEngine:
             sweeps); ``result.count`` is still exact.
         skip_rule, prefix_pruning:
             Ablation switches (see :mod:`repro.core.enumeration`).
-
-        Notes
-        -----
-        With ``use_cache=False`` the search runs *fused*: structural
-        matches stream out of a flow/temporally-pruned DFS directly into
-        phase P2, skipping matches that provably host no instance. The
-        instance set is identical; ``num_matches`` then reports the pruned
-        (feasible) match count and the whole time is accounted to
-        ``p2_seconds``.
         """
         result = SearchResult(motif=motif)
         counter = [0]
@@ -222,38 +221,20 @@ class FlowMotifEngine:
         with _span(
             "query.find_instances", motif=str(motif), backend="serial"
         ):
-            if use_cache:
-                with _span("p1.match") as t1:
-                    matches = self.structural_matches(motif, use_cache=True)
-                result.num_matches = len(matches)
-                result.p1_seconds = t1.elapsed
-                with _span("p2.enumerate") as t2:
-                    _enumeration.find_instances(
-                        matches,
-                        delta=delta,
-                        phi=phi,
-                        on_instance=sink,
-                        skip_rule=skip_rule,
-                        prefix_pruning=prefix_pruning,
-                    )
-                result.p2_seconds = t2.elapsed
-            else:
-                effective_phi = motif.phi if phi is None else phi
-                with _span("p2.enumerate", fused=True) as t2:
-                    for match in iter_structural_matches(
-                        self._ts, motif, phi=effective_phi,
-                        temporal_pruning=True
-                    ):
-                        result.num_matches += 1
-                        _enumeration.find_instances_in_match(
-                            match,
-                            delta=delta,
-                            phi=phi,
-                            on_instance=sink,
-                            skip_rule=skip_rule,
-                            prefix_pruning=prefix_pruning,
-                        )
-                result.p2_seconds = t2.elapsed
+            with _span("p1.match") as t1:
+                matches = self.structural_matches(motif)
+            result.num_matches = len(matches)
+            result.p1_seconds = t1.elapsed
+            with _span("p2.enumerate") as t2:
+                _enumeration.find_instances(
+                    matches,
+                    delta=delta,
+                    phi=phi,
+                    on_instance=sink,
+                    skip_rule=skip_rule,
+                    prefix_pruning=prefix_pruning,
+                )
+            result.p2_seconds = t2.elapsed
         result.count = counter[0]
         reg = _metrics.active()
         if reg is not None:
@@ -266,16 +247,15 @@ class FlowMotifEngine:
         motif: Motif,
         delta: Optional[float] = None,
         phi: Optional[float] = None,
-        use_cache: bool = True,
     ) -> SearchResult:
-        """Count maximal instances without constructing them (memoized;
-        the Section 7 future-work feature)."""
+        """Count maximal instances of :meth:`structural_matches` without
+        constructing them (memoized; the Section 7 future-work feature)."""
         result = SearchResult(motif=motif)
         with _span(
             "query.count_instances", motif=str(motif), backend="serial"
         ):
             with _span("p1.match") as t1:
-                matches = self.structural_matches(motif, use_cache=use_cache)
+                matches = self.structural_matches(motif)
             result.num_matches = len(matches)
             result.p1_seconds = t1.elapsed
             with _span("p2.count") as t2:
@@ -290,23 +270,22 @@ class FlowMotifEngine:
         return result
 
     def top_k(
-        self,
-        motif: Motif,
-        k: int,
-        delta: Optional[float] = None,
-        use_cache: bool = True,
+        self, motif: Motif, k: int, delta: Optional[float] = None
     ) -> List[MotifInstance]:
-        """The k maximal instances with the largest flow (Section 5)."""
-        matches = self.structural_matches(motif, use_cache=use_cache)
-        return _topk.top_k_instances(matches, k, delta=delta)
+        """The k maximal instances with the largest flow (Section 5),
+        ranked over :meth:`structural_matches`."""
+        return _topk.top_k_instances(
+            self.structural_matches(motif), k, delta=delta
+        )
 
     def top_one_dp(
         self,
         motif: Motif,
         delta: Optional[float] = None,
         method: str = "auto",
-        use_cache: bool = True,
     ) -> _dp.TopOneResult:
-        """The maximum-flow instance via the DP module (Section 5.1)."""
-        matches = self.structural_matches(motif, use_cache=use_cache)
-        return _dp.top_one_instance(matches, delta=delta, method=method)
+        """The maximum-flow instance via the DP module (Section 5.1), over
+        :meth:`structural_matches`."""
+        return _dp.top_one_instance(
+            self.structural_matches(motif), delta=delta, method=method
+        )

@@ -11,8 +11,8 @@ search:
    ordered pairs are connected, never on the events they carry. Appending
    an event to an existing pair therefore changes nothing in P1; only the
    *first* event of a pair can create matches — and every match it creates
-   contains that pair. :meth:`IncrementalMatcher._matches_through` finds
-   exactly those by anchoring the paper's spanning-path DFS at the new
+   contains that pair. :func:`repro.core.matching.matches_through` finds
+   exactly those by anchoring the offline P1 extension step at the new
    edge (each candidate position once, deduplicated by first occurrence)
    and extending backwards/forwards, so discovery cost is proportional to
    the walks through the new edge, not to the whole graph.
@@ -44,11 +44,15 @@ of ``add``/``poll``/``flush``.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.enumeration import enumerate_window_ranges, match_is_feasible
 from repro.core.instance import MotifInstance, Run
-from repro.core.matching import StructuralMatch, iter_structural_matches
+from repro.core.matching import (
+    StructuralMatch,
+    iter_structural_matches,
+    matches_through,
+)
 from repro.core.motif import Motif
 from repro.core.windows import iter_maximal_windows
 from repro.graph.events import Node
@@ -282,7 +286,9 @@ class IncrementalMatcher:
         if is_new_pair:
             series = self.graph.series(src, dst)
             assert series is not None
-            for match in self._matches_through(series):
+            found, expanded = matches_through(self.graph, self.motif, series)
+            self.expansions += expanded
+            for match in found:
                 self._register(match)
         if waiting:
             self.watchlist_hits += len(waiting)
@@ -360,90 +366,3 @@ class IncrementalMatcher:
         else:
             heappush(self._heap, (end, idx))
             self.heap_pushes += 1
-
-    def _matches_through(
-        self, new_series
-    ) -> Iterator[StructuralMatch]:
-        """All structural matches whose edge mapping uses ``new_series``.
-
-        For every motif-edge position ``p`` the new pair could instantiate,
-        anchor ``path[p] → src`` and ``path[p+1] → dst``, then extend the
-        assignment backwards to position 0 and forwards to position m-1 —
-        the same modified DFS as :func:`iter_structural_matches`, rooted
-        at the new edge instead of at a start vertex. Matches using the
-        new series at several positions are produced exactly once, at the
-        *first* such position (earlier positions are forbidden from
-        choosing it). Existing matches cannot reappear: they predate the
-        pair and therefore cannot contain its series.
-        """
-        graph, motif = self.graph, self.motif
-        path = motif.spanning_path
-        m = motif.num_edges
-        u, v = new_series.src, new_series.dst
-        for p in range(m):
-            a, b = path[p], path[p + 1]
-            if a == b:
-                if u != v:
-                    continue  # motif self-loop needs a graph self-loop
-            elif u == v:
-                continue  # two motif vertices cannot share a graph vertex
-            assignment: Dict[int, Node] = {a: u}
-            if b != a:
-                assignment[b] = v
-            used = set(assignment.values())
-            chosen: List[Optional[object]] = [None] * m
-            chosen[p] = new_series
-            # Fill order: backwards from the anchor to edge 0, then
-            # forwards to edge m-1. Each step has the inner endpoint of
-            # its edge already assigned.
-            order = list(range(p - 1, -1, -1)) + list(range(p + 1, m))
-
-            def fill(k: int) -> Iterator[StructuralMatch]:
-                self.expansions += 1
-                if k == len(order):
-                    vertex_map = tuple(
-                        assignment[vid] for vid in range(motif.num_vertices)
-                    )
-                    yield StructuralMatch(
-                        motif, vertex_map, tuple(chosen)  # type: ignore[arg-type]
-                    )
-                    return
-                q = order[k]
-                qa, qb = path[q], path[q + 1]
-                forbid_new = q < p  # first-occurrence dedup
-                if qa in assignment and qb in assignment:
-                    series = graph.series(assignment[qa], assignment[qb])
-                    if series is not None and not (
-                        forbid_new and series is new_series
-                    ):
-                        chosen[q] = series
-                        yield from fill(k + 1)
-                        chosen[q] = None
-                elif qb in assignment:  # backward: pick the source vertex
-                    for series in graph.in_series(assignment[qb]):
-                        if forbid_new and series is new_series:
-                            continue
-                        candidate = series.src
-                        if candidate in used:
-                            continue
-                        assignment[qa] = candidate
-                        used.add(candidate)
-                        chosen[q] = series
-                        yield from fill(k + 1)
-                        chosen[q] = None
-                        used.discard(candidate)
-                        del assignment[qa]
-                else:  # forward: pick the target vertex
-                    for series in graph.out_series(assignment[qa]):
-                        candidate = series.dst
-                        if candidate in used:
-                            continue
-                        assignment[qb] = candidate
-                        used.add(candidate)
-                        chosen[q] = series
-                        yield from fill(k + 1)
-                        chosen[q] = None
-                        used.discard(candidate)
-                        del assignment[qb]
-
-            yield from fill(0)

@@ -11,11 +11,17 @@ the walks of length ``m`` in ``G_T`` whose vertex-repetition pattern equals
 the spanning path's pattern (same position pairs coincide, all other
 positions are pairwise distinct — the bijection requirement of
 Definition 3.2).
+
+One extension step (:func:`_extension_step`) runs that DFS for every
+caller: :func:`iter_structural_matches` roots it at each start vertex, and
+:func:`matches_through` anchors it at one new pair, which is how the
+streaming detector discovers the matches an appended pair creates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.motif import Motif
 from repro.graph.events import Node
@@ -68,6 +74,116 @@ class StructuralMatch:
         return f"StructuralMatch({'→'.join(map(str, self.walk))})"
 
 
+#: How one DFS step fills its motif edge ``(a, b)``: from bound ``a`` to
+#: a free ``b``, back from bound ``b`` to a free ``a``, or by lookup.
+_FORWARD, _BACKWARD, _LOOKUP = range(3)
+
+
+@lru_cache(maxsize=1024)
+def _plan(path: Tuple[int, ...], anchor_pos: int) -> Tuple[Tuple, ...]:
+    """The fill order of a spanning path as ``(q, kind, a, b)`` steps:
+    edges ``0..m-1`` from ``path[0]`` when ``anchor_pos == -1``, else
+    from the pre-bound edge ``anchor_pos`` back to edge 0, then on to
+    edge ``m-1``."""
+    m = len(path) - 1
+    if anchor_pos < 0:
+        bound, order = {path[0]}, list(range(m))
+    else:
+        bound = {path[anchor_pos], path[anchor_pos + 1]}
+        order = [*range(anchor_pos - 1, -1, -1), *range(anchor_pos + 1, m)]
+    steps = []
+    for q in order:
+        a, b = path[q], path[q + 1]
+        if a in bound and b in bound:
+            kind = _LOOKUP
+        else:
+            kind = _FORWARD if a in bound else _BACKWARD
+        bound.update((a, b))
+        steps.append((q, kind, a, b))
+    return tuple(steps)
+
+
+def _extension_step(
+    graph: TimeSeriesGraph,
+    motif: Motif,
+    emit: Callable[[StructuralMatch], None],
+    admit: Optional[Callable[[int, EdgeSeries], bool]] = None,
+) -> Callable[..., int]:
+    """The one P1 DFS, as ``run(root)`` or ``run(anchor, anchor_pos)``.
+
+    ``run(root)`` binds ``path[0]`` to graph vertex ``root``;
+    ``run(anchor, anchor_pos)`` binds motif edge ``anchor_pos`` to the
+    ``anchor`` series. Every call sets its own mode, so one closure may
+    serve both. Each :func:`_plan` step then looks its series up,
+    or tries every out-series (forward) or in-series (backward) of the
+    bound endpoint whose other end is unbound (Definition 3.2's
+    bijection); ``admit(q, series)`` may veto a series for edge ``q``.
+    Complete matches go to ``emit``. Edges before ``anchor_pos`` may not
+    reuse the anchor, so a match through it at several positions comes
+    once, at the first (only a lookup can meet it: both its endpoints are
+    bound). ``run`` returns the number of DFS nodes it expanded.
+    """
+    path = motif.spanning_path
+    vertex_map: List[Optional[Node]] = [None] * motif.num_vertices
+    chosen: List[Optional[EdgeSeries]] = [None] * motif.num_edges
+    used: Set[Node] = set()
+    steps: Tuple[Tuple, ...] = ()
+    last = 0
+    anchor: Optional[EdgeSeries] = None
+    anchor_pos = -1
+    lookup, out_series, in_series = graph.series, graph.out_series, graph.in_series
+
+    def fill(k: int) -> int:
+        if k == last:
+            emit(StructuralMatch(motif, tuple(vertex_map), tuple(chosen)))
+            return 1
+        q, kind, a, b = steps[k]
+        expanded = 1
+        if kind == _LOOKUP:
+            series = lookup(vertex_map[a], vertex_map[b])
+            if (
+                series is not None
+                and not (q < anchor_pos and series is anchor)
+                and (admit is None or admit(q, series))
+            ):
+                chosen[q] = series
+                expanded += fill(k + 1)
+        else:
+            forward = kind == _FORWARD
+            free = b if forward else a
+            for series in (
+                out_series(vertex_map[a]) if forward else in_series(vertex_map[b])
+            ):
+                vertex = series.dst if forward else series.src
+                if vertex in used or (admit is not None and not admit(q, series)):
+                    continue
+                vertex_map[free] = vertex
+                used.add(vertex)
+                chosen[q] = series
+                expanded += fill(k + 1)
+                used.discard(vertex)
+        return expanded
+
+    def run(seed, pos: int = -1) -> int:
+        nonlocal steps, last, anchor, anchor_pos
+        steps = _plan(path, pos)
+        last = len(steps)
+        used.clear()
+        if pos < 0:
+            anchor, anchor_pos = None, -1
+            vertex_map[path[0]] = seed
+            used.add(seed)
+        else:
+            anchor, anchor_pos = seed, pos
+            vertex_map[path[pos]] = seed.src
+            vertex_map[path[pos + 1]] = seed.dst
+            used.update((seed.src, seed.dst))
+            chosen[pos] = seed
+        return fill(0)
+
+    return run
+
+
 def iter_structural_matches(
     graph: TimeSeriesGraph,
     motif: Motif,
@@ -77,92 +193,73 @@ def iter_structural_matches(
     """Yield all structural matches of ``motif`` in ``graph`` (phase P1).
 
     Matches are produced in deterministic order (sorted start vertex, then
-    sorted extension), so runs are reproducible across processes.
-
-    The DFS keeps the partial assignment motif-vertex → graph-vertex. At
-    path position ``i`` it extends along edge ``e_{i+1}``:
-
-    * if the next motif vertex is already assigned (the path revisits it,
-      e.g. closing a cycle), the single required graph edge is looked up
-      directly;
-    * otherwise every out-neighbour not yet used by another motif vertex is
-      tried (injectivity — Definition 3.2's bijection).
+    sorted extension), so runs are reproducible across processes: the
+    :func:`_extension_step` DFS runs once from each start vertex.
 
     Parameters
     ----------
     phi, temporal_pruning:
-        Optional *flow-aware* pruning for the fused search pipeline: with
-        ``temporal_pruning=True`` a branch is cut when its series cannot
-        host a strictly time-respecting chain (greedy earliest walk dies)
-        or, with ``phi > 0``, when a chosen series' total flow is below φ.
-        Pruned branches cannot contribute any instance, so downstream
-        enumeration output is unchanged — but the *match set* is a subset
-        of the unpruned one. Keep both defaults for the paper's pure
-        phase P1 (Table 4 semantics).
+        Optional pruning: with ``temporal_pruning=True`` a branch is cut
+        when its series cannot host a strictly time-respecting chain
+        (greedy earliest walk dies) and, with ``phi > 0``, when a chosen
+        series' total flow is below φ. Pruned branches cannot contribute
+        any instance, so downstream enumeration output is unchanged — but
+        the *match set* is a subset of the unpruned one. At ``phi=0`` the
+        pruned set reads neither δ nor φ, so
+        :class:`~repro.core.engine.FlowMotifEngine` caches it for every
+        query. Keep both defaults for the paper's pure phase P1 (Table 4
+        semantics).
     """
-    path = motif.spanning_path
-    m = motif.num_edges
-    # Assignment: motif vertex id -> graph node; used: set of assigned nodes.
-    assignment: Dict[int, Node] = {}
-    used: set = set()
-    chosen_series: List[Optional[EdgeSeries]] = [None] * m
-    # chain_time[i]: earliest end of a time-respecting chain over the
-    # series chosen for edges 0..i (greedy; only with temporal_pruning).
-    chain_time: List[float] = [0.0] * m
+    # chain_time[q]: earliest end of a time-respecting chain over the
+    # series chosen for edges 0..q (greedy; only with temporal_pruning).
+    chain_time: List[float] = [0.0] * motif.num_edges
 
-    def admit(position: int, series: EdgeSeries) -> bool:
-        """Apply the optional flow/temporal pruning for one extension."""
+    def admit(q: int, series: EdgeSeries) -> bool:
         if phi > 0 and series.total_flow < phi:
             return False
         if not temporal_pruning:
             return True
-        if position == 0:
+        if q == 0:
             chain_time[0] = series.first_time
             return True
-        idx = series.first_index_after(chain_time[position - 1])
+        idx = series.first_index_after(chain_time[q - 1])
         if idx >= len(series):
             return False
-        chain_time[position] = series.times[idx]
+        chain_time[q] = series.times[idx]
         return True
 
-    def extend(position: int) -> Iterator[StructuralMatch]:
-        if position == m:
-            vertex_map = tuple(
-                assignment[v] for v in range(motif.num_vertices)
-            )
-            yield StructuralMatch(
-                motif, vertex_map, tuple(chosen_series)  # type: ignore[arg-type]
-            )
-            return
-        current = assignment[path[position]]
-        next_vid = path[position + 1]
-        if next_vid in assignment:
-            series = graph.series(current, assignment[next_vid])
-            if series is not None and admit(position, series):
-                chosen_series[position] = series
-                yield from extend(position + 1)
-                chosen_series[position] = None
-        else:
-            for series in graph.out_series(current):
-                candidate = series.dst
-                if candidate in used:
-                    continue
-                if not admit(position, series):
-                    continue
-                assignment[next_vid] = candidate
-                used.add(candidate)
-                chosen_series[position] = series
-                yield from extend(position + 1)
-                chosen_series[position] = None
-                used.discard(candidate)
-                del assignment[next_vid]
-
+    found: List[StructuralMatch] = []
+    pruned = temporal_pruning or phi > 0
+    run = _extension_step(graph, motif, found.append, admit if pruned else None)
     for start in sorted(graph.nodes, key=repr):
-        assignment[path[0]] = start
-        used.add(start)
-        yield from extend(0)
-        used.discard(start)
-        del assignment[path[0]]
+        run(start)
+        if found:
+            yield from found
+            found.clear()
+
+
+def matches_through(
+    graph: TimeSeriesGraph, motif: Motif, series: EdgeSeries
+) -> Tuple[List[StructuralMatch], int]:
+    """All structural matches whose edge mapping uses ``series``.
+
+    The :func:`_extension_step` DFS is anchored at every motif-edge
+    position the pair could instantiate, so the cost is proportional to
+    the walks through the pair, not to the graph. A match using
+    ``series`` at several positions is produced exactly once, at the
+    *first*. Returns the matches in discovery order and the number of DFS
+    nodes expanded.
+    """
+    path = motif.spanning_path
+    found: List[StructuralMatch] = []
+    run = _extension_step(graph, motif, found.append)
+    expanded = 0
+    for p in range(motif.num_edges):
+        # A motif self-loop needs a graph self-loop, and two motif
+        # vertices cannot share a graph vertex.
+        if (path[p] == path[p + 1]) == (series.src == series.dst):
+            expanded += run(series, p)
+    return found, expanded
 
 
 def find_structural_matches(

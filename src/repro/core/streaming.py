@@ -31,7 +31,8 @@ Complexity. The detector maintains everything per appended edge (see
 event on a known pair in O(1) amortized, and the first event of a new
 pair in O(log degree) key comparisons plus one insert into each
 endpoint's adjacency list; structural matches are extended only through
-newly connected pairs, and polls pop exactly the matches whose next
+newly connected pairs (:func:`repro.core.matching.matches_through`, the
+offline P1 DFS anchored at the new pair), and polls pop exactly the matches whose next
 window deadline has passed — never the whole match set, and never a
 rebuilt graph. ``benchmarks/bench_streaming_incremental.py`` measures
 the win over re-running the offline search on the stream prefix at

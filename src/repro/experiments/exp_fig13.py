@@ -39,9 +39,7 @@ def run(
             engine = FlowMotifEngine(subgraph)
             for name, motif in catalog.items():
                 with span("experiment.find") as timer:
-                    result = engine.find_instances(
-                        motif, collect=False, use_cache=False
-                    )
+                    result = engine.find_instances(motif, collect=False)
                 counts[name].append(result.count)
                 times[name].append(round(timer.elapsed, 4))
         series.append(

@@ -28,9 +28,7 @@ def run(
         ts_graph = bundle.engine.time_series_graph
         for name, motif in bundle.motifs(motifs).items():
             with span("experiment.two_phase") as two_phase_timer:
-                result = bundle.engine.find_instances(
-                    motif, collect=False, use_cache=False
-                )
+                result = bundle.engine.find_instances(motif, collect=False)
             with span("experiment.join") as join_timer:
                 join_result = join_find_instances(ts_graph, motif)
             if len(join_result) != result.count:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.matching import find_structural_matches
 from repro.experiments.common import build_datasets
 from repro.obs.tracing import span
 
@@ -23,7 +24,7 @@ def run(
         for name, motif in bundle.motifs(motifs).items():
             names.append(name)
             with span("experiment.p1") as timer:
-                matches = bundle.engine.structural_matches(motif, use_cache=False)
+                matches = find_structural_matches(bundle.engine.time_series_graph, motif)
             match_row.append(len(matches))
             time_row.append(round(timer.elapsed, 4))
         tables.append(

@@ -192,12 +192,19 @@ class EdgeSeries:
     def slice(self, lo: int, hi: int) -> "EdgeSeries":
         """A new series holding the elements with index in ``[lo, hi]``.
 
-        The base implementation copies; columnar views override it with a
-        zero-copy memoryview slice. Both produce series that compare equal.
+        The base implementation copies into lists, also when called on a
+        columnar view, so the result pickles and pins no shared buffer;
+        columnar views override it with a zero-copy memoryview slice. Both
+        keep the parent's prefix sums ``_cum[lo : hi + 2]`` rather than
+        re-summing from 0, so every flow sum over the slice rounds exactly
+        as it does in the parent.
         """
-        return EdgeSeries(
-            self.src, self.dst, self.times[lo : hi + 1], self.flows[lo : hi + 1]
-        )
+        part = EdgeSeries.__new__(EdgeSeries)
+        part.src, part.dst = self.src, self.dst
+        part.times = list(self.times[lo : hi + 1])
+        part.flows = list(self.flows[lo : hi + 1])
+        part._cum = list(self._cum[lo : hi + 2])
+        return part
 
     # ------------------------------------------------------------------
     # Streaming growth

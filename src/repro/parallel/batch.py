@@ -230,9 +230,8 @@ class BatchRunner:
         queries = [
             (c.motif, c.effective_delta, c.effective_phi) for c in configs
         ]
-        # P1 with φ = 0: one match list serves every φ of a topology group.
         per_config = self._engine._run_queries(
-            shards, "batch", queries, 0.0, collect=collect
+            shards, "batch", queries, collect=collect
         )
         results: List[SearchResult] = []
         for config, outputs in zip(configs, per_config):

@@ -327,7 +327,6 @@ class ParallelFlowMotifEngine:
         shards: Sequence[TimeShard],
         kind: str,
         queries: Sequence[_worker.ShardQuery],
-        p1_phi: float,
         **options,
     ) -> List[_worker.ShardTask]:
         """One :class:`~repro.parallel.worker.ShardTask` per shard.
@@ -397,7 +396,6 @@ class ParallelFlowMotifEngine:
                 kind,
                 shard.bounds,
                 queries,
-                p1_phi,
                 shard=None if transport else shard,
                 **transport,
                 **options,
@@ -438,12 +436,11 @@ class ParallelFlowMotifEngine:
         shards: Sequence[TimeShard],
         kind: str,
         queries: Sequence[_worker.ShardQuery],
-        p1_phi: float,
         **options,
     ) -> List[List[_worker.ShardSearchOutput]]:
         """Fan ``queries`` out over ``shards``; outputs regrouped per query
         (``result[q][s]`` answers query ``q`` on shard ``s``)."""
-        tasks = self._shard_tasks(shards, kind, queries, p1_phi, **options)
+        tasks = self._shard_tasks(shards, kind, queries, **options)
         per_query: List[List[_worker.ShardSearchOutput]] = [
             [] for _ in queries
         ]
@@ -597,7 +594,7 @@ class ParallelFlowMotifEngine:
 
         Accepts the query arguments of
         :meth:`repro.core.engine.FlowMotifEngine.find_instances` (not its
-        ablation switches or ``use_cache``) and returns an identical
+        ablation switches) and returns an identical
         instance set; the merged result additionally carries a
         per-shard :class:`~repro.utils.timing.ShardTimingReport`.
         """
@@ -615,7 +612,6 @@ class ParallelFlowMotifEngine:
                 shards,
                 "search",
                 [(motif, effective_delta, effective_phi)],
-                effective_phi,
                 collect=collect,
             )
             result = _merge.merge_search_results(
@@ -645,7 +641,6 @@ class ParallelFlowMotifEngine:
                 shards,
                 "count",
                 [(motif, effective_delta, effective_phi)],
-                effective_phi,
             )
             result = _merge.merge_search_results(
                 motif, shards, outputs, self._ts, wall_seconds=query.elapsed
@@ -681,8 +676,8 @@ class ParallelFlowMotifEngine:
             shards=self.num_shards,
         ):
             shards = self.partition(effective_delta)
-            # P1 with φ = 0: ranking by flow needs every structural match.
+            # φ = 0: ranking by flow needs every structural match.
             (outputs,) = self._run_queries(
-                shards, "top_k", [(motif, effective_delta, 0.0)], 0.0, k=k
+                shards, "top_k", [(motif, effective_delta, 0.0)], k=k
             )
             return _merge.merge_top_k(motif, shards, outputs, self._ts, k)

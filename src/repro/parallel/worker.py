@@ -21,10 +21,11 @@ instead of O(events).
 
 :func:`run_shard_task` runs one kernel for every kind: phase P1 once per
 spanning path, then each query's phase-P2 op (enumerate, count or top-k).
-P1 runs with the output-preserving fused pruning of
+P1 runs with the output-preserving pruning of
 :func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
-True``): a shard only materializes matches that can host an instance
-*somewhere in the shard*, a superset of what its owned windows need.
+True``, at the smallest φ among the task's queries on that path): a shard
+only materializes matches that can host an instance *somewhere in the
+shard*, a superset of what its owned windows need.
 
 Workers do **not** ship :class:`~repro.core.instance.MotifInstance`
 objects back to the parent: an instance found in a shard is reduced to a
@@ -111,11 +112,8 @@ class ShardTask:
         The shard's :attr:`TimeShard.bounds`; the shard index is
         ``bounds[0]``.
     queries:
-        The :data:`ShardQuery` tuples to answer (one unless ``"batch"``).
-    p1_phi:
-        The φ phase P1 prunes with: the query's own φ for search/count,
-        0 for top-k (ranking needs every flow) and batch (one match list
-        serves every φ of a topology group).
+        The :data:`ShardQuery` tuples to answer (one unless ``"batch"``);
+        a top-k query carries φ=0, as ranking needs every flow.
     shm_name, segment_path, shard:
         Where the shard comes from — exactly one is set: a shared-memory
         store, a sealed segment file, or the materialized shard itself.
@@ -134,7 +132,6 @@ class ShardTask:
     kind: str
     bounds: Tuple[int, int, float, float, float]
     queries: Tuple[ShardQuery, ...]
-    p1_phi: float
     shm_name: Optional[str] = None
     segment_path: Optional[str] = None
     shard: Optional[TimeShard] = None
@@ -164,8 +161,10 @@ class ShardReply:
 def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
     """Answer ``task.queries`` over one materialized shard.
 
-    Phase P1 runs once per spanning path (with ``task.p1_phi``) and its
-    time is charged to the first query of each topology group; the
+    Phase P1 runs once per spanning path, pruned with the smallest φ
+    among the task's queries on that path (any query's φ is at least that
+    minimum, so :func:`~repro.core.enumeration.match_is_feasible` rejects
+    every dropped match for it anyway), and its time is charged to the first query of each topology group; the
     others report ``p1_seconds == 0.0``, so summing per-query timings
     reflects the real total work. Each query then runs the kind's P2 op
     restricted to the shard's owned anchors. The ``anchor_range``
@@ -179,6 +178,10 @@ def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
     anchor_range = shard.anchor_range
     p2_name = _P2_SPANS[task.kind]
     matches_by_path: Dict[tuple, list] = {}
+    prune_phi: Dict[tuple, float] = {}
+    for motif, _, phi in task.queries:
+        key = motif.spanning_path
+        prune_phi[key] = min(phi, prune_phi.get(key, phi))
     for config_index, (motif, delta, phi) in enumerate(task.queries):
         out = ShardSearchOutput(shard_index=shard.index, config_index=config_index)
         outputs.append(out)
@@ -190,7 +193,7 @@ def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
             with _span("p1.match", shard=shard.index) as p1:
                 matches = matches_by_path[key] = list(
                     iter_structural_matches(
-                        shard.graph, motif, phi=task.p1_phi,
+                        shard.graph, motif, phi=prune_phi[key],
                         temporal_pruning=True,
                     )
                 )
@@ -246,7 +249,7 @@ def search_shard(
     exceed the shard's halo width.
     """
     task = ShardTask(
-        "search", shard.bounds, ((motif, delta, phi),), phi, shard=shard,
+        "search", shard.bounds, ((motif, delta, phi),), shard=shard,
         collect=collect,
     )
     return _run_kernel(task, shard)[0]

@@ -32,7 +32,8 @@ def _transplant_matches(
 
     Flow permutation keeps vertices, edges and timestamps, so the matches
     of the real graph are exactly the matches of every randomized graph —
-    only the per-pair series objects (with their shuffled flows) change.
+    the engine's temporal pruning reads only timestamps — and only the
+    per-pair series objects (with their shuffled flows) change.
     Re-running phase P1 per permutation would redo identical work; instead
     each match's series tuple is looked up in the permuted graph.
     """

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import FlowMotifEngine
+from repro.core.matching import find_structural_matches
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 
@@ -28,7 +29,12 @@ class TestSearchResult:
         result = fig2_engine.find_instances(triangle)
         assert result.motif is triangle
         assert result.count == len(result.instances) == 1
-        assert result.num_matches == 6
+        # The engine's P1 keeps only the one temporally feasible match of
+        # the six structural ones (Table 4's count, Figure 6).
+        assert result.num_matches == 1
+        assert len(
+            find_structural_matches(fig2_engine.time_series_graph, triangle)
+        ) == 6
         assert result.p1_seconds >= 0.0
         assert result.p2_seconds >= 0.0
         assert result.total_seconds == result.p1_seconds + result.p2_seconds
@@ -64,12 +70,12 @@ class TestMatchCache:
         matches = engine.structural_matches(b)
         # Served from the shape cache, but rebound to motif b.
         assert all(m.motif is b for m in matches)
-        assert len(matches) == 6
+        assert len(matches) == 1
 
     def test_cache_can_be_cleared(self, fig2_engine, triangle):
         fig2_engine.structural_matches(triangle)
         fig2_engine.clear_cache()
-        assert fig2_engine.structural_matches(triangle, use_cache=False)
+        assert fig2_engine.structural_matches(triangle)
 
     def test_count_matches_find(self, fig7_engine, triangle_phi0):
         count = fig7_engine.count_instances(triangle_phi0)

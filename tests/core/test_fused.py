@@ -1,4 +1,4 @@
-"""The fused search pipeline and match-feasibility prechecks."""
+"""The engine's temporally pruned P1 and the match-feasibility prechecks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.engine import FlowMotifEngine
-from repro.core.enumeration import match_is_feasible
+from repro.core.enumeration import find_instances, match_is_feasible
 from repro.core.matching import find_structural_matches, iter_structural_matches
 from repro.core.motif import Motif, paper_motifs
 from repro.graph.interaction import InteractionGraph
@@ -84,36 +84,62 @@ class TestPrunedMatching:
                 assert match.vertex_map in pruned_maps
 
 
+class TestEngineMatchSet:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["M(3,2)", "M(3,3)", "M(4,4)B"])
+    def test_cached_set_is_pure_subset_keeping_instance_bearing_matches(
+        self, seed, name
+    ):
+        g = random_graph(seed)
+        motif = paper_motifs(delta=12, phi=0)[name]
+        engine = FlowMotifEngine(g)
+        cached = engine.structural_matches(motif)
+        pure = find_structural_matches(engine.time_series_graph, motif)
+        assert set(cached) <= set(pure)
+        assert len(cached) == len(set(cached))
+        for match in pure:
+            if find_instances([match], phi=0.0):
+                assert match in cached
+
+
 class TestFusedEngineMode:
+    """The engine's cached, temporally pruned P1 feeding P2 (what the
+    removed fused mode ran) against the reference: P2 over the pure
+    :func:`find_structural_matches` set."""
+
+    @staticmethod
+    def reference(graph, motif, **overrides):
+        ts = FlowMotifEngine(graph).time_series_graph
+        return find_instances(find_structural_matches(ts, motif), **overrides)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_fused_equals_cached(self, seed):
         g = random_graph(seed)
         motif = Motif.chain(3, delta=12, phi=2)
-        engine = FlowMotifEngine(g)
-        cached = engine.find_instances(motif, use_cache=True)
-        fused = engine.find_instances(motif, use_cache=False)
-        assert {i.canonical_key() for i in cached.instances} == {
-            i.canonical_key() for i in fused.instances
+        found = FlowMotifEngine(g).find_instances(motif)
+        assert {i.canonical_key() for i in found.instances} == {
+            i.canonical_key() for i in self.reference(g, motif)
         }
 
     def test_fused_catalog_on_fixture(self, fig2_graph):
         engine = FlowMotifEngine(fig2_graph)
         for name, motif in paper_motifs(delta=10, phi=5).items():
-            cached = engine.find_instances(motif, use_cache=True)
-            fused = engine.find_instances(motif, use_cache=False)
-            assert cached.count == fused.count, name
+            found = engine.find_instances(motif)
+            assert found.count == len(self.reference(fig2_graph, motif)), name
 
     def test_fused_reports_fewer_matches(self):
         g = random_graph(11, nodes=8, events=50)
         motif = Motif.chain(4, delta=5, phi=3)
-        engine = FlowMotifEngine(g)
-        cached = engine.find_instances(motif, use_cache=True)
-        fused = engine.find_instances(motif, use_cache=False)
-        assert fused.num_matches <= cached.num_matches
-        assert fused.count == cached.count
+        found = FlowMotifEngine(g).find_instances(motif)
+        pure = find_structural_matches(g.to_time_series(), motif)
+        assert found.num_matches <= len(pure)
+        assert found.count == len(self.reference(g, motif))
 
     def test_fused_with_overrides(self, fig7_graph):
         engine = FlowMotifEngine(fig7_graph)
         motif = Motif.cycle(3, delta=999, phi=99)
-        fused = engine.find_instances(motif, delta=10, phi=5, use_cache=False)
-        assert fused.count == 1
+        found = engine.find_instances(motif, delta=10, phi=5)
+        assert found.count == 1
+        assert found.count == len(
+            self.reference(fig7_graph, motif, delta=10, phi=5)
+        )

@@ -87,6 +87,49 @@ class TestIncrementalP1:
         assert index_matches == graph_matches
         assert matcher.match_count == len(index_matches)  # no duplicates
 
+    #: Discovery order (vertex maps) and DFS expansions of one seeded
+    #: 14-event replay per motif shape. Match indices order the deadline
+    #: heap's ties and ``p1.expansions`` is a benchmark counter, so both
+    #: are pinned; the set tests above cannot see either change.
+    PINNED = [
+        ("M(3,2)", 0, 28, [
+            (4, 3, 2), (3, 4, 1), (0, 2, 1), (3, 2, 1), (3, 2, 0), (3, 0, 2),
+            (4, 3, 0), (2, 3, 0), (2, 3, 4), (0, 2, 3),
+        ]),
+        ("M(3,3)", 11, 59, [
+            (4, 1, 3), (3, 4, 1), (1, 3, 4), (4, 0, 3), (3, 4, 0), (0, 3, 4),
+            (1, 4, 3), (3, 1, 4), (4, 3, 1),
+        ]),
+        ("M(4,4)A", 2, 112, [
+            (2, 3, 4, 0), (2, 3, 4, 1), (0, 2, 3, 4), (1, 2, 3, 4),
+            (4, 0, 2, 3), (4, 1, 2, 3), (3, 4, 0, 2), (3, 4, 1, 2),
+        ]),
+        ("M(4,4)B", 13, 83, [
+            (0, 2, 4, 1), (2, 4, 0, 1), (0, 1, 4, 2), (1, 2, 0, 4),
+            (2, 0, 1, 4), (1, 4, 0, 2),
+        ]),
+        ("M(4,4)C", 4, 106, [
+            (2, 1, 0, 3), (3, 1, 0, 2), (4, 2, 1, 0), (0, 1, 4, 2),
+            (3, 1, 4, 2), (0, 2, 1, 4), (0, 4, 2, 1),
+        ]),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,seed,expansions,order", PINNED, ids=[p[0] for p in PINNED]
+    )
+    def test_discovery_order_and_expansions_pinned(
+        self, name, seed, expansions, order
+    ):
+        rng = random.Random(seed)
+        matcher = IncrementalMatcher(
+            GrowableTimeSeriesGraph(), paper_motifs(5)[name], 5.0, 0.0
+        )
+        for t in range(14):
+            u, v = rng.sample(range(5), 2)
+            matcher.add(u, v, float(t), 1.0)
+        assert [m.vertex_map for m in matcher.matches()] == order
+        assert matcher.expansions == expansions
+
 
 class TestSchedulingLifecycle:
     def test_infeasible_match_wakes_on_its_own_pair(self):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.engine import FlowMotifEngine
 from repro.core.instance import is_maximal, is_valid_instance
+from repro.core.matching import find_structural_matches
 from repro.core.motif import Motif
 from repro.core.windows import iter_maximal_windows
 
@@ -28,11 +29,14 @@ class TestFigure6StructuralMatches:
     """Phase P1 on the running example finds the six matches of Figure 6."""
 
     def test_six_matches(self, fig2_engine, triangle):
-        matches = fig2_engine.structural_matches(triangle)
+        matches = find_structural_matches(
+            fig2_engine.time_series_graph, triangle
+        )
         assert len(matches) == 6
 
     def test_match_walks(self, fig2_engine, triangle):
-        walks = {m.walk for m in fig2_engine.structural_matches(triangle)}
+        ts = fig2_engine.time_series_graph
+        walks = {m.walk for m in find_structural_matches(ts, triangle)}
         assert walks == {
             ("u1", "u2", "u3", "u1"),
             ("u2", "u3", "u1", "u2"),
@@ -43,7 +47,8 @@ class TestFigure6StructuralMatches:
         }
 
     def test_matches_carry_series(self, fig2_engine, triangle):
-        for match in fig2_engine.structural_matches(triangle):
+        ts = fig2_engine.time_series_graph
+        for match in find_structural_matches(ts, triangle):
             assert len(match.series) == 3
             for i, series in enumerate(match.series):
                 m_src, m_dst = triangle.edge(i)

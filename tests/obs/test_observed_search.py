@@ -157,7 +157,7 @@ class TestNoopMode:
         )
         query = (MOTIF, MOTIF.delta, MOTIF.phi)
         tasks = engine._shard_tasks(
-            engine.partition(MOTIF.delta), "search", [query], MOTIF.phi
+            engine.partition(MOTIF.delta), "search", [query]
         )
         assert len(tasks) == 2
         for task in tasks:

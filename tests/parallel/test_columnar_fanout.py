@@ -93,15 +93,13 @@ def test_spawn_payload_at_least_10x_smaller():
     queries = ((motif, 9.0, 4.0),)
     pickled_shards = partition_time_range(ts, 4, 9.0)
     pickled_bytes = sum(
-        len(pickle.dumps(ShardTask("search", s.bounds, queries, 4.0, shard=s)))
+        len(pickle.dumps(ShardTask("search", s.bounds, queries, shard=s)))
         for s in pickled_shards
     )
     with ParallelFlowMotifEngine(
         graph, jobs=2, shards=4, backend="process"
     ) as engine:
-        tasks = engine._shard_tasks(
-            engine.partition(9.0), "search", queries, 4.0
-        )
+        tasks = engine._shard_tasks(engine.partition(9.0), "search", queries)
         assert all(t.shm_name and t.shard is None for t in tasks)
         zero_copy_bytes = sum(len(pickle.dumps(t)) for t in tasks)
     assert pickled_bytes >= 10 * zero_copy_bytes, (
@@ -138,6 +136,9 @@ def test_columnar_graph_with_shm_disabled_still_pickles():
         use_shared_memory=False,
     ) as engine:
         result = engine.find_instances(motif)
+        report = engine.last_dispatch
+    assert report.faults == [] and report.degradations == []
+    assert report.final_backend == "process"
     assert result.count == reference.count
     assert _keys(result.instances) == _keys(reference.instances)
 

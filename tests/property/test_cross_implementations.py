@@ -123,9 +123,9 @@ def test_fused_pipeline_equals_two_phase(graph, motif):
     from repro.core.engine import FlowMotifEngine
 
     engine = FlowMotifEngine(graph)
-    cached = engine.find_instances(motif, use_cache=True)
-    fused = engine.find_instances(motif, use_cache=False)
-    assert instance_keys(cached.instances) == instance_keys(fused.instances)
+    found = engine.find_instances(motif)
+    pure = find_structural_matches(engine.time_series_graph, motif)
+    assert instance_keys(found.instances) == instance_keys(find_instances(pure))
 
 
 @settings(max_examples=40, deadline=None)

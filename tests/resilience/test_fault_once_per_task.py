@@ -73,7 +73,7 @@ def test_one_shot_fault_fires_once(tmp_path, transport, traced):
     try:
         task = engine._shard_tasks(
             engine.partition(MOTIF.delta), "search",
-            [(MOTIF, MOTIF.delta, MOTIF.phi)], MOTIF.phi,
+            [(MOTIF, MOTIF.delta, MOTIF.phi)],
         )[0]
         assert (task.shard is not None) == (transport == "pickled")
         assert (task.shm_name is not None) == (transport == "shm")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
 from repro.datasets.synthetic import planted_cascade_graph
 from repro.graph.interaction import InteractionGraph
 from repro.significance.experiment import motif_significance
+from repro.significance.randomization import permutation_ensemble
 
 
 @pytest.fixture
@@ -59,3 +61,22 @@ class TestMotifSignificance:
         )
         assert record.summary.z == 0.0
         assert record.summary.p_value == 1.0
+
+    @pytest.mark.parametrize("phi", [0, 25])
+    def test_random_counts_equal_fresh_searches(self, cascade_heavy_graph, phi):
+        """The real graph's cached (temporally pruned) matches transplanted
+        onto each flow permutation count what a fresh search there finds:
+        permutation keeps every timestamp, so the pruning still holds."""
+        motifs = {
+            "M(3,2)": Motif.chain(3, delta=100, phi=phi),
+            "M(3,3)": Motif.cycle(3, delta=100, phi=phi),
+        }
+        records = motif_significance(
+            cascade_heavy_graph, motifs, num_random=4, seed=2
+        )
+        ensemble = permutation_ensemble(cascade_heavy_graph, count=4, seed=2)
+        for i, permuted in enumerate(ensemble):
+            engine = FlowMotifEngine(permuted)
+            for record, motif in zip(records, motifs.values()):
+                fresh = engine.count_instances(motif).count
+                assert record.random_counts[i] == fresh
