@@ -7,7 +7,8 @@ Three extension points of the library:
    (e.g. a "ping-pong" u -> v -> u -> v).
 2. **DAG motifs with forks and joins** — the paper's future-work
    generalization (Section 7), e.g. a split payment: one payer funds two
-   mules who both forward to the same collector.
+   mules who both forward to the same collector. A ``GeneralMotif`` is a
+   ``Motif``, so the same engine searches it.
 3. **Edge-list I/O** — load your own data from CSV, search, export
    instances as JSON.
 
@@ -17,8 +18,7 @@ Run:  python examples/custom_motifs.py
 import io
 import json
 
-from repro import FlowMotifEngine, InteractionGraph, Motif
-from repro.core.dag import GeneralMotif, find_dag_instances
+from repro import FlowMotifEngine, GeneralMotif, InteractionGraph, Motif
 from repro.graph.io import read_csv, write_csv
 
 
@@ -61,7 +61,7 @@ def main() -> None:
         phi=400,
     )
     print("\n[2] split-payment fork/join motif (DAG extension):")
-    for inst in find_dag_instances(payments.to_time_series(), split_payment):
+    for inst in FlowMotifEngine(payments).find_instances(split_payment).instances:
         names = dict(zip(("payer", "m1", "m2", "collector"), inst.vertex_map))
         print(
             f"    {names['payer']} splits through {names['m1']}/{names['m2']}"

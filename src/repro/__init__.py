@@ -35,7 +35,8 @@ Public API
   incremental per-edge maintenance (:mod:`repro.core.streaming`,
   :mod:`repro.core.incremental`); grows a
   :class:`GrowableTimeSeriesGraph` in place, never rebuilds.
-* :class:`GeneralMotif` — DAG motifs with forks/joins (:mod:`repro.core.dag`).
+* :class:`GeneralMotif` — DAG motifs with forks/joins (:mod:`repro.core.dag`);
+  a :class:`Motif`, so the engines above search it unchanged.
 * :mod:`repro.analysis` — per-match activity grouping and timelines.
 * :class:`ParallelFlowMotifEngine`, :class:`BatchRunner` — δ-overlap
   time-sharded multi-worker search and multi-motif batch grids
@@ -45,7 +46,7 @@ Public API
   the process backend's fan-out transport.
 """
 
-from repro.core.dag import GeneralMotif, find_dag_instances
+from repro.core.dag import GeneralMotif
 from repro.core.engine import FlowMotifEngine, SearchResult
 from repro.core.incremental import IncrementalMatcher
 from repro.core.streaming import StreamingDetector
@@ -83,7 +84,6 @@ __all__ = [
     "partition_time_range",
     "FlowMotifEngine",
     "GeneralMotif",
-    "find_dag_instances",
     "StreamingDetector",
     "IncrementalMatcher",
     "SearchResult",

@@ -122,11 +122,14 @@ def join_find_instances(
 
     Produces exactly the same instance set as the two-phase algorithm
     (Section 4), at the higher cost the paper attributes to intermediate
-    sub-motif materialization.
+    sub-motif materialization. Path motifs only: the joins follow the
+    spanning path, so a motif without one raises :class:`TypeError`.
     """
+    path = motif.spanning_path
+    if path is None:
+        raise TypeError(f"the join baseline needs a path motif, not {motif!r}")
     delta = motif.delta if delta is None else delta
     phi = motif.phi if phi is None else phi
-    path = motif.spanning_path
     m = motif.num_edges
 
     level1 = build_interval_tuples(graph, delta, phi)

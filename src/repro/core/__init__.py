@@ -6,7 +6,8 @@ Layout (matching the paper's sections):
   catalog (Section 3).
 * :mod:`repro.core.instance` — motif instances, Definition 3.2 validation and
   Definition 3.3 maximality checking.
-* :mod:`repro.core.matching` — phase P1: structural spanning-path matches.
+* :mod:`repro.core.matching` — phase P1: structural matches, one DFS over
+  the motif edges in label order for path and fork/join motifs.
 * :mod:`repro.core.windows` — the one maximal δ-window walk: skip rule, tied
   anchors, shard ownership and streaming resumption.
 * :mod:`repro.core.enumeration` — phase P2: Algorithm 1 (``FindInstances``)
@@ -16,7 +17,8 @@ Layout (matching the paper's sections):
 * :mod:`repro.core.topk` — top-k search with a floating threshold (Section 5),
   a depth-first search over the same branch step.
 * :mod:`repro.core.dp` — the dynamic-programming top-1 module (Section 5.1).
-* :mod:`repro.core.dag` — DAG-motif generalization (Section 7 future work).
+* :mod:`repro.core.dag` — DAG-motif generalization (Section 7 future work):
+  :class:`~repro.core.dag.GeneralMotif`, a motif without the path rule.
 * :mod:`repro.core.engine` — the :class:`FlowMotifEngine` facade.
 """
 

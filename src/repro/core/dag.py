@@ -14,45 +14,42 @@ module implements that generalization:
   path motifs this coincides with the paper's pairwise condition by
   transitivity, so ``GeneralMotif`` searches reproduce ``Motif`` searches
   exactly — tested.)
-* Matching — a backtracking subgraph matcher assigning motif vertices in
-  label order of their first occurrence; unlike the spanning-path DFS it
-  handles edges whose source is not the previous target (forks/joins).
-* Enumeration — because the order is total, edge-sets still tile a window
-  in label order, so the windows/enumeration machinery of
-  :mod:`repro.core.windows` / :mod:`repro.core.enumeration` is reused
+* Search — a ``GeneralMotif`` is a :class:`~repro.core.motif.Motif`, so
+  every engine serves it unchanged. Phase P1's DFS
+  (:mod:`repro.core.matching`) fills the edges in label order and binds
+  a free endpoint from the out- or in-series of a bound one, or from
+  every series when neither endpoint is bound yet. Because the order is
+  total, edge-sets still tile a window in label order, so phase P2
+  (:mod:`repro.core.windows` / :mod:`repro.core.enumeration`) runs
   verbatim on the per-edge series of a DAG match.
+* Path-only code — streaming and its checkpoints, the join baseline and
+  :attr:`~repro.core.matching.StructuralMatch.walk` read the spanning
+  path, which a ``GeneralMotif`` does not have (``spanning_path`` is
+  None).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
-from repro.core.enumeration import find_instances_in_match
-from repro.core.instance import MotifInstance
-from repro.core.matching import StructuralMatch
-from repro.graph.events import Node
-from repro.graph.timeseries import TimeSeriesGraph
-from repro.utils.validation import require_non_negative
+from repro.core.motif import Motif
 
 
-class GeneralMotif:
+class GeneralMotif(Motif):
     """A flow motif whose labelled edges need not form a path.
 
     Vertices are normalized to integers by first appearance across the
-    label-ordered edge list. Provides the same attribute surface as
-    :class:`repro.core.motif.Motif` (``edges``, ``num_edges``,
-    ``num_vertices``, ``delta``, ``phi``, ``edge(i)``), so instances and
-    validators interoperate.
+    label-ordered edge list.
 
     Example — a fork-join ("u pays v and w, both pay x"):
 
     >>> m = GeneralMotif([("u", "v"), ("u", "w"), ("v", "x"), ("w", "x")],
     ...                  delta=10, phi=1)
-    >>> m.num_vertices, m.num_edges
-    (4, 4)
+    >>> m.num_vertices, m.num_edges, m.display_name
+    (4, 4, 'G(4,4)')
     """
 
-    __slots__ = ("_edges", "delta", "phi", "name")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -63,151 +60,15 @@ class GeneralMotif:
     ) -> None:
         if not edges:
             raise ValueError("a motif needs at least one edge")
-        require_non_negative(delta, "delta")
-        require_non_negative(phi, "phi")
-        mapping: Dict[Hashable, int] = {}
-        normalized: List[Tuple[int, int]] = []
-        for src, dst in edges:
-            for vertex in (src, dst):
-                if vertex not in mapping:
-                    mapping[vertex] = len(mapping)
-            normalized.append((mapping[src], mapping[dst]))
-        self._edges = tuple(normalized)
-        self.delta = float(delta)
-        self.phi = float(phi)
-        self.name = name
-
-    @property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Motif edges in label order."""
-        return self._edges
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    @property
-    def num_vertices(self) -> int:
-        return len({v for edge in self._edges for v in edge})
+        self._set_shape(edges, delta, phi, name)
+        self._path = None
 
     @property
     def display_name(self) -> str:
-        if self.name:
-            return self.name
-        return f"G({self.num_vertices},{self.num_edges})"
-
-    def edge(self, index: int) -> Tuple[int, int]:
-        """The 0-based ``index``-th motif edge."""
-        return self._edges[index]
-
-    @property
-    def spanning_path(self) -> Tuple[Tuple[int, int], ...]:
-        """Identity key for engine-level caching (edge tuple; the name is
-        kept for interface compatibility with :class:`Motif`)."""
-        return self._edges
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeneralMotif):
-            return NotImplemented
-        return (
-            self._edges == other._edges
-            and self.delta == other.delta
-            and self.phi == other.phi
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._edges, self.delta, self.phi))
+        return self.name or f"G({self.num_vertices},{self.num_edges})"
 
     def __repr__(self) -> str:
         return (
-            f"GeneralMotif({self.display_name}, edges={self._edges}, "
+            f"GeneralMotif({self.display_name}, edges={self.edges}, "
             f"delta={self.delta:g}, phi={self.phi:g})"
         )
-
-
-def iter_dag_matches(
-    graph: TimeSeriesGraph, motif: GeneralMotif
-) -> Iterator[StructuralMatch]:
-    """All injective structural matches of a general motif.
-
-    Backtracks over motif edges in label order; at each edge the source
-    and/or target vertex may be new, giving four assignment cases. The
-    candidate pool uses graph adjacency whenever one endpoint is bound
-    (never full vertex enumeration beyond the first edge).
-    """
-    edges = motif.edges
-    m = len(edges)
-    assignment: Dict[int, Node] = {}
-    used: set = set()
-    chosen: List = [None] * m
-
-    def bind(vid: int, node: Node) -> bool:
-        if vid in assignment:
-            return assignment[vid] == node
-        if node in used:
-            return False
-        assignment[vid] = node
-        used.add(node)
-        return True
-
-    def unbind(vid: int, was_bound: bool) -> None:
-        if not was_bound:
-            used.discard(assignment[vid])
-            del assignment[vid]
-
-    def extend(i: int) -> Iterator[StructuralMatch]:
-        if i == m:
-            vertex_map = tuple(
-                assignment[v] for v in range(motif.num_vertices)
-            )
-            yield StructuralMatch(motif, vertex_map, tuple(chosen))  # type: ignore[arg-type]
-            return
-        src_vid, dst_vid = edges[i]
-        src_bound = src_vid in assignment
-        dst_bound = dst_vid in assignment
-        if src_bound and dst_bound:
-            series = graph.series(assignment[src_vid], assignment[dst_vid])
-            candidates = [series] if series is not None else []
-        elif src_bound:
-            candidates = graph.out_series(assignment[src_vid])
-        elif dst_bound:
-            candidates = graph.in_series(assignment[dst_vid])
-        else:
-            candidates = graph.all_series()
-        for series in candidates:
-            ok_src = bind(src_vid, series.src)
-            if not ok_src:
-                continue
-            ok_dst = bind(dst_vid, series.dst)
-            if not ok_dst:
-                unbind(src_vid, src_bound)
-                continue
-            chosen[i] = series
-            yield from extend(i + 1)
-            chosen[i] = None
-            unbind(dst_vid, dst_bound)
-            unbind(src_vid, src_bound)
-
-    yield from extend(0)
-
-
-def find_dag_instances(
-    graph: TimeSeriesGraph,
-    motif: GeneralMotif,
-    delta: Optional[float] = None,
-    phi: Optional[float] = None,
-    on_instance: Optional[Callable[[MotifInstance], None]] = None,
-) -> List[MotifInstance]:
-    """All maximal instances of a general (fork/join) motif.
-
-    The per-match enumeration is the unmodified Algorithm 1 machinery:
-    under the global label order, edge-sets tile each δ-window in label
-    order regardless of which vertex pairs the edges connect.
-    """
-    collected: List[MotifInstance] = []
-    sink = on_instance if on_instance is not None else collected.append
-    for match in iter_dag_matches(graph, motif):
-        find_instances_in_match(
-            match, delta=delta, phi=phi, on_instance=sink
-        )
-    return collected

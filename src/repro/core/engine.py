@@ -98,8 +98,9 @@ class FlowMotifEngine:
 
     Notes
     -----
-    Every query reads one cached P1 set per motif *shape* (spanning path):
-    the structural matches that admit a strictly time-respecting chain.
+    Every query reads one cached P1 set per motif *shape* (its
+    label-ordered ``edges``, for path and fork/join motifs alike): the
+    structural matches that admit a strictly time-respecting chain.
     That test reads neither δ nor φ, so repeated searches with different
     constraints (the Figure 9/10 sweeps), counts, top-k and the DP all pay
     phase P1 once.
@@ -129,10 +130,10 @@ class FlowMotifEngine:
     def structural_matches(self, motif: Motif) -> List[StructuralMatch]:
         """The motif's temporally feasible structural matches (phase P1):
         :func:`~repro.core.matching.iter_structural_matches` with
-        ``temporal_pruning=True`` at φ=0, cached per spanning path and bound
+        ``temporal_pruning=True`` at φ=0, cached per motif shape and bound
         to ``motif``. No match it drops hosts an instance; Table 4's pure
         set is :func:`~repro.core.matching.find_structural_matches`."""
-        key = motif.spanning_path
+        key = motif.edges
         cached = self._match_cache.get(key)
         if cached is None:
             cached = self._match_cache[key] = list(

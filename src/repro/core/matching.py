@@ -1,16 +1,19 @@
-"""Phase P1: structural matches of the motif's spanning path (Section 4).
+"""Phase P1: structural matches of a motif (Section 4).
 
 A structural match maps motif vertices injectively onto graph vertices such
 that every motif edge has a corresponding edge (series) in the time-series
 graph — temporal and flow information is disregarded, exactly as in the
 paper's phase P1.
 
-The matcher is the paper's "modified depth-first search": it exploits the
-fact that the motif's edge-label order traces a path, so matches are exactly
-the walks of length ``m`` in ``G_T`` whose vertex-repetition pattern equals
-the spanning path's pattern (same position pairs coincide, all other
-positions are pairwise distinct — the bijection requirement of
-Definition 3.2).
+The matcher is the paper's "modified depth-first search" over the motif
+edges in label order. For a path motif every edge leaves the vertex the
+previous one entered, so the matches are exactly the walks of length
+``m`` in ``G_T`` whose vertex-repetition pattern equals the spanning
+path's pattern (same position pairs coincide, all other positions are
+pairwise distinct — the bijection requirement of Definition 3.2). A
+fork/join motif (:class:`~repro.core.dag.GeneralMotif`) runs the same
+DFS; an edge may then also be entered from its bound target, or from
+every series when neither endpoint is bound yet.
 
 One extension step (:func:`_extension_step`) runs that DFS for every
 caller: :func:`iter_structural_matches` roots it at each start vertex, and
@@ -56,48 +59,56 @@ class StructuralMatch:
 
     @property
     def walk(self) -> Tuple[Node, ...]:
-        """The matched walk in ``G_T`` (graph vertex per path position)."""
-        return tuple(self.vertex_map[v] for v in self.motif.spanning_path)
+        """The matched walk in ``G_T`` (graph vertex per path position);
+        path motifs only."""
+        path = self.motif.spanning_path
+        if path is None:
+            raise TypeError(f"{self.motif.display_name} has no spanning path")
+        return tuple(self.vertex_map[v] for v in path)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructuralMatch):
             return NotImplemented
         return (
-            self.motif.spanning_path == other.motif.spanning_path
+            self.motif.edges == other.motif.edges
             and self.vertex_map == other.vertex_map
         )
 
     def __hash__(self) -> int:
-        return hash((self.motif.spanning_path, self.vertex_map))
+        return hash((self.motif.edges, self.vertex_map))
 
     def __repr__(self) -> str:
-        return f"StructuralMatch({'→'.join(map(str, self.walk))})"
+        return f"StructuralMatch({self.motif.display_name}, {self.vertex_map!r})"
 
 
 #: How one DFS step fills its motif edge ``(a, b)``: from bound ``a`` to
-#: a free ``b``, back from bound ``b`` to a free ``a``, or by lookup.
-_FORWARD, _BACKWARD, _LOOKUP = range(3)
+#: a free ``b``, back from bound ``b`` to a free ``a``, by lookup, or
+#: from every series when both ends are free (fork/join motifs only).
+_FORWARD, _BACKWARD, _LOOKUP, _SCAN = range(4)
 
 
 @lru_cache(maxsize=1024)
-def _plan(path: Tuple[int, ...], anchor_pos: int) -> Tuple[Tuple, ...]:
-    """The fill order of a spanning path as ``(q, kind, a, b)`` steps:
-    edges ``0..m-1`` from ``path[0]`` when ``anchor_pos == -1``, else
-    from the pre-bound edge ``anchor_pos`` back to edge 0, then on to
-    edge ``m-1``."""
-    m = len(path) - 1
+def _plan(
+    edges: Tuple[Tuple[int, int], ...], anchor_pos: int
+) -> Tuple[Tuple, ...]:
+    """The fill order of label-ordered ``edges`` as ``(q, kind, a, b)``
+    steps: edges ``0..m-1`` from the source of edge 0 when
+    ``anchor_pos == -1``, else from the pre-bound edge ``anchor_pos``
+    back to edge 0, then on to edge ``m-1``. A path motif's root plan
+    has only forward and lookup steps."""
+    m = len(edges)
     if anchor_pos < 0:
-        bound, order = {path[0]}, list(range(m))
+        bound, order = {edges[0][0]}, list(range(m))
     else:
-        bound = {path[anchor_pos], path[anchor_pos + 1]}
+        bound = set(edges[anchor_pos])
         order = [*range(anchor_pos - 1, -1, -1), *range(anchor_pos + 1, m)]
     steps = []
     for q in order:
-        a, b = path[q], path[q + 1]
-        if a in bound and b in bound:
-            kind = _LOOKUP
+        a, b = edges[q]
+        if a in bound:
+            kind = _LOOKUP if b in bound else _FORWARD
         else:
-            kind = _FORWARD if a in bound else _BACKWARD
+            kind = _BACKWARD if b in bound else _SCAN
         bound.update((a, b))
         steps.append((q, kind, a, b))
     return tuple(steps)
@@ -111,19 +122,21 @@ def _extension_step(
 ) -> Callable[..., int]:
     """The one P1 DFS, as ``run(root)`` or ``run(anchor, anchor_pos)``.
 
-    ``run(root)`` binds ``path[0]`` to graph vertex ``root``;
-    ``run(anchor, anchor_pos)`` binds motif edge ``anchor_pos`` to the
-    ``anchor`` series. Every call sets its own mode, so one closure may
-    serve both. Each :func:`_plan` step then looks its series up,
-    or tries every out-series (forward) or in-series (backward) of the
-    bound endpoint whose other end is unbound (Definition 3.2's
-    bijection); ``admit(q, series)`` may veto a series for edge ``q``.
-    Complete matches go to ``emit``. Edges before ``anchor_pos`` may not
-    reuse the anchor, so a match through it at several positions comes
-    once, at the first (only a lookup can meet it: both its endpoints are
-    bound). ``run`` returns the number of DFS nodes it expanded.
+    ``run(root)`` binds the source of motif edge 0 to graph vertex
+    ``root``; ``run(anchor, anchor_pos)`` binds motif edge ``anchor_pos``
+    to the ``anchor`` series. Every call sets its own mode, so one closure
+    may serve both. Each :func:`_plan` step then looks its series up, or
+    tries every out-series (forward) or in-series (backward) of the bound
+    endpoint whose other end is unbound, or every series whose ends are
+    both unbound (scan) — Definition 3.2's bijection; a motif self-loop
+    takes only graph self-loops. ``admit(q, series)`` may veto a series
+    for edge ``q``. Complete matches go to ``emit``. Edges before
+    ``anchor_pos`` may not reuse the anchor, so a match through it at
+    several positions comes once, at the first (only a lookup can meet
+    it: both its endpoints are bound). ``run`` returns the number of DFS
+    nodes it expanded.
     """
-    path = motif.spanning_path
+    edges = motif.edges
     vertex_map: List[Optional[Node]] = [None] * motif.num_vertices
     chosen: List[Optional[EdgeSeries]] = [None] * motif.num_edges
     used: Set[Node] = set()
@@ -132,6 +145,7 @@ def _extension_step(
     anchor: Optional[EdgeSeries] = None
     anchor_pos = -1
     lookup, out_series, in_series = graph.series, graph.out_series, graph.in_series
+    all_series = graph.all_series
 
     def fill(k: int) -> int:
         if k == last:
@@ -150,10 +164,14 @@ def _extension_step(
                 expanded += fill(k + 1)
         else:
             forward = kind == _FORWARD
+            if forward:
+                pool = out_series(vertex_map[a])
+            elif kind == _BACKWARD:
+                pool = in_series(vertex_map[b])
+            else:
+                return expanded + scan(k, q, a, b)
             free = b if forward else a
-            for series in (
-                out_series(vertex_map[a]) if forward else in_series(vertex_map[b])
-            ):
+            for series in pool:
                 vertex = series.dst if forward else series.src
                 if vertex in used or (admit is not None and not admit(q, series)):
                     continue
@@ -164,19 +182,37 @@ def _extension_step(
                 used.discard(vertex)
         return expanded
 
+    def scan(k: int, q: int, a: int, b: int) -> int:
+        expanded = 0
+        for series in all_series():
+            src, dst = series.src, series.dst
+            if (
+                (src == dst) != (a == b)
+                or src in used
+                or dst in used
+                or (admit is not None and not admit(q, series))
+            ):
+                continue
+            vertex_map[a], vertex_map[b] = src, dst
+            used.update((src, dst))
+            chosen[q] = series
+            expanded += fill(k + 1)
+            used.difference_update((src, dst))
+        return expanded
+
     def run(seed, pos: int = -1) -> int:
         nonlocal steps, last, anchor, anchor_pos
-        steps = _plan(path, pos)
+        steps = _plan(edges, pos)
         last = len(steps)
         used.clear()
         if pos < 0:
             anchor, anchor_pos = None, -1
-            vertex_map[path[0]] = seed
+            vertex_map[edges[0][0]] = seed
             used.add(seed)
         else:
             anchor, anchor_pos = seed, pos
-            vertex_map[path[pos]] = seed.src
-            vertex_map[path[pos + 1]] = seed.dst
+            vertex_map[edges[pos][0]] = seed.src
+            vertex_map[edges[pos][1]] = seed.dst
             used.update((seed.src, seed.dst))
             chosen[pos] = seed
         return fill(0)
@@ -245,19 +281,18 @@ def matches_through(
 
     The :func:`_extension_step` DFS is anchored at every motif-edge
     position the pair could instantiate, so the cost is proportional to
-    the walks through the pair, not to the graph. A match using
+    the matches through the pair, not to the graph. A match using
     ``series`` at several positions is produced exactly once, at the
     *first*. Returns the matches in discovery order and the number of DFS
     nodes expanded.
     """
-    path = motif.spanning_path
     found: List[StructuralMatch] = []
     run = _extension_step(graph, motif, found.append)
     expanded = 0
-    for p in range(motif.num_edges):
+    for p, (a, b) in enumerate(motif.edges):
         # A motif self-loop needs a graph self-loop, and two motif
         # vertices cannot share a graph vertex.
-        if (path[p] == path[p + 1]) == (series.src == series.dst):
+        if (a == b) == (series.src == series.dst):
             expanded += run(series, p)
     return found, expanded
 

@@ -17,6 +17,7 @@ the same shape compare equal.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.utils.validation import require_non_negative
@@ -50,7 +51,7 @@ class Motif:
     (3, 3, True)
     """
 
-    __slots__ = ("_path", "_num_vertices", "delta", "phi", "name")
+    __slots__ = ("_path", "_edges", "_num_vertices", "delta", "phi", "name")
 
     def __init__(
         self,
@@ -63,15 +64,30 @@ class Motif:
             raise ValueError(
                 f"a motif needs at least one edge; path {list(path)!r} is too short"
             )
+        self._set_shape(list(zip(path, path[1:])), delta, phi, name)
+        self._path: Optional[Tuple[int, ...]] = (self._edges[0][0],) + tuple(
+            dst for _, dst in self._edges
+        )
+
+    def _set_shape(
+        self,
+        edges: Sequence[Tuple[Hashable, Hashable]],
+        delta: float,
+        phi: float,
+        name: Optional[str],
+    ) -> None:
+        """Normalize label-ordered ``edges`` (vertex ids by first
+        appearance) and set the constraints."""
         require_non_negative(delta, "delta")
         require_non_negative(phi, "phi")
         mapping: Dict[Hashable, int] = {}
-        normalized: List[int] = []
-        for vertex in path:
-            if vertex not in mapping:
-                mapping[vertex] = len(mapping)
-            normalized.append(mapping[vertex])
-        self._path: Tuple[int, ...] = tuple(normalized)
+        normalized: List[Tuple[int, int]] = []
+        for src, dst in edges:
+            for vertex in (src, dst):
+                if vertex not in mapping:
+                    mapping[vertex] = len(mapping)
+            normalized.append((mapping[src], mapping[dst]))
+        self._edges: Tuple[Tuple[int, int], ...] = tuple(normalized)
         self._num_vertices = len(mapping)
         self.delta = float(delta)
         self.phi = float(phi)
@@ -164,33 +180,35 @@ class Motif:
         self, delta: Optional[float] = None, phi: Optional[float] = None
     ) -> "Motif":
         """A copy of this motif with replaced δ and/or φ."""
-        return Motif(
-            self._path,
+        clone = copy.copy(self)
+        clone._set_shape(
+            self._edges,
             self.delta if delta is None else delta,
             self.phi if phi is None else phi,
-            name=self.name,
+            self.name,
         )
+        return clone
 
     # ------------------------------------------------------------------
     # Structure accessors
     # ------------------------------------------------------------------
 
     @property
-    def spanning_path(self) -> Tuple[int, ...]:
-        """The normalized spanning path ``SP_M`` as a vertex-id sequence."""
+    def spanning_path(self) -> Optional[Tuple[int, ...]]:
+        """The normalized spanning path ``SP_M`` as a vertex-id sequence
+        (None for a :class:`~repro.core.dag.GeneralMotif`)."""
         return self._path
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Motif edges ``(src, dst)`` in label order ``e_1 .. e_m``."""
-        return tuple(
-            (self._path[i], self._path[i + 1]) for i in range(len(self._path) - 1)
-        )
+        """Motif edges ``(src, dst)`` in label order ``e_1 .. e_m`` — the
+        motif's shape, and the key P1 results are cached under."""
+        return self._edges
 
     @property
     def num_edges(self) -> int:
         """``m = |E_M|``."""
-        return len(self._path) - 1
+        return len(self._edges)
 
     @property
     def num_vertices(self) -> int:
@@ -199,8 +217,9 @@ class Motif:
 
     @property
     def is_cyclic(self) -> bool:
-        """Whether the spanning path revisits any vertex."""
-        return self._num_vertices < len(self._path)
+        """Whether the motif has no more vertices than edges; for a path
+        motif, whether the spanning path revisits any vertex."""
+        return self._num_vertices <= len(self._edges)
 
     @property
     def display_name(self) -> str:
@@ -212,7 +231,7 @@ class Motif:
 
     def edge(self, index: int) -> Tuple[int, int]:
         """The 0-based ``index``-th motif edge (paper's ``e_{index+1}``)."""
-        return (self._path[index], self._path[index + 1])
+        return self._edges[index]
 
     # ------------------------------------------------------------------
     # Equality / hashing: structural shape plus constraints
@@ -222,13 +241,13 @@ class Motif:
         if not isinstance(other, Motif):
             return NotImplemented
         return (
-            self._path == other._path
+            self._edges == other._edges
             and self.delta == other.delta
             and self.phi == other.phi
         )
 
     def __hash__(self) -> int:
-        return hash((self._path, self.delta, self.phi))
+        return hash((self._edges, self.delta, self.phi))
 
     def __repr__(self) -> str:
         return (

@@ -57,7 +57,9 @@ class StreamingDetector:
     Parameters
     ----------
     motif:
-        The flow motif (δ and φ are taken from it unless overridden).
+        The flow motif (δ and φ are taken from it unless overridden). It
+        must have a spanning path, which checkpoints serialize; a
+        :class:`~repro.core.dag.GeneralMotif` raises :class:`TypeError`.
     delta, phi:
         Optional constraint overrides.
     slack:
@@ -101,6 +103,8 @@ class StreamingDetector:
         slack: float = 0.0,
         late: str = "raise",
     ) -> None:
+        if motif.spanning_path is None:
+            raise TypeError(f"streaming needs a path motif, not {motif!r}")
         if slack < 0:
             raise ValueError(f"slack must be >= 0, got {slack!r}")
         if late not in ("raise", "drop"):

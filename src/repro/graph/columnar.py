@@ -56,7 +56,6 @@ __all__ = [
     "ColumnStore",
     "GrowableColumnStore",
     "columnarize",
-    "supports_columnar",
 ]
 
 LOG = logging.getLogger("repro.graph.columnar")
@@ -154,28 +153,6 @@ def _lossless_float64(value) -> bool:
         except OverflowError:
             return False
     return False
-
-
-def supports_columnar(graph: TimeSeriesGraph) -> bool:
-    """Whether a graph can live in a :class:`ColumnStore` bit-exactly.
-
-    Two requirements: node ids must be ``int`` or ``str`` (the
-    shared-memory pair table is JSON), and every timestamp/flow must be
-    exactly representable as float64 (int values past 2^53 and non-float
-    numeric types like ``Fraction`` are not). :meth:`ColumnStore.
-    from_graph` enforces the same rules by raising; this predicate lets
-    callers (e.g. the parallel engine's automatic fallback) ask first.
-    """
-    if not all(
-        isinstance(node, (int, str)) and not isinstance(node, bool)
-        for node in graph.nodes
-    ):
-        return False
-    return all(
-        _lossless_float64(t) and _lossless_float64(f)
-        for series in graph.all_series()
-        for t, f in zip(series.times, series.flows)
-    )
 
 
 class ColumnStore:

@@ -4,7 +4,7 @@ Table 4 of the paper observes that phase P1 (structural matching) is
 independent of δ and φ; the Figure 9/10 sweeps therefore pay it once per
 motif *shape* and vary only phase P2. :class:`BatchRunner` lifts that
 saving to whole grids of ``(motif, δ, φ)`` configurations: configurations
-whose motifs share a spanning path form a *topology group* that computes
+whose motifs share a shape (label-ordered edges) form a *topology group* that computes
 structural matches exactly once per shard. A one-shard run (``jobs=1``)
 goes through the same shard kernel with a single shard covering the
 whole timeline, so it shares P1 once globally and emits the same
@@ -198,7 +198,7 @@ class BatchRunner:
         # non-zero denominator.
         for result in results:
             result.shard_timings.wall_seconds = wall
-        groups = {c.motif.spanning_path for c in resolved}
+        groups = {c.motif.edges for c in resolved}
         # Shard imbalance (max/mean shard wall time) of the batch: the
         # worst ratio across the grid (1.0 for a single shard).
         imbalance = max(r.shard_timings.imbalance_ratio for r in results)

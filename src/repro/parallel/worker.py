@@ -20,10 +20,10 @@ re-slices its shard locally, so the spawn payload is O(1) per shard
 instead of O(events).
 
 :func:`run_shard_task` runs one kernel for every kind: phase P1 once per
-spanning path, then each query's phase-P2 op (enumerate, count or top-k).
-P1 runs with the output-preserving pruning of
+motif shape (label-ordered edges), then each query's phase-P2 op
+(enumerate, count or top-k). P1 runs with the output-preserving pruning of
 :func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
-True``, at the smallest φ among the task's queries on that path): a shard
+True``, at the smallest φ among the task's queries of that shape): a shard
 only materializes matches that can host an instance *somewhere in the
 shard*, a superset of what its owned windows need.
 
@@ -161,37 +161,39 @@ class ShardReply:
 def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
     """Answer ``task.queries`` over one materialized shard.
 
-    Phase P1 runs once per spanning path, pruned with the smallest φ
-    among the task's queries on that path (any query's φ is at least that
-    minimum, so :func:`~repro.core.enumeration.match_is_feasible` rejects
-    every dropped match for it anyway), and its time is charged to the first query of each topology group; the
-    others report ``p1_seconds == 0.0``, so summing per-query timings
-    reflects the real total work. Each query then runs the kind's P2 op
-    restricted to the shard's owned anchors. The ``anchor_range``
-    restriction is also what makes merged top-k exact: every globally
-    top-k instance is owned by some shard and is among that shard's
-    local top-k, while halo-anchored windows (possibly truncated by the
-    shard's data boundary) never displace genuine owned candidates.
+    Phase P1 runs once per motif shape (label-ordered ``edges``), pruned
+    with the smallest φ among the task's queries of that shape (any
+    query's φ is at least that minimum, so
+    :func:`~repro.core.enumeration.match_is_feasible` rejects every
+    dropped match for it anyway), and its time is charged to the first
+    query of each topology group; the others report
+    ``p1_seconds == 0.0``, so summing per-query timings reflects the real
+    total work. Each query then runs the kind's P2 op restricted to the
+    shard's owned anchors. The ``anchor_range`` restriction is also what
+    makes merged top-k exact: every globally top-k instance is owned by
+    some shard and is among that shard's local top-k, while halo-anchored
+    windows (possibly truncated by the shard's data boundary) never
+    displace genuine owned candidates.
     """
     outputs: List[ShardSearchOutput] = []
     empty = shard.graph.num_series == 0
     anchor_range = shard.anchor_range
     p2_name = _P2_SPANS[task.kind]
-    matches_by_path: Dict[tuple, list] = {}
+    matches_by_shape: Dict[tuple, list] = {}
     prune_phi: Dict[tuple, float] = {}
     for motif, _, phi in task.queries:
-        key = motif.spanning_path
+        key = motif.edges
         prune_phi[key] = min(phi, prune_phi.get(key, phi))
     for config_index, (motif, delta, phi) in enumerate(task.queries):
         out = ShardSearchOutput(shard_index=shard.index, config_index=config_index)
         outputs.append(out)
         if empty:
             continue
-        key = motif.spanning_path
-        matches = matches_by_path.get(key)
+        key = motif.edges
+        matches = matches_by_shape.get(key)
         if matches is None:
             with _span("p1.match", shard=shard.index) as p1:
-                matches = matches_by_path[key] = list(
+                matches = matches_by_shape[key] = list(
                     iter_structural_matches(
                         shard.graph, motif, phi=prune_phi[key],
                         temporal_pruning=True,
@@ -282,21 +284,6 @@ def _store_graph(task: ShardTask) -> TimeSeriesGraph:
             store = open_segment(ref, quarantine=False)
         entry = _STORES[ref] = (store, store.to_graph())
     return entry[1]
-
-
-def detach_all() -> None:
-    """Drop every cached store (test hygiene; workers never need it —
-    process exit releases the mappings)."""
-    while _STORES:
-        _, (store, graph) = _STORES.popitem()
-        # Free the graph's series views before closing: they hold
-        # memoryviews over the store's buffers, and a mapping with live
-        # exports cannot be closed.
-        del graph
-        try:
-            store.close()
-        except BufferError:  # a shard slice outlives us; OS cleans up
-            pass
 
 
 def _execute(task: ShardTask) -> List[ShardSearchOutput]:

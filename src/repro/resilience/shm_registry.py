@@ -44,7 +44,10 @@ LOG = logging.getLogger("repro.resilience")
 #: circularly depending on) :mod:`repro.graph.columnar`, which imports
 #: these constants back. Durable file segments (:mod:`repro.graph.
 #: segments`) reuse the same magic and header struct with a different
-#: format version, so one scanner recognizes both kinds of artifact.
+#: format version. The orphan scanner reads only the version-1 layout
+#: (JSON right after the header) and only under ``/dev/shm``; sealed
+#: files keep a checksum block there, and their crash leftovers are swept
+#: by :func:`scan_store_orphans` instead.
 SEGMENT_MAGIC = b"FMCOLSTO"
 SEGMENT_HEADER = struct.Struct("<8sQQ")
 
@@ -158,14 +161,6 @@ def register_sigterm_hook(hook) -> None:
     with _LOCK:
         _install_handlers_once()
         _SIGTERM_HOOKS.append((os.getpid(), hook))
-
-
-def unregister_sigterm_hook(hook) -> None:
-    """Remove a previously registered SIGTERM hook (test hygiene)."""
-    with _LOCK:
-        _SIGTERM_HOOKS[:] = [
-            entry for entry in _SIGTERM_HOOKS if entry[1] is not hook
-        ]
 
 
 def _run_sigterm_hooks() -> None:
