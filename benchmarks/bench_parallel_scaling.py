@@ -52,10 +52,12 @@ def _timed_serial(graph, motif):
 
 
 def _timed_parallel(graph, motif, jobs):
-    engine = ParallelFlowMotifEngine(graph, jobs=jobs, shards=jobs, backend="process")
-    start = time.perf_counter()
-    result = engine.find_instances(motif, collect=False)
-    return result, time.perf_counter() - start
+    with ParallelFlowMotifEngine(
+        graph, jobs=jobs, shards=jobs, backend="process"
+    ) as engine:
+        start = time.perf_counter()
+        result = engine.find_instances(motif, collect=False)
+        return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")

@@ -97,7 +97,10 @@ class BatchRunner:
         explicit ``shards`` runs every shard in-process (determinism
         testing, as in the engine).
     shards, backend:
-        As in :class:`~repro.parallel.engine.ParallelFlowMotifEngine`.
+        As in :class:`~repro.parallel.engine.ParallelFlowMotifEngine`,
+        which the runner wraps: its worker pool and shared-memory export
+        serve every :meth:`run` until :meth:`close` (or the end of a
+        ``with BatchRunner(...) as runner:`` block).
     adaptive:
         Observability-driven adaptive sharding: the sharded path runs
         the grid in two waves — a probe wave (first configuration, on
@@ -145,6 +148,17 @@ class BatchRunner:
         )
         self._ts = self._engine.time_series_graph
         self.last_stats: Dict[str, float] = {}
+
+    def close(self) -> None:
+        """Shut the wrapped engine's worker pool down and release its
+        export (:meth:`ParallelFlowMotifEngine.close`)."""
+        self._engine.close()
+
+    def __enter__(self) -> "BatchRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def jobs(self) -> int:
@@ -234,12 +248,13 @@ class BatchRunner:
             shards, "batch", queries, collect=collect
         )
         results: List[SearchResult] = []
-        for config, outputs in zip(configs, per_config):
-            result = _merge.merge_search_results(
-                config.motif, shards, outputs, self._ts
-            )
-            self._engine._observe_costs(shards, result)
-            results.append(result)
+        with _tracing.span("parallel.merge"):
+            for config, outputs in zip(configs, per_config):
+                result = _merge.merge_search_results(
+                    config.motif, shards, outputs, self._ts
+                )
+                self._engine._observe_costs(shards, result)
+                results.append(result)
         return results
 
     def _run_adaptive(

@@ -37,6 +37,18 @@ Backends
 
 ``jobs=1`` always runs the serial loop, so single-job runs are exactly
 reproducible without pool nondeterminism.
+
+Worker pools
+------------
+Each engine keeps one executor per backend, started on its first
+fan-out and reused by every later query and retry round, so a query
+pays neither a fork nor a store attach once the pool is warm; process
+workers also keep the shards they have sliced
+(:data:`repro.parallel.worker._STORES`). A round that records a fault or
+a timeout drops its pool without waiting on stragglers (a killed worker
+poisons a process pool), and the next round starts a fresh one.
+:meth:`ParallelFlowMotifEngine.close` shuts the pools down and joins
+their workers before it releases the shared-memory export.
 """
 
 from __future__ import annotations
@@ -44,9 +56,14 @@ from __future__ import annotations
 import logging
 import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import SearchResult
 from repro.core.instance import MotifInstance
@@ -66,6 +83,7 @@ from repro.parallel.partition import (
     materialize_shard,
     partition_time_range,
 )
+from repro.resilience import faultinject as _faultinject
 from repro.resilience.retry import (
     DispatchReport,
     RetryPolicy,
@@ -133,10 +151,11 @@ class ParallelFlowMotifEngine:
     δ (partitions are memoized per (shards, halo), so δ-sweeps
     à la Figure 9 reuse one partition per δ).
 
-    A zero-copy engine owns one shared-memory block for its graph; it is
-    created lazily on the first process fan-out, reused by every later
-    query, and removed by :meth:`close` (also wired to garbage
-    collection, and to ``with ParallelFlowMotifEngine(...) as engine:``).
+    A zero-copy engine owns one shared-memory block for its graph, and
+    every pool backend one executor; both are created lazily on the first
+    fan-out, reused by every later query, and released by :meth:`close`
+    (also wired to garbage collection, and to
+    ``with ParallelFlowMotifEngine(...) as engine:``).
     """
 
     def __init__(
@@ -149,6 +168,14 @@ class ParallelFlowMotifEngine:
         retry_policy: Optional[RetryPolicy] = None,
         cost_model: Optional[ShardCostModel] = None,
     ) -> None:
+        # Set before validation: __del__ releases these even when the
+        # constructor raised.
+        self._export: Optional[ColumnStore] = None
+        self._export_owned = False
+        #: The store ref (shm name or segment path) tasks last shipped.
+        self._store_ref: Optional[str] = None
+        #: One live executor per pool backend ("process", "thread").
+        self._pools: Dict[str, Executor] = {}
         if isinstance(graph, InteractionGraph):
             self._ts = graph.to_time_series()
         elif isinstance(graph, TimeSeriesGraph):
@@ -173,8 +200,6 @@ class ParallelFlowMotifEngine:
         self._zero_copy = (
             use_shared_memory and backend == "process" and self.jobs > 1
         )
-        self._export: Optional[ColumnStore] = None
-        self._export_owned = False
         self._partition_cache: dict = {}
         self._sorted_times: Optional[List[float]] = None
         self.retry_policy = (
@@ -276,11 +301,22 @@ class ParallelFlowMotifEngine:
         return self._export
 
     def close(self) -> None:
-        """Release the shared-memory export (if this engine owns one).
+        """Shut the worker pools down, joining their workers, and release
+        the shared-memory export (if this engine owns one).
 
-        Queries after ``close()`` re-export lazily; calling it twice is
-        safe.
+        Queries after ``close()`` start new pools and re-export lazily;
+        calling it twice is safe.
         """
+        self._release(wait=True)
+
+    def _release(self, wait: bool) -> None:
+        for backend in list(self._pools):
+            self._drop_pool(backend, wait=wait)
+        ref, self._store_ref = self._store_ref, None
+        if ref is not None:
+            # Store-ref tasks that degraded to threads ran here and left
+            # an attach of the store in this process's worker cache.
+            _worker.release_store(ref)
         export, self._export = self._export, None
         if export is not None and self._export_owned:
             self._export_owned = False
@@ -305,7 +341,7 @@ class ParallelFlowMotifEngine:
 
     def __del__(self) -> None:
         try:
-            self.close()
+            self._release(wait=False)
         except BaseException as exc:  # noqa: BLE001 - __del__ must not raise
             # A leaked shared-memory export is exactly the failure the
             # resilience layer exists to catch, so classify and log it
@@ -353,7 +389,11 @@ class ParallelFlowMotifEngine:
         When a tracer, metrics registry or profiler is active on this
         (the dispatching) thread, every task also carries the trace
         context and profile rate; see
-        :func:`repro.parallel.worker.run_shard_task`.
+        :func:`repro.parallel.worker.run_shard_task`. A fault plan armed
+        in this process's environment
+        (:func:`repro.resilience.inject`) is read here, once, and rides in
+        every task, since a reused pool's workers never see later changes
+        to the environment.
         """
         transport: dict = {}
         if self._zero_copy and len(shards) > 1:
@@ -373,7 +413,9 @@ class ParallelFlowMotifEngine:
                     # pickled transport works.
                     self._zero_copy = False
                     self._partition_cache.clear()
-        if not transport:
+        if transport:
+            self._store_ref = next(iter(transport.values()))
+        else:
             for shard in shards:
                 if shard.graph is None:
                     shard.graph = materialize_shard(
@@ -390,6 +432,7 @@ class ParallelFlowMotifEngine:
                 tracer.context() if tracer is not None else (None, None)
             )
             options["profile_hz"] = prof.hz if prof is not None else None
+        options["fault_plan"] = os.environ.get(_faultinject.ENV_VAR)
         queries = tuple(queries)
         return [
             _worker.ShardTask(
@@ -455,9 +498,10 @@ class ParallelFlowMotifEngine:
         """Run shard tasks on the configured backend, preserving order.
 
         Fault-tolerant: failed or timed-out shards are retried per
-        :attr:`retry_policy` (fresh pool each round — a ``BrokenExecutor``
-        poisons its pool), and when a backend exhausts its retries the
-        dispatcher degrades along ``process → thread → serial``. Shard
+        :attr:`retry_policy` (on a fresh pool after a failed round — a
+        ``BrokenExecutor`` poisons its pool), and when a backend exhausts
+        its retries the dispatcher degrades along
+        ``process → thread → serial``. Shard
         tasks are pure, so a shard that succeeds on any round/backend
         contributes exactly the output it would have produced first try,
         and the merge stays identical to serial. Every failure is
@@ -519,7 +563,9 @@ class ParallelFlowMotifEngine:
         """One dispatch round over the still-pending shards.
 
         Fills ``results`` in place and returns the shard indices that
-        failed this round (classified and recorded on the way).
+        failed this round (classified and recorded on the way). Pool
+        backends run on the engine's executor for ``backend``, which a
+        round that fails drops (see :meth:`_pool`).
         """
         if backend == "serial":
             failed: List[int] = []
@@ -530,10 +576,6 @@ class ParallelFlowMotifEngine:
                     report.record(index, backend, round_no, exc)
                     failed.append(index)
             return failed
-        pool_cls = (
-            ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-        )
-        workers = min(self.jobs, len(pending))
         policy = self.retry_policy
         deadline = (
             _time.monotonic() + policy.timeout
@@ -541,43 +583,80 @@ class ParallelFlowMotifEngine:
             else None
         )
         failed = []
-        pool = pool_cls(max_workers=workers)
+        healthy = False
         try:
-            futures = {
-                index: pool.submit(_worker.run_shard_task, tasks[index])
-                for index in pending
-            }
-            for index, future in futures.items():
-                try:
-                    if deadline is None:
-                        results[index] = future.result()
-                    else:
-                        remaining = deadline - _time.monotonic()
-                        if remaining <= 0:
-                            raise ShardTimeoutError(
+            with _tracing.span(
+                "parallel.dispatch", backend=backend, round=round_no
+            ):
+                pool = self._pool(backend)
+                futures = {}
+                for index in pending:
+                    try:
+                        futures[index] = pool.submit(
+                            _worker.run_shard_task, tasks[index]
+                        )
+                    except BrokenExecutor as exc:
+                        # A worker died while the pool sat idle.
+                        report.record(index, backend, round_no, exc)
+                        failed.append(index)
+                for index, future in futures.items():
+                    try:
+                        if deadline is None:
+                            results[index] = future.result()
+                        else:
+                            remaining = deadline - _time.monotonic()
+                            if remaining <= 0:
+                                raise ShardTimeoutError(
+                                    f"shard {index} unfinished at the "
+                                    f"round's {policy.timeout}s deadline"
+                                )
+                            results[index] = future.result(timeout=remaining)
+                    except FuturesTimeoutError:
+                        report.record(
+                            index,
+                            backend,
+                            round_no,
+                            ShardTimeoutError(
                                 f"shard {index} unfinished at the round's "
                                 f"{policy.timeout}s deadline"
-                            )
-                        results[index] = future.result(timeout=remaining)
-                except FuturesTimeoutError:
-                    report.record(
-                        index,
-                        backend,
-                        round_no,
-                        ShardTimeoutError(
-                            f"shard {index} unfinished at the round's "
-                            f"{policy.timeout}s deadline"
-                        ),
-                    )
-                    failed.append(index)
-                except Exception as exc:
-                    report.record(index, backend, round_no, exc)
-                    failed.append(index)
+                            ),
+                        )
+                        failed.append(index)
+                    except Exception as exc:
+                        report.record(index, backend, round_no, exc)
+                        failed.append(index)
+            healthy = not failed
         finally:
-            # Fresh pool per round: don't wait on stragglers from a
-            # timed-out round, and never reuse a possibly-broken pool.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if not healthy:
+                # Don't wait on stragglers from a timed-out round, and
+                # never reuse a possibly-broken pool.
+                self._drop_pool(backend)
         return failed
+
+    def _pool(self, backend: str) -> Executor:
+        """The engine's executor for ``backend``, started on first use.
+
+        It has ``jobs`` workers, capped at the shard count: a fan-out
+        never has more tasks than shards, so wider pools would only fork
+        idle workers.
+        """
+        pool = self._pools.get(backend)
+        if pool is None:
+            pool_cls = (
+                ProcessPoolExecutor if backend == "process"
+                else ThreadPoolExecutor
+            )
+            pool = self._pools[backend] = pool_cls(
+                max_workers=min(self.jobs, self.num_shards)
+            )
+        return pool
+
+    def _drop_pool(self, backend: str, wait: bool = False) -> None:
+        """Shut the ``backend`` executor down (if one is live) and forget
+        it; ``wait`` joins its workers."""
+        pool = self._pools.pop(backend, None)
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # FlowMotifEngine-mirroring entry points
@@ -614,9 +693,11 @@ class ParallelFlowMotifEngine:
                 [(motif, effective_delta, effective_phi)],
                 collect=collect,
             )
-            result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=query.elapsed
-            )
+            with _tracing.span("parallel.merge"):
+                result = _merge.merge_search_results(
+                    motif, shards, outputs, self._ts,
+                    wall_seconds=query.elapsed,
+                )
             self._observe_costs(shards, result)
             return result
 
@@ -642,9 +723,11 @@ class ParallelFlowMotifEngine:
                 "count",
                 [(motif, effective_delta, effective_phi)],
             )
-            result = _merge.merge_search_results(
-                motif, shards, outputs, self._ts, wall_seconds=query.elapsed
-            )
+            with _tracing.span("parallel.merge"):
+                result = _merge.merge_search_results(
+                    motif, shards, outputs, self._ts,
+                    wall_seconds=query.elapsed,
+                )
             self._observe_costs(shards, result)
             return result
 
@@ -680,4 +763,5 @@ class ParallelFlowMotifEngine:
             (outputs,) = self._run_queries(
                 shards, "top_k", [(motif, effective_delta, 0.0)], k=k
             )
-            return _merge.merge_top_k(motif, shards, outputs, self._ts, k)
+            with _tracing.span("parallel.merge"):
+                return _merge.merge_top_k(motif, shards, outputs, self._ts, k)

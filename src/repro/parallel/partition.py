@@ -38,17 +38,17 @@ parent series into per-shard copies — the payload the thread/serial
 backends use directly. ``materialize=False`` produces *light* shards
 (``graph=None``): only the cut bounds and rebinding offsets, computed with
 bisects and no copying. The process backend ships light-shard bounds plus
-a shared-memory name; each worker re-materializes its slice as zero-copy
-memoryview views over the attached :class:`~repro.graph.columnar.
-ColumnStore` (:func:`materialize_shard`). Both modes cut identically, so
-worker-side slices line up exactly with the parent-side offsets.
+a shared-memory name; each worker slices its shard as zero-copy
+memoryview views straight off the attached :class:`~repro.graph.columnar.
+ColumnStore`'s series (:func:`slice_shard`). Both modes cut identically,
+so worker-side slices line up exactly with the parent-side offsets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.graph.events import Node
 from repro.graph.interaction import InteractionGraph
@@ -142,7 +142,7 @@ def _cut_points(times: List[float], num_shards: int) -> List[float]:
 
 
 def _slice_all_series(
-    all_series: List[EdgeSeries],
+    all_series: Iterable[EdgeSeries],
     data_start: float,
     data_end: float,
     materialize: bool,
@@ -152,8 +152,8 @@ def _slice_all_series(
 
     The single source of truth for where a shard's slice begins — used by
     both :func:`partition_time_range` (parent side, records the rebinding
-    offsets) and :func:`materialize_shard` (worker side, produces the
-    slices) so the two can never drift apart.
+    offsets) and :func:`slice_shard` (worker side, produces the slices)
+    so the two can never drift apart.
 
     ``zero_copy=True`` (worker side) dispatches to the series' own
     ``slice`` — memoryview views for columnar backings. The parent-side
@@ -284,17 +284,31 @@ def materialize_shard(
 
     ``bounds`` is :attr:`TimeShard.bounds`; ``graph`` is typically the
     columnar view of a shared-memory store, in which case every slice is
-    a zero-copy memoryview over the shared buffers. The bisection is the
-    same one :func:`partition_time_range` performs, so shard-local index
-    ranges line up exactly with the parent-side rebinding offsets.
+    a zero-copy memoryview over the shared buffers.
 
     ``zero_copy=False`` forces list-backed slices — what the engine uses
     when a light shard ends up on the inline/pickled path, where the
     result may have to pickle.
     """
+    return slice_shard(graph.all_series(), bounds, zero_copy=zero_copy)
+
+
+def slice_shard(
+    all_series: Iterable[EdgeSeries],
+    bounds: Tuple[int, int, float, float, float],
+    zero_copy: bool = True,
+) -> TimeShard:
+    """The shard ``bounds`` cuts out of ``all_series``.
+
+    Pool workers pass a store's :meth:`~repro.graph.columnar.ColumnStore.
+    iter_series` here, so no whole-store :class:`TimeSeriesGraph` is
+    built. The bisection is the same one :func:`partition_time_range`
+    performs, so shard-local index ranges line up exactly with the
+    parent-side rebinding offsets.
+    """
     index, num_shards, core_start, core_end, halo = bounds
     sliced, offsets = _slice_all_series(
-        graph.all_series(), core_start - halo, core_end + halo, True,
+        all_series, core_start - halo, core_end + halo, True,
         zero_copy=zero_copy,
     )
     return TimeShard(

@@ -15,9 +15,13 @@ three ways:
   for the pickled transport and the in-process backends.
 
 With a store ref only the shard's ``bounds`` travel; the worker resolves
-the store once per process (:data:`_STORES`) as zero-copy views and
-re-slices its shard locally, so the spawn payload is O(1) per shard
-instead of O(events).
+the store once per process and slices each shard once, straight off the
+store's zero-copy series views (:data:`_STORES`), so the spawn payload is
+O(1) per shard instead of O(events). Pool workers live as long as their
+engine's pool, so every later query on the same partition finds its
+shard already sliced. A fault plan armed by the dispatcher travels in
+the task too (``fault_plan``): a worker forked before the plan was armed
+never sees it in its environment.
 
 :func:`run_shard_task` runs one kernel for every kind: phase P1 once per
 motif shape (label-ordered edges), then each query's phase-P2 op
@@ -38,6 +42,9 @@ instances are bit-identical to what a serial search would have produced
 
 from __future__ import annotations
 
+import logging
+import os
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -49,13 +56,14 @@ from repro.core.matching import iter_structural_matches
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
-from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _obs_metrics
 from repro.obs import profiler as _obs_profiler
 from repro.obs import tracing as _tracing
 from repro.obs.tracing import span as _span
-from repro.parallel.partition import TimeShard, materialize_shard
+from repro.parallel.partition import TimeShard, slice_shard
 from repro.resilience import faultinject as _faultinject
+
+LOG = logging.getLogger("repro.parallel.worker")
 
 #: Compact shard-local form of one instance: the vertex map plus one
 #: inclusive (lo, hi) index range per motif edge, indices into the
@@ -127,6 +135,10 @@ class ShardTask:
         the task unobserved.
     profile_hz:
         Arms a per-task sampling profiler at this rate.
+    fault_plan:
+        The dispatcher's armed :class:`~repro.resilience.FaultPlan` as
+        JSON (``None`` when disarmed), read from its environment once per
+        fan-out; the chaos hook fires from this copy only.
     """
 
     kind: str
@@ -139,6 +151,7 @@ class ShardTask:
     k: int = 0
     trace: Optional[Tuple[Optional[str], Optional[str]]] = None
     profile_hz: Optional[float] = None
+    fault_plan: Optional[str] = None
 
     def __reduce__(self):
         # Pickle positionally: the field names would double the spawn
@@ -257,16 +270,30 @@ def search_shard(
     return _run_kernel(task, shard)[0]
 
 
-#: Per-process cache of resolved stores and their graph views, keyed by
-#: shm name or segment path. Pool workers handle several shard tasks per
-#: query; attaching (or mapping and validating every CRC) and building
-#: the zero-copy graph view once per store amortizes the only non-trivial
-#: setup cost of a store-ref task.
-_STORES: Dict[str, Tuple[ColumnStore, TimeSeriesGraph]] = {}
+#: Per-process cache of resolved stores, keyed by shm name or segment
+#: path: the attached store plus the shards already sliced off it, keyed
+#: by ``bounds`` in least-recently-used order. A pool worker serves every
+#: query of its engine, so attaching (or mapping and validating every
+#: CRC) is paid once per store and slicing once per shard; two
+#: partitions' worth of shards (``2 * num_shards``) stay resident, enough
+#: for a query stream alternating between two halos.
+_STORES: Dict[str, Tuple[ColumnStore, Dict[tuple, TimeShard]]] = {}
+_STORES_LOCK = threading.Lock()
 
 
-def _store_graph(task: ShardTask) -> TimeSeriesGraph:
-    """The columnar graph view behind a store-ref task (cached).
+def _reset_lock_in_child() -> None:
+    # A pool forked while a thread of this process held the lock (a
+    # straggler from a timed-out thread round) would inherit it held.
+    global _STORES_LOCK
+    _STORES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
+
+
+def _store_shard(task: ShardTask) -> TimeShard:
+    """The shard a store-ref task names, sliced once per process.
 
     Workers never quarantine a segment: a corrupt file raises
     :class:`~repro.resilience.SegmentCorruptionError` back to the
@@ -274,26 +301,55 @@ def _store_graph(task: ShardTask) -> TimeSeriesGraph:
     *owner* of the store decides about renaming files.
     """
     ref = task.shm_name or task.segment_path
-    entry = _STORES.get(ref)
-    if entry is None:
-        if task.shm_name is not None:
-            store = ColumnStore.attach(ref)
-        else:
-            from repro.graph.segments import open_segment
+    with _STORES_LOCK:
+        entry = _STORES.get(ref)
+        if entry is None:
+            if task.shm_name is not None:
+                store = ColumnStore.attach(ref)
+            else:
+                from repro.graph.segments import open_segment
 
-            store = open_segment(ref, quarantine=False)
-        entry = _STORES[ref] = (store, store.to_graph())
-    return entry[1]
+                store = open_segment(ref, quarantine=False)
+            entry = _STORES[ref] = (store, {})
+        store, shards = entry
+        shard = shards.pop(task.bounds, None)
+        if shard is None:
+            shard = slice_shard(store.iter_series(), task.bounds)
+        shards[task.bounds] = shard
+        while len(shards) > 2 * task.bounds[1]:
+            del shards[next(iter(shards))]
+        return shard
+
+
+def release_store(ref: str) -> None:
+    """Drop this process's cached attach of ``ref`` and its shards.
+
+    Pool workers exit with their pool; this is for the dispatching
+    process, where store-ref tasks run inline after a process dispatch
+    degrades to threads. A view still alive elsewhere pins the mapping
+    (``BufferError``); it is then released when the last view dies.
+    """
+    with _STORES_LOCK:
+        entry = _STORES.pop(ref, None)
+    if entry is None:
+        return
+    store, shards = entry
+    shards.clear()
+    try:
+        store.close()
+    except BufferError:
+        LOG.debug("store %s released but still mapped by live views", ref)
 
 
 def _execute(task: ShardTask) -> List[ShardSearchOutput]:
     """Resolve and materialize the shard, fire the chaos hook, run."""
     shard = task.shard
     if shard is None:
-        shard = materialize_shard(_store_graph(task), task.bounds)
-    # Chaos hook: a no-op dict lookup unless a fault plan is armed in the
-    # environment (tests/resilience). Fires exactly once per task.
-    _faultinject.maybe_inject(shard.index, task.kind)
+        with _span("worker.materialize", shard=task.bounds[0]):
+            shard = _store_shard(task)
+    # Chaos hook: a no-op unless the task carries a fault plan
+    # (tests/resilience). Fires exactly once per task.
+    _faultinject.maybe_inject(shard.index, task.kind, task.fault_plan)
     return _run_kernel(task, shard)
 
 

@@ -5,11 +5,14 @@ Two families of faults:
 **Shard faults** target the parallel engine's worker tasks. A
 :class:`FaultPlan` (a list of :class:`FaultSpec`) is serialized into the
 ``REPRO_FAULT_PLAN`` environment variable by the :func:`inject` context
-manager; :func:`maybe_inject` — called by
+manager. The engine reads that variable once per fan-out and copies the
+plan into every :class:`~repro.parallel.worker.ShardTask`, so workers of
+a pool started before the plan was armed still receive it.
+:func:`maybe_inject` — called by
 :func:`repro.parallel.worker.run_shard_task` exactly once per shard task
 (after the shard is resolved on any transport, before the kernel runs),
 in whatever process it runs — matches the shard index and the task's
-``kind`` against the plan and fires the configured fault:
+``kind`` against the task's plan and fires the configured fault:
 
 ``"kill"``   ``os._exit`` the worker process mid-shard (downgraded to a
              raised :class:`InjectedFault` when running in the process
@@ -180,16 +183,17 @@ class FaultPlan:
             )
 
 
-def maybe_inject(shard_index: int, task_kind: str) -> None:
-    """Worker-side hook: fire the environment's fault plan, if any.
+def maybe_inject(
+    shard_index: int, task_kind: str, payload: Optional[str]
+) -> None:
+    """Worker-side hook: fire the plan a shard task carries, if any.
 
-    Costs one dict lookup when no plan is armed — safe to leave in the
-    production task path.
+    ``payload`` is the plan's JSON (:meth:`FaultPlan.to_json`), as read
+    from :data:`ENV_VAR` by the dispatcher; ``None`` costs one test —
+    safe to leave in the production task path.
     """
-    payload = os.environ.get(ENV_VAR)
-    if not payload:
-        return
-    FaultPlan.from_json(payload).fire(shard_index, task_kind)
+    if payload:
+        FaultPlan.from_json(payload).fire(shard_index, task_kind)
 
 
 @contextmanager
@@ -198,10 +202,11 @@ def inject(
 ) -> Iterator[FaultPlan]:
     """Arm a fault plan for the duration of a ``with`` block.
 
-    The plan travels to pool workers through the environment (inherited on
-    fork/spawn at pool creation, which happens per dispatch round — after
-    this context is entered). A temporary state directory is created (and
-    removed) when none is given.
+    The plan lives in the environment of this process; the parallel
+    engine reads it at each fan-out and ships it inside the shard tasks,
+    so it reaches pool workers started before this context was entered.
+    A temporary state directory is created (and removed) when none is
+    given.
     """
     owned_tmp = None
     if state_dir is None:

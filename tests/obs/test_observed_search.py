@@ -66,7 +66,7 @@ class TestStitchedParallelTrace:
         assert len(shard_tasks) == 4
         for task in shard_tasks:
             names = sorted(c.span.name for c in task.children)
-            assert names == ["p1.match", "p2.enumerate"]
+            assert names == ["p1.match", "p2.enumerate", "worker.materialize"]
 
     def test_span_ids_cross_worker_boundary(self, observed):
         observation, _result = observed

@@ -94,12 +94,12 @@ class TestFaultPlan:
         with inject(FaultSpec(kind="raise", only_workers=False)) as plan:
             assert FaultPlan.from_json(os.environ[ENV_VAR]).specs == plan.specs
             with pytest.raises(InjectedFault):
-                maybe_inject(3, "search")
+                maybe_inject(3, "search", os.environ.get(ENV_VAR))
         assert os.environ.get(ENV_VAR) is None
-        maybe_inject(3, "search")  # disarmed: no-op
+        maybe_inject(3, "search", os.environ.get(ENV_VAR))  # disarmed: no-op
 
     def test_maybe_inject_noop_without_plan(self):
-        maybe_inject(0, "search")
+        maybe_inject(0, "search", None)
 
 
 class TestStreamPerturbations:
