@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.enumeration import match_is_feasible, window_branches
+from repro.core.enumeration import below_phi, window_branches
 from repro.core.matching import StructuralMatch
 from repro.core.windows import Window, iter_maximal_windows
 from repro.graph.timeseries import EdgeSeries
@@ -72,7 +72,7 @@ def count_instances_in_match(
     delta = motif.delta if delta is None else delta
     phi = motif.phi if phi is None else phi
     series_list = match.series
-    if not match_is_feasible(series_list, phi):
+    if below_phi(series_list, phi):
         return 0
     total = 0
     for window in iter_maximal_windows(

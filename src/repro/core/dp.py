@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.enumeration import match_is_feasible
 from repro.core.instance import MotifInstance, Run
 from repro.core.matching import StructuralMatch
 from repro.core.windows import Window, iter_maximal_windows
@@ -280,8 +279,6 @@ def top_one_in_match(
     motif_delta = match.motif.delta if delta is None else delta
     series_list = match.series
     best = TopOneResult(0.0, None, match, None)
-    if not match_is_feasible(series_list, 0.0):
-        return best
     reg = _metrics.active()
     pruned = reg.counter("p2.dp.windows_pruned") if reg is not None else None
     for window in iter_maximal_windows(

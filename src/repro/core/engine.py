@@ -15,10 +15,10 @@ behind one object bound to an interaction graph:
 5.0
 
 Phase timings are recorded the way the paper reports them: phase P1
-(structural matching, independent of δ/φ) and phase P2 (instance search —
-Figures 8–10). The engine's P1 also drops matches that cannot host a
-strictly time-respecting chain; Table 4's pure match count is
-:func:`repro.core.matching.find_structural_matches`.
+(structural matching) and phase P2 (instance search — Figures 8–10). The
+engine's P1 also drops matches that cannot host a strictly time-respecting
+chain or that hold a series below the query's φ; Table 4's pure match
+count is :func:`repro.core.matching.find_structural_matches`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core import dp as _dp
 from repro.core import enumeration as _enumeration
 from repro.core import topk as _topk
 from repro.core.instance import MotifInstance
-from repro.core.matching import StructuralMatch, iter_structural_matches
+from repro.core.matching import MatchCache, StructuralMatch
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import TimeSeriesGraph
@@ -53,13 +53,13 @@ class SearchResult:
     count:
         Number of instances found (also set when not collecting).
     num_matches:
-        Number of phase-P1 structural matches the search read: serial runs
-        report the engine's temporally feasible matches (see
-        :meth:`FlowMotifEngine.structural_matches`), not Table 4's pure
-        count, which :func:`~repro.core.matching.find_structural_matches`
-        gives. Parallel runs report the sum of per-shard feasible match counts,
-        which can differ from the serial count (a match whose events span
-        several shards is examined by each of them).
+        Number of phase-P1 structural matches P2 read: the engine's cached
+        list, temporally pruned and pruned at some φ′ ≤ the query's φ (see
+        :class:`~repro.core.matching.MatchCache`), not Table 4's pure count
+        (:func:`~repro.core.matching.find_structural_matches`). Parallel
+        runs report the sum of per-shard counts, which can differ from the
+        serial count (a match whose events span several shards is examined
+        by each of them).
     p1_seconds, p2_seconds:
         Wall-clock time of the two phases. Parallel runs report aggregate
         *work* (the sum over shards); the elapsed critical path lives in
@@ -98,12 +98,12 @@ class FlowMotifEngine:
 
     Notes
     -----
-    Every query reads one cached P1 set per motif *shape* (its
-    label-ordered ``edges``, for path and fork/join motifs alike): the
-    structural matches that admit a strictly time-respecting chain.
-    That test reads neither δ nor φ, so repeated searches with different
-    constraints (the Figure 9/10 sweeps), counts, top-k and the DP all pay
-    phase P1 once.
+    Every query reads one cached P1 list per motif *shape* (its
+    label-ordered ``edges``, for path and fork/join motifs alike): a
+    :class:`~repro.core.matching.MatchCache` of the structural matches
+    that admit a strictly time-respecting chain, pruned at some φ′. Finds
+    and counts ask at their effective φ, top-k and the DP at φ=0; a query
+    below φ′ rebuilds the list at its own φ, so a sweep pays P1 per lower φ.
     """
 
     def __init__(self, graph: Union[InteractionGraph, TimeSeriesGraph]) -> None:
@@ -116,7 +116,7 @@ class FlowMotifEngine:
                 "graph must be an InteractionGraph or TimeSeriesGraph, "
                 f"got {type(graph).__name__}"
             )
-        self._match_cache: dict = {}
+        self._matches = MatchCache(self._ts)
 
     @property
     def time_series_graph(self) -> TimeSeriesGraph:
@@ -128,26 +128,15 @@ class FlowMotifEngine:
     # ------------------------------------------------------------------
 
     def structural_matches(self, motif: Motif) -> List[StructuralMatch]:
-        """The motif's temporally feasible structural matches (phase P1):
-        :func:`~repro.core.matching.iter_structural_matches` with
-        ``temporal_pruning=True`` at φ=0, cached per motif shape and bound
-        to ``motif``. No match it drops hosts an instance; Table 4's pure
-        set is :func:`~repro.core.matching.find_structural_matches`."""
-        key = motif.edges
-        cached = self._match_cache.get(key)
-        if cached is None:
-            cached = self._match_cache[key] = list(
-                iter_structural_matches(self._ts, motif, temporal_pruning=True)
-            )
-        if cached and cached[0].motif is not motif:
-            return [
-                StructuralMatch(motif, m.vertex_map, m.series) for m in cached
-            ]
-        return list(cached)
+        """The motif's temporally feasible structural matches at φ=0 (phase
+        P1), from the engine's match cache and bound to ``motif``. No match
+        it drops hosts an instance; Table 4's pure set is
+        :func:`~repro.core.matching.find_structural_matches`."""
+        return self._matches.matches(motif)
 
     def clear_cache(self) -> None:
         """Drop cached structural matches (e.g. after graph changes)."""
-        self._match_cache.clear()
+        self._matches = MatchCache(self._ts)
 
     def parallel(
         self,
@@ -193,8 +182,8 @@ class FlowMotifEngine:
     ) -> SearchResult:
         """Find all maximal instances of ``motif`` (Sections 4, Algorithm 1).
 
-        Phase P1 is :meth:`structural_matches`; phase P2 runs Algorithm 1
-        over each of its matches.
+        Phase P1 is the engine's cached match list at the effective φ;
+        phase P2 runs Algorithm 1 over each of its matches.
 
         Parameters
         ----------
@@ -209,6 +198,7 @@ class FlowMotifEngine:
             Ablation switches (see :mod:`repro.core.enumeration`).
         """
         result = SearchResult(motif=motif)
+        phi = motif.phi if phi is None else phi
         counter = [0]
 
         if collect:
@@ -223,7 +213,7 @@ class FlowMotifEngine:
             "query.find_instances", motif=str(motif), backend="serial"
         ):
             with _span("p1.match") as t1:
-                matches = self.structural_matches(motif)
+                matches = self._matches.matches(motif, phi)
             result.num_matches = len(matches)
             result.p1_seconds = t1.elapsed
             with _span("p2.enumerate") as t2:
@@ -249,14 +239,15 @@ class FlowMotifEngine:
         delta: Optional[float] = None,
         phi: Optional[float] = None,
     ) -> SearchResult:
-        """Count maximal instances of :meth:`structural_matches` without
-        constructing them (memoized; the Section 7 future-work feature)."""
+        """Count maximal instances without constructing them (memoized;
+        the Section 7 future-work feature), over the P1 list a find reads."""
         result = SearchResult(motif=motif)
+        phi = motif.phi if phi is None else phi
         with _span(
             "query.count_instances", motif=str(motif), backend="serial"
         ):
             with _span("p1.match") as t1:
-                matches = self.structural_matches(motif)
+                matches = self._matches.matches(motif, phi)
             result.num_matches = len(matches)
             result.p1_seconds = t1.elapsed
             with _span("p2.count") as t2:

@@ -50,28 +50,38 @@ from repro.graph.timeseries import EdgeSeries
 RangeCallback = Callable[[Tuple[Tuple[int, int], ...]], None]
 
 
+def below_phi(series_list: Sequence[EdgeSeries], phi: float) -> bool:
+    """Whether a series carries total flow below φ, so that (prefix sums
+    round monotonically) every edge-set of the match does too."""
+    if phi > 0:
+        for series in series_list:
+            if series.total_flow < phi:
+                return True
+    return False
+
+
 def match_is_feasible(
     series_list: Sequence[EdgeSeries], phi: float
 ) -> bool:
-    """Cheap output-preserving prechecks for one structural match.
+    """Cheap output-preserving prechecks for one *unpruned* structural match.
 
-    Phase P1 ignores time and flow entirely, so most structural matches of
+    Pure phase P1 ignores time and flow, so most structural matches of
     larger motifs cannot host any instance. Two O(m log n) checks reject
     them before any window is opened:
 
-    * **flow feasibility** — an edge-set is a subset of its series, so a
-      series with total flow below φ makes every instance fail the flow
-      constraint;
+    * **flow feasibility** — :func:`below_phi`;
     * **temporal feasibility** — instances need a strictly time-respecting
       chain across the series; the greedy earliest walk (first element of
       ``R(e_1)``, then the first strictly later element of ``R(e_2)``, …)
       exists iff any such chain exists (ignoring δ, which the window
       iterator enforces later).
+
+    Streaming is the one caller: offline P2 reads
+    :class:`~repro.core.matching.MatchCache` lists, whose P1 already ran
+    the temporal test.
     """
-    if phi > 0:
-        for series in series_list:
-            if series.total_flow < phi:
-                return False
+    if below_phi(series_list, phi):
+        return False
     t = series_list[0].first_time
     for series in series_list[1:]:
         idx = series.first_index_after(t)
@@ -199,7 +209,7 @@ def find_instances_in_match(
     phi = motif.phi if phi is None else phi
     series_list = match.series
     collected: List[MotifInstance] = []
-    if not match_is_feasible(series_list, phi):
+    if below_phi(series_list, phi):
         return collected
     sink = on_instance if on_instance is not None else collected.append
 

@@ -23,8 +23,9 @@ streaming detector discovers the matches an appended pair creates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.motif import Motif
 from repro.graph.events import Node
@@ -240,28 +241,29 @@ def iter_structural_matches(
         (greedy earliest walk dies) and, with ``phi > 0``, when a chosen
         series' total flow is below φ. Pruned branches cannot contribute
         any instance, so downstream enumeration output is unchanged — but
-        the *match set* is a subset of the unpruned one. At ``phi=0`` the
-        pruned set reads neither δ nor φ, so
-        :class:`~repro.core.engine.FlowMotifEngine` caches it for every
-        query. Keep both defaults for the paper's pure phase P1 (Table 4
-        semantics).
+        the *match set* is a subset of the unpruned one, and one pruned at
+        φ′ serves every φ ≥ φ′ (:class:`MatchCache`). Keep both defaults
+        for the paper's pure phase P1 (Table 4 semantics).
     """
     # chain_time[q]: earliest end of a time-respecting chain over the
     # series chosen for edges 0..q (greedy; only with temporal_pruning).
     chain_time: List[float] = [0.0] * motif.num_edges
 
     def admit(q: int, series: EdgeSeries) -> bool:
-        if phi > 0 and series.total_flow < phi:
+        # total_flow and first_index_after, inlined: one call per candidate.
+        cum = series._cum
+        if phi > 0 and cum[-1] - cum[0] < phi:
             return False
         if not temporal_pruning:
             return True
+        times = series.times
         if q == 0:
-            chain_time[0] = series.first_time
+            chain_time[0] = times[0]
             return True
-        idx = series.first_index_after(chain_time[q - 1])
-        if idx >= len(series):
+        idx = bisect_right(times, chain_time[q - 1])
+        if idx >= len(times):
             return False
-        chain_time[q] = series.times[idx]
+        chain_time[q] = times[idx]
         return True
 
     found: List[StructuralMatch] = []
@@ -272,6 +274,36 @@ def iter_structural_matches(
         if found:
             yield from found
             found.clear()
+
+
+class MatchCache:
+    """One temporally pruned P1 match list per motif shape (label-ordered
+    ``edges``) and the φ′ it was pruned at, which serves every φ ≥ φ′: a
+    series with ``total_flow < φ′`` has every edge-set below φ too, as
+    prefix sums round monotonically. A lower φ rebuilds the list at that
+    φ, dropping the old one first, so one list per shape is alive."""
+
+    def __init__(self, graph: TimeSeriesGraph) -> None:
+        self._graph = graph
+        self._sets: Dict[Tuple, Tuple[float, List[StructuralMatch]]] = {}
+
+    def matches(self, motif: Motif, phi: float = 0.0) -> List[StructuralMatch]:
+        """The pruned matches at some φ′ ≤ ``phi``, bound to ``motif``."""
+        key = motif.edges
+        entry = self._sets.get(key)
+        if entry is None or entry[0] > phi:
+            del entry  # one list per shape: the stale one goes first
+            self._sets.pop(key, None)
+            found = iter_structural_matches(
+                self._graph, motif, phi=phi, temporal_pruning=True
+            )
+            entry = self._sets[key] = (phi, list(found))
+        cached = entry[1]
+        if cached and cached[0].motif is not motif:
+            return [
+                StructuralMatch(motif, m.vertex_map, m.series) for m in cached
+            ]
+        return list(cached)
 
 
 def matches_through(

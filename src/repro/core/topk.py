@@ -22,7 +22,7 @@ import heapq
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.enumeration import match_is_feasible, window_branches
+from repro.core.enumeration import window_branches
 from repro.core.instance import MotifInstance, Run
 from repro.core.matching import StructuralMatch
 from repro.core.windows import Window, iter_maximal_windows
@@ -142,11 +142,9 @@ def top_k_instances(
         series_list = match.series
         # Match-level pruning: the instance flow is bounded by the minimum
         # total series flow of the match; skip matches that cannot beat the
-        # current k-th best (and structurally infeasible ones entirely).
+        # current k-th best.
         bound = min(s.total_flow for s in series_list)
         if collector.full and bound <= collector.threshold:
-            continue
-        if not match_is_feasible(series_list, 0.0):
             continue
         for window in iter_maximal_windows(
             series_list[0], series_list[-1], motif_delta,

@@ -19,17 +19,17 @@ the store once per process and slices each shard once, straight off the
 store's zero-copy series views (:data:`_STORES`), so the spawn payload is
 O(1) per shard instead of O(events). Pool workers live as long as their
 engine's pool, so every later query on the same partition finds its
-shard already sliced. A fault plan armed by the dispatcher travels in
-the task too (``fault_plan``): a worker forked before the plan was armed
-never sees it in its environment.
+shard already sliced and its P1 already run. A fault plan armed by the
+dispatcher travels in the task too (``fault_plan``): a worker forked
+before the plan was armed never sees it in its environment.
 
 :func:`run_shard_task` runs one kernel for every kind: phase P1 once per
 motif shape (label-ordered edges), then each query's phase-P2 op
-(enumerate, count or top-k). P1 runs with the output-preserving pruning of
-:func:`repro.core.matching.iter_structural_matches` (``temporal_pruning=
-True``, at the smallest φ among the task's queries of that shape): a shard
-only materializes matches that can host an instance *somewhere in the
-shard*, a superset of what its owned windows need.
+(enumerate, count or top-k). P1 reads the shard's
+:class:`~repro.core.matching.MatchCache` at the smallest φ among the
+task's queries of that shape: a shard only keeps matches that can host
+an instance *somewhere in the shard*, a superset of what its owned
+windows need.
 
 Workers do **not** ship :class:`~repro.core.instance.MotifInstance`
 objects back to the parent: an instance found in a shard is reduced to a
@@ -42,6 +42,7 @@ instances are bit-identical to what a serial search would have produced
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 import threading
@@ -52,7 +53,7 @@ from repro.core import counting as _counting
 from repro.core import enumeration as _enumeration
 from repro.core import topk as _topk
 from repro.core.instance import MotifInstance
-from repro.core.matching import iter_structural_matches
+from repro.core.matching import MatchCache
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
@@ -171,28 +172,28 @@ class ShardReply:
     profile: Optional[dict] = None
 
 
-def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
+def _run_kernel(
+    task: ShardTask, shard: TimeShard, cache: MatchCache
+) -> List[ShardSearchOutput]:
     """Answer ``task.queries`` over one materialized shard.
 
-    Phase P1 runs once per motif shape (label-ordered ``edges``), pruned
-    with the smallest φ among the task's queries of that shape (any
-    query's φ is at least that minimum, so
-    :func:`~repro.core.enumeration.match_is_feasible` rejects every
-    dropped match for it anyway), and its time is charged to the first
-    query of each topology group; the others report
-    ``p1_seconds == 0.0``, so summing per-query timings reflects the real
-    total work. Each query then runs the kind's P2 op restricted to the
-    shard's owned anchors. The ``anchor_range`` restriction is also what
-    makes merged top-k exact: every globally top-k instance is owned by
-    some shard and is among that shard's local top-k, while halo-anchored
-    windows (possibly truncated by the shard's data boundary) never
-    displace genuine owned candidates.
+    Phase P1 asks ``cache`` (a store-ref shard's, kept in :data:`_STORES`,
+    or a fresh one for this task) once per motif shape (label-ordered
+    ``edges``), at the smallest φ among the task's queries of that shape,
+    and its time is charged to the first query of each topology group;
+    the others read that list and report ``p1_seconds == 0.0``, so
+    summing per-query timings reflects the real total work. Each query
+    then runs the kind's P2 op restricted to the shard's owned anchors.
+    The ``anchor_range`` restriction is also what makes merged top-k
+    exact: every globally top-k instance is owned by some shard and is
+    among that shard's local top-k, while halo-anchored windows (possibly
+    truncated by the shard's data boundary) never displace genuine owned
+    candidates.
     """
     outputs: List[ShardSearchOutput] = []
     empty = shard.graph.num_series == 0
     anchor_range = shard.anchor_range
     p2_name = _P2_SPANS[task.kind]
-    matches_by_shape: Dict[tuple, list] = {}
     prune_phi: Dict[tuple, float] = {}
     for motif, _, phi in task.queries:
         key = motif.edges
@@ -202,17 +203,12 @@ def _run_kernel(task: ShardTask, shard: TimeShard) -> List[ShardSearchOutput]:
         outputs.append(out)
         if empty:
             continue
-        key = motif.edges
-        matches = matches_by_shape.get(key)
-        if matches is None:
+        if motif.edges in prune_phi:
             with _span("p1.match", shard=shard.index) as p1:
-                matches = matches_by_shape[key] = list(
-                    iter_structural_matches(
-                        shard.graph, motif, phi=prune_phi[key],
-                        temporal_pruning=True,
-                    )
-                )
+                matches = cache.matches(motif, prune_phi.pop(motif.edges))
             out.p1_seconds = p1.elapsed
+        else:
+            matches = cache.matches(motif, phi)
         out.num_matches = len(matches)
         attrs = {"config": config_index} if task.kind == "batch" else {}
         with _span(p2_name, shard=shard.index, **attrs) as p2:
@@ -267,17 +263,17 @@ def search_shard(
         "search", shard.bounds, ((motif, delta, phi),), shard=shard,
         collect=collect,
     )
-    return _run_kernel(task, shard)[0]
+    return _run_kernel(task, shard, MatchCache(shard.graph))[0]
 
 
 #: Per-process cache of resolved stores, keyed by shm name or segment
-#: path: the attached store plus the shards already sliced off it, keyed
-#: by ``bounds`` in least-recently-used order. A pool worker serves every
-#: query of its engine, so attaching (or mapping and validating every
-#: CRC) is paid once per store and slicing once per shard; two
-#: partitions' worth of shards (``2 * num_shards``) stay resident, enough
-#: for a query stream alternating between two halos.
-_STORES: Dict[str, Tuple[ColumnStore, Dict[tuple, TimeShard]]] = {}
+#: path: the attached store plus the shards sliced off it, with their P1
+#: match caches, by ``bounds`` in least-recently-used order. A pool worker
+#: serves every query of its engine, so attaching (or mapping and
+#: validating every CRC) is paid once per store and slicing once per
+#: shard; two partitions' worth of shards (``2 * num_shards``) stay
+#: resident, enough for a query stream alternating between two halos.
+_STORES: Dict[str, Tuple[ColumnStore, Dict[tuple, tuple]]] = {}
 _STORES_LOCK = threading.Lock()
 
 
@@ -292,8 +288,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
-def _store_shard(task: ShardTask) -> TimeShard:
-    """The shard a store-ref task names, sliced once per process.
+def _store_shard(task: ShardTask) -> Tuple[TimeShard, MatchCache]:
+    """A store-ref task's shard, sliced once per process, and its P1 cache.
 
     Workers never quarantine a segment: a corrupt file raises
     :class:`~repro.resilience.SegmentCorruptionError` back to the
@@ -312,13 +308,14 @@ def _store_shard(task: ShardTask) -> TimeShard:
                 store = open_segment(ref, quarantine=False)
             entry = _STORES[ref] = (store, {})
         store, shards = entry
-        shard = shards.pop(task.bounds, None)
-        if shard is None:
+        cached = shards.pop(task.bounds, None)
+        if cached is None:
             shard = slice_shard(store.iter_series(), task.bounds)
-        shards[task.bounds] = shard
+            cached = (shard, MatchCache(shard.graph))
+        shards[task.bounds] = cached
         while len(shards) > 2 * task.bounds[1]:
             del shards[next(iter(shards))]
-        return shard
+        return cached
 
 
 def release_store(ref: str) -> None:
@@ -335,6 +332,8 @@ def release_store(ref: str) -> None:
         return
     store, shards = entry
     shards.clear()
+    # P1's recursive DFS closures are cycles that may still pin views.
+    gc.collect()
     try:
         store.close()
     except BufferError:
@@ -346,11 +345,13 @@ def _execute(task: ShardTask) -> List[ShardSearchOutput]:
     shard = task.shard
     if shard is None:
         with _span("worker.materialize", shard=task.bounds[0]):
-            shard = _store_shard(task)
+            shard, cache = _store_shard(task)
+    else:
+        cache = MatchCache(shard.graph)
     # Chaos hook: a no-op unless the task carries a fault plan
     # (tests/resilience). Fires exactly once per task.
     _faultinject.maybe_inject(shard.index, task.kind, task.fault_plan)
-    return _run_kernel(task, shard)
+    return _run_kernel(task, shard, cache)
 
 
 def run_shard_task(task: ShardTask) -> ShardReply:

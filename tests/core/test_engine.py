@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.core import matching
 from repro.core.engine import FlowMotifEngine
-from repro.core.matching import find_structural_matches
+from repro.core.matching import StructuralMatch, find_structural_matches
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 
@@ -76,6 +79,40 @@ class TestMatchCache:
         fig2_engine.structural_matches(triangle)
         fig2_engine.clear_cache()
         assert fig2_engine.structural_matches(triangle)
+
+    def test_rebuild_at_a_lower_phi_drops_the_old_list_first(
+        self, monkeypatch
+    ):
+        """One P1 list per shape is alive: a query at a lower φ drops the
+        cached list before building its own, and a higher φ reads it."""
+        graph = InteractionGraph.from_tuples(
+            [("a", "b", t, 1.0 + t % 5) for t in range(0, 40, 2)]
+            + [("b", "c", t, 1.0 + t % 3) for t in range(1, 40, 2)]
+            + [("c", "a", t, 2.0) for t in range(3, 40, 4)]
+        )
+        motif = Motif.chain(3, delta=10, phi=30)
+        engine = FlowMotifEngine(graph)
+
+        def live():
+            gc.collect()
+            return sum(
+                isinstance(o, StructuralMatch) and o.motif is motif
+                for o in gc.get_objects()
+            )
+
+        real = matching.iter_structural_matches
+        at_build = []
+
+        def spy(*args, **kwargs):
+            at_build.append(live())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "iter_structural_matches", spy)
+        high = engine.find_instances(motif).num_matches
+        low = engine.count_instances(motif, phi=1.0).num_matches
+        assert engine.find_instances(motif).num_matches == low > high > 0
+        assert at_build == [0, 0]
+        assert live() == low
 
     def test_count_matches_find(self, fig7_engine, triangle_phi0):
         count = fig7_engine.count_instances(triangle_phi0)

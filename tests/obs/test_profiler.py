@@ -76,7 +76,8 @@ class TestProfileReport:
         report.add_stack("p2.enumerate", ["mod:outer", "mod:inner"])
         path = str(tmp_path / "out.collapsed")
         report.write_collapsed(path)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert "p2.enumerate;mod:outer;mod:inner 2" in lines
 
     def test_render_text_mentions_samples_and_spans(self):

@@ -3,7 +3,8 @@
 A :class:`ParallelFlowMotifEngine` starts one executor per backend on its
 first fan-out and keeps it until a round fails or the engine closes.
 Each case here fails on a design that starts a pool per dispatch round,
-or that hands the fault plan to workers through their environment.
+that hands the fault plan to workers through their environment, or that
+keeps a shard's P1 match lists anywhere but next to the shard.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.core import matching as _matching
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
@@ -230,8 +232,8 @@ def test_worker_slices_each_shard_once(graph):
             _worker.ShardTask("search", s.bounds, (), shm_name=ref)
             for s in shards
         ]
-        sliced = [_worker._store_shard(task) for task in tasks]
-        assert [_worker._store_shard(t) for t in tasks] == sliced
+        sliced = [_worker._store_shard(task)[0] for task in tasks]
+        assert [_worker._store_shard(t)[0] for t in tasks] == sliced
         view = ColumnStore.attach(ref)
         try:
             whole = view.to_graph()
@@ -265,6 +267,66 @@ def test_worker_slices_each_shard_once(graph):
         _worker.release_store(ref)
         export.close(unlink=True)
     assert ref not in _worker._STORES
+
+
+def test_shard_keeps_its_p1_list_across_queries(graph, monkeypatch):
+    """A store-ref shard's match cache lives in ``_STORES``: a repeat query
+    at a φ no lower than the cached one runs no P1 DFS."""
+    real = _matching.iter_structural_matches
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["phi"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_matching, "iter_structural_matches", spy)
+    ts = graph.to_time_series()
+    export = ColumnStore.from_graph(ts).to_shared()
+    ref = export.shm_name
+    bounds = partition_time_range(ts, 3, MOTIF.delta, materialize=False)[1].bounds
+
+    def run(phi):
+        task = _worker.ShardTask(
+            "search", bounds, ((MOTIF, MOTIF.delta, phi),), shm_name=ref
+        )
+        return _worker.run_shard_task(task).outputs[0]
+
+    try:
+        first, second = run(4.0), run(4.0)
+        assert built == [4.0]
+        assert second.records == first.records
+        assert second.num_matches == first.num_matches > 0
+        run(6.0)
+        assert built == [4.0]
+        assert run(1.0).num_matches >= first.num_matches
+        assert built == [4.0, 1.0]
+    finally:
+        _worker.release_store(ref)
+        export.close(unlink=True)
+
+
+def test_release_after_thread_degradation_unmaps(graph, serial, caplog):
+    """The match lists a thread-degraded query cached in this process hold
+    views into the export; releasing the store drops them with their
+    shards, so neither the attach nor the export stays mapped."""
+    engine = ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="process",
+        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0),
+    )
+    try:
+        with inject(FaultSpec(kind="kill", times=10**9)):
+            found = engine.find_instances(MOTIF)
+            counted = engine.count_instances(MOTIF, phi=2.0)
+        assert engine.last_dispatch.final_backend == "thread"
+        assert _worker._STORES[engine._export.shm_name][1]
+    finally:
+        with caplog.at_level("DEBUG"):
+            engine.close()
+    assert "still mapped" not in caplog.text
+    assert _keys(found.instances) == _keys(serial.instances)
+    assert counted.count == FlowMotifEngine(graph).count_instances(
+        MOTIF, phi=2.0
+    ).count
 
 
 def test_rejected_construction_releases_quietly(caplog):
