@@ -35,10 +35,8 @@ from repro.core.engine import SearchResult
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import TimeSeriesGraph
-from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.parallel import merge as _merge
-from repro.parallel.costmodel import ShardCostModel
 from repro.parallel.engine import ParallelFlowMotifEngine
 
 
@@ -101,27 +99,13 @@ class BatchRunner:
         which the runner wraps: its worker pool and shared-memory export
         serve every :meth:`run` until :meth:`close` (or the end of a
         ``with BatchRunner(...) as runner:`` block).
-    adaptive:
-        Observability-driven adaptive sharding: the sharded path runs
-        the grid in two waves — a probe wave (first configuration, on
-        the default quantile partition) whose measured per-shard
-        timings feed the :class:`~repro.parallel.costmodel.
-        ShardCostModel`, then the remaining configurations on a
-        cost-balanced re-cut of the timeline. Output stays
-        multiset-identical to serial (the δ-halo ownership argument
-        holds for any cuts); only wall-clock balance changes.
-    cost_model:
-        An explicit model to (re)use across runners — e.g. one warmed
-        by earlier runs on the same graph. Implies ``adaptive``.
 
     Attributes
     ----------
     last_stats:
         Dict describing the previous :meth:`run`: configuration count,
-        topology-group count, total P1/P2 seconds, wall time, shard
-        imbalance, and — on adaptive runs — the probe-wave imbalance
-        (``imbalance_before``), the adapted-wave imbalance
-        (``imbalance_after``) and the model's prediction error.
+        topology-group count, total P1/P2 seconds, wall time and shard
+        imbalance (``shard_imbalance_ratio``).
     """
 
     def __init__(
@@ -130,21 +114,11 @@ class BatchRunner:
         jobs: int = 1,
         shards: Optional[int] = None,
         backend: str = "process",
-        adaptive: bool = False,
-        cost_model: Optional[ShardCostModel] = None,
     ) -> None:
-        if adaptive and cost_model is None:
-            cost_model = ShardCostModel()
-        self.adaptive = cost_model is not None
-        self.cost_model = cost_model
         # Compose the parallel engine: one source of truth for graph
         # coercion, backend validation, dispatch, and partition caching.
         self._engine = ParallelFlowMotifEngine(
-            graph,
-            jobs=jobs,
-            shards=shards,
-            backend=backend,
-            cost_model=cost_model,
+            graph, jobs=jobs, shards=shards, backend=backend
         )
         self._ts = self._engine.time_series_graph
         self.last_stats: Dict[str, float] = {}
@@ -187,7 +161,6 @@ class BatchRunner:
         only by their result counts.
         """
         resolved = [_coerce_config(c) for c in configs]
-        self._adaptive_stats: Dict[str, float] = {}
         if not resolved:
             self.last_stats = {
                 "num_configs": 0,
@@ -202,10 +175,23 @@ class BatchRunner:
         with _tracing.span(
             "query.batch", configs=len(resolved), shards=self.num_shards
         ) as query:
-            if self.adaptive and len(resolved) > 1 and self.num_shards > 1:
-                results = self._run_adaptive(resolved, halo, collect)
-            else:
-                results = self._run_wave(resolved, halo, collect)
+            # One partition (halo = the grid's largest δ); every shard
+            # runs the whole grid, sharing P1 per topology group.
+            shards = self._engine.partition(halo)
+            queries = [
+                (c.motif, c.effective_delta, c.effective_phi)
+                for c in resolved
+            ]
+            per_config = self._engine._run_queries(
+                shards, "batch", queries, collect=collect
+            )
+            with _tracing.span("parallel.merge"):
+                results = [
+                    _merge.merge_search_results(
+                        config.motif, shards, outputs, self._ts
+                    )
+                    for config, outputs in zip(resolved, per_config)
+                ]
         wall = query.elapsed
         # The fan-out/merge wall time is shared by the whole grid; record
         # it on every config's report so efficiency charts have a
@@ -224,66 +210,4 @@ class BatchRunner:
             "wall_seconds": wall,
             "shard_imbalance_ratio": imbalance,
         }
-        self.last_stats.update(self._adaptive_stats)
         return results
-
-    # ------------------------------------------------------------------
-    # One partition, whole grid per shard
-    # ------------------------------------------------------------------
-
-    def _run_wave(
-        self, configs: Sequence[MotifConfig], halo: float, collect: bool
-    ) -> List[SearchResult]:
-        """Fan one sub-grid out over the current partition and merge.
-
-        When a cost model is attached, every merged result's per-shard
-        timings feed it — so the *next* wave (or run) partitions on
-        fresher densities.
-        """
-        shards = self._engine.partition(halo)
-        queries = [
-            (c.motif, c.effective_delta, c.effective_phi) for c in configs
-        ]
-        per_config = self._engine._run_queries(
-            shards, "batch", queries, collect=collect
-        )
-        results: List[SearchResult] = []
-        with _tracing.span("parallel.merge"):
-            for config, outputs in zip(configs, per_config):
-                result = _merge.merge_search_results(
-                    config.motif, shards, outputs, self._ts
-                )
-                self._engine._observe_costs(shards, result)
-                results.append(result)
-        return results
-
-    def _run_adaptive(
-        self, configs: Sequence[MotifConfig], halo: float, collect: bool
-    ) -> List[SearchResult]:
-        """Probe wave on quantile cuts, the rest on cost-balanced cuts.
-
-        The first configuration runs on the default (event-quantile)
-        partition purely to measure real per-shard seconds; its timings
-        teach the cost model the timeline's density profile, and the
-        remaining configurations re-partition at cost-weighted
-        quantiles. Before/after imbalance and the model's
-        predicted-vs-actual error are published as
-        ``parallel.adaptive.*`` gauges and mirrored in ``last_stats``.
-        """
-        probe_results = self._run_wave(configs[:1], halo, collect)
-        before = probe_results[0].shard_timings.imbalance_ratio
-        rest_results = self._run_wave(configs[1:], halo, collect)
-        after = max(r.shard_timings.imbalance_ratio for r in rest_results)
-        model = self.cost_model
-        error = model.mean_abs_rel_error if model is not None else 0.0
-        self._adaptive_stats = {
-            "imbalance_before": before,
-            "imbalance_after": after,
-            "prediction_error": error,
-        }
-        reg = _metrics.active()
-        if reg is not None:
-            reg.gauge("parallel.adaptive.imbalance_before").set(before)
-            reg.gauge("parallel.adaptive.imbalance_after").set(after)
-            reg.gauge("parallel.adaptive.prediction_error").set(error)
-        return probe_results + rest_results

@@ -77,7 +77,6 @@ from repro.obs import profiler as _profiler
 from repro.obs import tracing as _tracing
 from repro.parallel import merge as _merge
 from repro.parallel import worker as _worker
-from repro.parallel.costmodel import ShardCostModel
 from repro.parallel.partition import (
     TimeShard,
     materialize_shard,
@@ -148,8 +147,9 @@ class ParallelFlowMotifEngine:
     Notes
     -----
     Each query partitions the timeline with a halo equal to its effective
-    δ (partitions are memoized per (shards, halo), so δ-sweeps
-    à la Figure 9 reuse one partition per δ).
+    δ, cutting the cores at event-count quantiles (partitions are
+    memoized per (shards, halo), so δ-sweeps à la Figure 9 reuse one
+    partition per δ).
 
     A zero-copy engine owns one shared-memory block for its graph, and
     every pool backend one executor; both are created lazily on the first
@@ -166,7 +166,6 @@ class ParallelFlowMotifEngine:
         backend: str = "process",
         use_shared_memory: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
-        cost_model: Optional[ShardCostModel] = None,
     ) -> None:
         # Set before validation: __del__ releases these even when the
         # constructor raised.
@@ -207,9 +206,6 @@ class ParallelFlowMotifEngine:
         )
         #: Fault/retry/degradation report of the most recent dispatch.
         self.last_dispatch: Optional[DispatchReport] = None
-        #: Optional cost model for adaptive (cost-balanced) sharding:
-        #: fed by find/count timings, consulted by :meth:`partition`.
-        self.cost_model = cost_model
         # Arm the flight recorder when REPRO_FLIGHT_DIR names a bundle
         # directory — one env read; a no-op in the common case.
         _flight.maybe_install_from_env()
@@ -227,16 +223,11 @@ class ParallelFlowMotifEngine:
         """The memoized δ-overlap partition for a given halo width
         (LRU-bounded: only the most recent few halos stay resident).
 
-        With a ready :attr:`cost_model`, cut points come from the
-        model's cost-weighted quantiles instead of the raw event
-        quantiles; the model's version is part of the memo key, so
-        fresher observations transparently invalidate stale partitions.
+        Cores are cut at event-count quantiles of the whole timeline
+        (:func:`~repro.parallel.partition.partition_time_range`), so
+        every shard owns about the same number of events.
         """
-        model = self.cost_model
-        model_version = (
-            model.version if model is not None and model.ready else 0
-        )
-        key = (self.num_shards, halo, model_version)
+        key = (self.num_shards, halo)
         cached = self._partition_cache.pop(key, None)
         if cached is not None:
             self._partition_cache[key] = cached  # refresh LRU position
@@ -247,11 +238,6 @@ class ParallelFlowMotifEngine:
             self._sorted_times = sorted(
                 t for series in self._ts.all_series() for t in series.times
             )
-        cuts = (
-            model.cut_points(self._sorted_times, self.num_shards)
-            if model_version
-            else None
-        )
         shards = partition_time_range(
             self._ts,
             self.num_shards,
@@ -261,7 +247,6 @@ class ParallelFlowMotifEngine:
             # rebinding offsets, no sliced copies): workers re-slice
             # their own views of the shared columnar store.
             materialize=not self._zero_copy,
-            cut_points=cuts,
         )
         self._partition_cache[key] = shards
         while len(self._partition_cache) > _PARTITION_CACHE_SIZE:
@@ -340,6 +325,8 @@ class ParallelFlowMotifEngine:
         self.close()
 
     def __del__(self) -> None:
+        if "_pools" not in self.__dict__:
+            return  # __init__ never ran: its arguments did not bind
         try:
             self._release(wait=False)
         except BaseException as exc:  # noqa: BLE001 - __del__ must not raise
@@ -698,7 +685,6 @@ class ParallelFlowMotifEngine:
                     motif, shards, outputs, self._ts,
                     wall_seconds=query.elapsed,
                 )
-            self._observe_costs(shards, result)
             return result
 
     def count_instances(
@@ -728,19 +714,7 @@ class ParallelFlowMotifEngine:
                     motif, shards, outputs, self._ts,
                     wall_seconds=query.elapsed,
                 )
-            self._observe_costs(shards, result)
             return result
-
-    def _observe_costs(
-        self, shards: Sequence[TimeShard], result: SearchResult
-    ) -> None:
-        """Feed the cost model one run's shard timings (no-op without one)."""
-        model = self.cost_model
-        if model is None or result.shard_timings is None:
-            return
-        if self._sorted_times is None or len(shards) <= 1:
-            return
-        model.observe(shards, result.shard_timings, self._sorted_times)
 
     def top_k(
         self,

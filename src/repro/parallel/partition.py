@@ -183,9 +183,13 @@ def partition_time_range(
     halo: float,
     sorted_times: Optional[List[float]] = None,
     materialize: bool = True,
-    cut_points: Optional[List[float]] = None,
 ) -> List[TimeShard]:
     """Split a graph into time shards with a ``halo``-sized overlap.
+
+    Cores are cut at event-count quantiles of the whole timeline, so each
+    shard owns about the same number of events. The anchored-ownership
+    rule is exact for any cuts once the halo covers δ; the cut only
+    decides how evenly the shards' work is spread.
 
     Parameters
     ----------
@@ -209,14 +213,6 @@ def partition_time_range(
         light shards (``graph=None``) carrying only bounds and rebinding
         offsets: the zero-copy process backend ships those bounds and has
         each worker slice its own view of the shared columnar store.
-    cut_points:
-        Explicit interior boundaries overriding the event-count quantile
-        cuts — the hook
-        for cost-adaptive sharding
-        (:class:`~repro.parallel.costmodel.ShardCostModel`). Sanitized
-        to a strictly increasing sequence; the anchored-ownership
-        correctness argument holds for *any* cut sequence as long as the
-        halo covers δ, so adapted partitions stay exact.
 
     Returns
     -------
@@ -241,18 +237,7 @@ def partition_time_range(
         if sorted_times is None
         else sorted_times
     )
-    if cut_points is not None:
-        cuts = []
-        for b in cut_points:
-            b = float(b)
-            if math.isfinite(b) and (not cuts or b > cuts[-1]):
-                cuts.append(b)
-        cuts = cuts[: max(0, num_shards - 1)]
-    elif num_shards == 1 or len(times) == 0:
-        cuts = []
-    else:
-        cuts = _cut_points(times, num_shards)
-
+    cuts = _cut_points(times, num_shards) if times else []
     bounds = [-math.inf] + cuts + [math.inf]
     shards: List[TimeShard] = []
     total = len(bounds) - 1

@@ -32,10 +32,14 @@ def base_seed(request):
     The print lands in "Captured stdout setup" of any failure report;
     rerunning with the same ``REPRO_TEST_SEED`` reproduces it exactly.
     """
-    derived = zlib.crc32(request.node.nodeid.encode("utf-8")) ^ BASE_TEST_SEED
+    return _derive_seed(request.node.nodeid)
+
+
+def _derive_seed(nodeid: str) -> int:
+    derived = zlib.crc32(nodeid.encode("utf-8")) ^ BASE_TEST_SEED
     print(
         f"[seeded-rng] REPRO_TEST_SEED={BASE_TEST_SEED} "
-        f"derived_seed={derived} nodeid={request.node.nodeid}"
+        f"derived_seed={derived} nodeid={nodeid}"
     )
     return derived
 
@@ -44,6 +48,13 @@ def base_seed(request):
 def seeded_rng(base_seed):
     """A ``random.Random`` seeded from :func:`base_seed`."""
     return random.Random(base_seed)
+
+
+@pytest.fixture(scope="module")
+def module_seeded_rng(request):
+    """:func:`seeded_rng` for module-scoped fixtures: one stream per test
+    module, derived from ``REPRO_TEST_SEED`` and the module's node id."""
+    return random.Random(_derive_seed(request.node.nodeid))
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ The ISSUE 7 acceptance criteria, as tests:
 import math
 import os
 import random
+import time
 
 import pytest
 
@@ -189,3 +190,33 @@ class TestNoopMode:
         assert len(spans) == len(observation.spans())
         roots = stitch_trace(spans)
         assert len(roots) == 1
+
+
+class TestOverhead:
+    def test_counters_on_find_within_budget(self):
+        """Live counters (tracing, profiler and flight recorder off, as
+        shipped) keep a serial find within 1.5x of the all-off default.
+        Interleaved reps, minimum of each, so clock drift cancels."""
+        rng = random.Random(7)
+        g = InteractionGraph()
+        nodes = [f"n{i}" for i in range(12)]
+        for _ in range(9000):
+            u, v = rng.sample(nodes, 2)
+            g.add_interaction(
+                u, v, 4000.0 * rng.random() ** 2, rng.uniform(0.5, 5.0)
+            )
+        engine = FlowMotifEngine(g.to_time_series())
+        motif = Motif.chain(3, delta=5.0, phi=0.0)
+
+        def timed() -> float:
+            start = time.perf_counter()
+            engine.find_instances(motif, collect=False)
+            return time.perf_counter() - start
+
+        off, on = [], []
+        for _ in range(3):
+            off.append(timed())
+            with obs.observe(trace=False):
+                on.append(timed())
+        ratio = min(on) / min(off)
+        assert ratio < 1.5, f"counters-on find {ratio:.2f}x over off"

@@ -9,13 +9,17 @@ fork-ghost guard — are exact.
 from __future__ import annotations
 
 import os
+import random
 import threading
 import time
 
 from repro import obs
+from repro.core.motif import Motif
+from repro.graph.interaction import InteractionGraph
 from repro.obs import profiler as profiler_mod
 from repro.obs import tracing
 from repro.obs.profiler import NO_SPAN, ProfileReport, Profiler
+from repro.parallel import ParallelFlowMotifEngine
 
 
 def _busy(seconds: float) -> int:
@@ -162,12 +166,6 @@ class TestForkGhostGuard:
     def test_worker_samples_cross_process_boundary(self):
         """End to end: a profiled process-backend search ships span-
         attributed samples back through the obs envelope."""
-        import random
-
-        from repro.core.motif import Motif
-        from repro.graph.interaction import InteractionGraph
-        from repro.parallel import ParallelFlowMotifEngine
-
         rng = random.Random(3)
         g = InteractionGraph()
         nodes = [f"n{i}" for i in range(10)]
@@ -188,4 +186,44 @@ class TestForkGhostGuard:
         # worker process (the dispatcher itself never runs P1/P2).
         assert any(
             name.startswith(("p1.", "p2.")) for name in report.by_span
+        )
+
+
+def _skewed_graph() -> InteractionGraph:
+    """9,000 events whose density decays as ~t^(-1/2) (t = 4000·u²), so
+    equal-event shards do unequal P2 work."""
+    rng = random.Random(7)
+    g = InteractionGraph()
+    nodes = [f"n{i}" for i in range(12)]
+    for _ in range(9000):
+        u, v = rng.sample(nodes, 2)
+        g.add_interaction(
+            u, v, 4000.0 * rng.random() ** 2, rng.uniform(0.5, 5.0)
+        )
+    return g
+
+
+class TestReconciliation:
+    def test_profile_reconciles_with_tracer(self):
+        """A profiled process-backend find: the span its samples land in
+        most is the span with the most tracer seconds among p1./p2."""
+        motif = Motif.chain(3, delta=5.0, phi=0.0)
+        with obs.observe(trace=True, profile=True) as observation:
+            with ParallelFlowMotifEngine(
+                _skewed_graph(), jobs=2, shards=4, backend="process"
+            ) as engine:
+                assert engine.find_instances(motif, collect=False).count > 0
+        profile = observation.profile()
+        assert profile is not None
+        assert profile.samples > 0
+        span_seconds: dict = {}
+        for span in observation.spans():
+            name = span["name"]
+            if name.startswith(("p1.", "p2.")):
+                duration = (span["end"] or span["start"]) - span["start"]
+                span_seconds[name] = span_seconds.get(name, 0.0) + duration
+        by_time = max(span_seconds.items(), key=lambda kv: kv[1])[0]
+        by_samples = profile.dominant_span()
+        assert by_samples == by_time, (
+            f"samples say {by_samples}, tracer says {by_time}"
         )

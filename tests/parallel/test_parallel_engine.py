@@ -141,6 +141,17 @@ class TestBackendsAndConfig:
         with pytest.raises(TypeError):
             ParallelFlowMotifEngine(object(), jobs=1)
 
+    def test_unknown_argument_raises_without_release_noise(
+        self, fig2_graph, caplog
+    ):
+        """An argument that does not bind (e.g. the removed cost model)
+        raises TypeError, and the half-built engine's finalizer logs
+        nothing."""
+        with caplog.at_level("DEBUG", logger="repro.parallel.engine"):
+            with pytest.raises(TypeError):
+                ParallelFlowMotifEngine(fig2_graph, jobs=1, cost_model=None)
+        assert caplog.records == []
+
     def test_partition_is_memoized(self, fig2_graph):
         engine = ParallelFlowMotifEngine(fig2_graph, jobs=1, shards=2)
         first = engine.partition(10.0)
