@@ -28,10 +28,13 @@ few seconds while still exercising every measured path.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 import tempfile
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 
@@ -70,13 +73,17 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _parallel_count(graph, motif, use_shared_memory: bool = True) -> int:
-    with ParallelFlowMotifEngine(
-        graph,
-        jobs=JOBS,
-        shards=SHARDS,
-        backend="process",
-        use_shared_memory=use_shared_memory,
+def _parallel_count(graph, motif, pickled: bool = False) -> int:
+    """One process-backend search. ``pickled`` makes reserving the
+    shared-memory export fail as on a full /dev/shm, so workers get
+    pickled slices."""
+    no_shm = mock.patch.object(
+        os,
+        "posix_fallocate",
+        side_effect=OSError(errno.ENOSPC, "No space left on device"),
+    )
+    with no_shm if pickled else nullcontext(), ParallelFlowMotifEngine(
+        graph, jobs=JOBS, shards=SHARDS, backend="process"
     ) as engine:
         return engine.find_instances(motif, collect=False).count
 
@@ -121,7 +128,7 @@ def run_search_benchmark(quick: bool, workdir: str) -> dict:
 
     # in-memory baseline: list-backed graph, pickled shard slices
     memory_seconds = _best(
-        lambda: _parallel_count(ts, motif, use_shared_memory=False)
+        lambda: _parallel_count(ts, motif, pickled=True)
     )
 
     # shm tier: columnar graph, workers attach the volatile export
@@ -135,7 +142,7 @@ def run_search_benchmark(quick: bool, workdir: str) -> dict:
     mmap_seconds = _best(lambda: _parallel_count(segment_graph, motif))
 
     counts = {
-        "memory": _parallel_count(ts, motif, use_shared_memory=False),
+        "memory": _parallel_count(ts, motif, pickled=True),
         "shm": _parallel_count(columnar_graph, motif),
         "mmap": _parallel_count(segment_graph, motif),
     }

@@ -40,7 +40,7 @@ Public API
 * :mod:`repro.analysis` — per-match activity grouping and timelines.
 * :class:`ParallelFlowMotifEngine`, :class:`BatchRunner` — δ-overlap
   time-sharded multi-worker search and multi-motif batch grids
-  (:mod:`repro.parallel`); also via ``FlowMotifEngine.parallel(jobs=N)``.
+  (:mod:`repro.parallel`), on a process pool or an in-process loop.
 * :class:`ColumnStore`, :func:`columnarize` — columnar zero-copy storage
   with one-block shared-memory export/attach (:mod:`repro.graph.columnar`);
   the process backend's fan-out transport.

@@ -37,6 +37,17 @@ from repro.experiments.report import render, save_result
 from repro.graph import io as graph_io
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_profile_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
@@ -149,7 +160,6 @@ def _cmd_find(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             shards=args.shards,
             backend=args.backend,
-            use_shared_memory=not args.no_shm,
         )
     else:
         engine = FlowMotifEngine(graph)
@@ -665,24 +675,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="behaviour on malformed input rows",
     )
     find_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker count; >1 runs the δ-overlap sharded parallel engine",
     )
     find_parser.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_positive_int, default=None,
         help="time-shard count for parallel search (default: --jobs)",
     )
     find_parser.add_argument(
-        "--backend", choices=["process", "thread", "serial"],
+        "--backend", choices=["process", "serial"],
         default="process",
         help="parallel execution backend (default process)",
-    )
-    find_parser.add_argument(
-        "--no-shm", action="store_true",
-        help=(
-            "disable the zero-copy shared-memory columnar store for the "
-            "process backend (workers then receive pickled shard slices)"
-        ),
     )
     find_parser.add_argument(
         "--trace", action="store_true",

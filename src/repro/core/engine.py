@@ -138,35 +138,6 @@ class FlowMotifEngine:
         """Drop cached structural matches (e.g. after graph changes)."""
         self._matches = MatchCache(self._ts)
 
-    def parallel(
-        self,
-        jobs: Optional[int] = None,
-        shards: Optional[int] = None,
-        backend: str = "process",
-        use_shared_memory: bool = True,
-    ):
-        """A :class:`~repro.parallel.ParallelFlowMotifEngine` over the same
-        graph — δ-overlap time-sharded search fanned out over ``jobs``
-        workers (see :mod:`repro.parallel`). ``use_shared_memory=False``
-        disables the process backend's zero-copy columnar transport.
-
-        >>> g = InteractionGraph.from_tuples([("a", "b", 1.0, 5.0),
-        ...                                   ("b", "c", 2.0, 4.0)])
-        >>> engine = FlowMotifEngine(g)
-        >>> pengine = engine.parallel(jobs=1)
-        >>> pengine.find_instances(Motif.chain(3, delta=10, phi=0)).count
-        1
-        """
-        from repro.parallel.engine import ParallelFlowMotifEngine
-
-        return ParallelFlowMotifEngine(
-            self._ts,
-            jobs=jobs,
-            shards=shards,
-            backend=backend,
-            use_shared_memory=use_shared_memory,
-        )
-
     # ------------------------------------------------------------------
     # Phase P2 entry points
     # ------------------------------------------------------------------

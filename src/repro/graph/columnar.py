@@ -345,6 +345,16 @@ class ColumnStore:
         shm = shared_memory.SharedMemory(
             create=True, size=max(total, 1), name=name
         )
+        try:
+            # On tmpfs a new block takes its pages on first write, and a
+            # write past the free space is SIGBUS, not an error: back the
+            # whole block now, so one that does not fit raises ENOSPC.
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(shm._fd, 0, max(total, 1))
+        except OSError:
+            shm.close()
+            shm.unlink()
+            raise
         buf = shm.buf
         _HEADER.pack_into(buf, 0, _MAGIC, _SHM_VERSION, len(meta))
         buf[_HEADER.size : _HEADER.size + len(meta)] = meta

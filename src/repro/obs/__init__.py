@@ -31,8 +31,8 @@ Turn it on around any region with::
     print(ob.render_profile())       # span-attributed hot frames
 
 Activation is thread-local: concurrent observed regions on different
-threads (e.g. per-task activation inside the thread pool backend) do
-not see each other's registries.
+threads (e.g. engines queried from two user threads) do not see each
+other's registries.
 """
 
 from __future__ import annotations

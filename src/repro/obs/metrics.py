@@ -4,9 +4,9 @@ One :class:`MetricsRegistry` holds counters, gauges, and fixed-bucket
 histograms, keyed by a metric name plus an optional sorted label set.
 Registries are designed around the parallel engine's fan-out model:
 
-* **per-worker registries** — each worker process (or thread task)
-  records into its own registry, snapshots it, and ships the plain-dict
-  snapshot back with its results;
+* **per-worker registries** — each shard task, in a worker process or
+  inline, records into its own registry, snapshots it, and ships the
+  plain-dict snapshot back with its results;
 * **associative merge** — :meth:`MetricsRegistry.merge` folds snapshots
   together with order-independent semantics (counters and histogram
   buckets *sum*, gauges take the *max*), so merging per-worker snapshots

@@ -24,7 +24,7 @@ to exactly one owning shard. This package builds on that observation:
 * :mod:`repro.parallel.engine` — :class:`ParallelFlowMotifEngine`, a
   drop-in mirror of :class:`~repro.core.engine.FlowMotifEngine`
   (``find_instances`` / ``count_instances`` / ``top_k``) fanning shards out
-  over processes, threads, or a serial loop;
+  over a process pool or a serial loop;
 * :mod:`repro.parallel.batch` — :class:`BatchRunner`, a multi-motif grid
   evaluator sharing phase-P1 structural matches across same-topology
   (motif, δ, φ) configurations — the paper's own Table 4 observation that

@@ -11,7 +11,7 @@ property-tested for arbitrary shard counts in ``tests/parallel``.
 >>> g = InteractionGraph.from_tuples([
 ...     ("a", "b", 1.0, 5.0), ("b", "c", 2.0, 4.0), ("b", "c", 3.0, 2.0),
 ... ])
->>> engine = ParallelFlowMotifEngine(g, jobs=2, shards=3, backend="thread")
+>>> engine = ParallelFlowMotifEngine(g, jobs=2, shards=3, backend="serial")
 >>> result = engine.find_instances(Motif.chain(3, delta=10, phi=3))
 >>> result.count, result.shard_timings.num_shards
 (1, 3)
@@ -20,35 +20,34 @@ Backends
 --------
 ``"process"`` (default)
     :class:`concurrent.futures.ProcessPoolExecutor` — true multi-core
-    speedup. With ``use_shared_memory=True`` (default) the graph is
+    speedup for the pure-Python, CPU-bound shard kernel. The graph is
     exported once into a shared-memory
     :class:`~repro.graph.columnar.ColumnStore` and each worker's
     :class:`~repro.parallel.worker.ShardTask` carries only the shm name
     and shard bounds — zero-copy fan-out; workers rebuild their slice
-    as memoryview views over the shared block.
-    Results must still pickle (they do for all built-in node types;
-    pass ``backend="thread"`` for exotic ones).
-``"thread"``
-    :class:`concurrent.futures.ThreadPoolExecutor` — no pickling and no
-    fork cost; useful for testing and for C-extension-heavy futures.
+    as memoryview views over the shared block. Graphs the store cannot
+    hold bit-exactly, and hosts without usable shared memory, fall back
+    to pickled shard slices. Results must still pickle (they do for all
+    built-in node types; use ``"serial"`` for exotic ones).
 ``"serial"``
     In-process loop over shards, regardless of ``jobs`` — the
-    deterministic reference used by the equivalence tests.
+    deterministic reference used by the equivalence tests, and the last
+    step of the degradation chain.
 
 ``jobs=1`` always runs the serial loop, so single-job runs are exactly
 reproducible without pool nondeterminism.
 
 Worker pools
 ------------
-Each engine keeps one executor per backend, started on its first
-fan-out and reused by every later query and retry round, so a query
-pays neither a fork nor a store attach once the pool is warm; process
-workers also keep the shards they have sliced
+Each engine keeps one process pool, started on its first fan-out and
+reused by every later query and retry round, so a query pays neither a
+fork nor a store attach once the pool is warm; its workers also keep
+the shards they have sliced
 (:data:`repro.parallel.worker._STORES`). A round that records a fault or
 a timeout drops its pool without waiting on stragglers (a killed worker
 poisons a process pool), and the next round starts a fresh one.
-:meth:`ParallelFlowMotifEngine.close` shuts the pools down and joins
-their workers before it releases the shared-memory export.
+:meth:`ParallelFlowMotifEngine.close` shuts the pool down and joins
+its workers before it releases the shared-memory export.
 """
 
 from __future__ import annotations
@@ -56,14 +55,9 @@ from __future__ import annotations
 import logging
 import os
 import time as _time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.engine import SearchResult
 from repro.core.instance import MotifInstance
@@ -92,16 +86,12 @@ from repro.resilience.retry import (
 
 LOG = logging.getLogger("repro.parallel.engine")
 
-_BACKENDS = ("process", "thread", "serial")
+_BACKENDS = ("process", "serial")
 
-#: Graceful-degradation order: when a backend exhausts its retries, the
-#: dispatcher falls through to the next entry — ending at "serial", which
-#: shares the caller's process and therefore cannot lose workers.
-_DEGRADATION_CHAIN = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
-    "serial": ("serial",),
-}
+#: Graceful-degradation order: when the process pool exhausts its
+#: retries, the dispatcher falls through to "serial", which shares the
+#: caller's process and therefore cannot lose workers.
+_DEGRADATION_CHAIN = ("process", "serial")
 
 #: Partitions retained per engine. Each partition holds sliced copies of
 #: the graph's event arrays, so the memo is a small LRU rather than
@@ -119,26 +109,19 @@ class ParallelFlowMotifEngine:
         The raw :class:`InteractionGraph` or its merged
         :class:`TimeSeriesGraph` view.
     jobs:
-        Worker count; defaults to ``os.cpu_count()``. ``jobs=1`` runs
-        shards serially in-process.
+        Worker count, at least 1; defaults to ``os.cpu_count()``.
+        ``jobs=1`` runs shards serially in-process.
     shards:
-        Shard count; defaults to ``jobs``. More shards than jobs gives
-        the pool latitude to balance uneven shards.
+        Shard count, at least 1; defaults to ``jobs``. More shards than
+        jobs gives the pool latitude to balance uneven shards.
     backend:
-        ``"process"``, ``"thread"`` or ``"serial"`` (see module notes).
-    use_shared_memory:
-        Process backend only: export the graph once into a shared-memory
-        :class:`~repro.graph.columnar.ColumnStore` and ship workers its
-        name and the shard bounds instead of pickled series (default
-        True). Disable to fall back to pickled shard slices, e.g. on
-        platforms without POSIX shared memory. Graphs whose node ids are
-        not ``int``/``str`` fall back automatically.
+        ``"process"`` or ``"serial"`` (see module notes).
     retry_policy:
         Fault-tolerance knobs for shard dispatch (see
         :class:`repro.resilience.RetryPolicy`): per-round shard timeout,
         bounded retries with deterministic backoff, and whether the
-        engine may degrade ``process → thread → serial`` when a backend
-        keeps failing. The default policy retries twice per backend and
+        engine may degrade ``process → serial`` when the pool keeps
+        failing. The default policy retries twice per backend and
         degrades; shard tasks are pure functions of their payload, so a
         retried or degraded dispatch merges to output identical to an
         undisturbed run. The :attr:`last_dispatch` report records what
@@ -152,7 +135,7 @@ class ParallelFlowMotifEngine:
     partition per δ).
 
     A zero-copy engine owns one shared-memory block for its graph, and
-    every pool backend one executor; both are created lazily on the first
+    a process engine one worker pool; both are created lazily on the first
     fan-out, reused by every later query, and released by :meth:`close`
     (also wired to garbage collection, and to
     ``with ParallelFlowMotifEngine(...) as engine:``).
@@ -164,7 +147,6 @@ class ParallelFlowMotifEngine:
         jobs: Optional[int] = None,
         shards: Optional[int] = None,
         backend: str = "process",
-        use_shared_memory: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         # Set before validation: __del__ releases these even when the
@@ -173,8 +155,10 @@ class ParallelFlowMotifEngine:
         self._export_owned = False
         #: The store ref (shm name or segment path) tasks last shipped.
         self._store_ref: Optional[str] = None
-        #: One live executor per pool backend ("process", "thread").
-        self._pools: Dict[str, Executor] = {}
+        #: The live process pool, started on the first fan-out.
+        self._pool_executor: Optional[ProcessPoolExecutor] = None
+        #: Workers of pools dropped by failed rounds; close() ends them.
+        self._stragglers: List = []
         if isinstance(graph, InteractionGraph):
             self._ts = graph.to_time_series()
         elif isinstance(graph, TimeSeriesGraph):
@@ -188,17 +172,19 @@ class ParallelFlowMotifEngine:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {backend!r}"
             )
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.num_shards = max(1, shards if shards is not None else self.jobs)
+        for name, value in (("jobs", jobs), ("shards", shards)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+        self.num_shards = shards if shards is not None else self.jobs
         self.backend = backend
         # Zero-copy fan-out only pays off (and only applies) when shard
         # tasks actually cross a process boundary. Graphs a ColumnStore
         # cannot hold bit-exactly (exotic node ids, values not exact in
-        # float64) are detected when the export is first attempted and
-        # flip this flag back off — see _shard_tasks.
-        self._zero_copy = (
-            use_shared_memory and backend == "process" and self.jobs > 1
-        )
+        # float64), and hosts whose shared memory is missing or full,
+        # are detected when the export is first attempted and flip this
+        # flag back off — see _shard_tasks.
+        self._zero_copy = backend == "process" and self.jobs > 1
         self._partition_cache: dict = {}
         self._sorted_times: Optional[List[float]] = None
         self.retry_policy = (
@@ -286,20 +272,27 @@ class ParallelFlowMotifEngine:
         return self._export
 
     def close(self) -> None:
-        """Shut the worker pools down, joining their workers, and release
-        the shared-memory export (if this engine owns one).
+        """Shut the worker pool down, joining its workers (killing
+        those still running a failed round's task), and release the
+        shared-memory export (if this engine owns one).
 
-        Queries after ``close()`` start new pools and re-export lazily;
+        Queries after ``close()`` start a new pool and re-export lazily;
         calling it twice is safe.
         """
         self._release(wait=True)
 
     def _release(self, wait: bool) -> None:
-        for backend in list(self._pools):
-            self._drop_pool(backend, wait=wait)
+        self._drop_pool(wait=wait)
+        if wait:
+            stragglers, self._stragglers = self._stragglers, []
+            for proc in stragglers:
+                # SIGKILL: a caught SIGTERM runs Python handlers, which
+                # can block in a forked worker; its task is abandoned.
+                proc.kill()
+                proc.join()
         ref, self._store_ref = self._store_ref, None
         if ref is not None:
-            # Store-ref tasks that degraded to threads ran here and left
+            # Store-ref tasks that degraded to serial ran here and left
             # an attach of the store in this process's worker cache.
             _worker.release_store(ref)
         export, self._export = self._export, None
@@ -325,7 +318,7 @@ class ParallelFlowMotifEngine:
         self.close()
 
     def __del__(self) -> None:
-        if "_pools" not in self.__dict__:
+        if "_pool_executor" not in self.__dict__:
             return  # __init__ never ran: its arguments did not bind
         try:
             self._release(wait=False)
@@ -391,12 +384,13 @@ class ParallelFlowMotifEngine:
             else:
                 try:
                     transport = {"shm_name": self._shared_store().shm_name}
-                except (TypeError, ValueError, OSError):
+                except (TypeError, ValueError, OSError, ImportError):
                     # TypeError/ValueError: the graph cannot live in a
                     # ColumnStore bit-exactly (exotic node ids, values
                     # not exact in float64). OSError: shared memory
                     # itself is unavailable or too small (e.g. a
-                    # container's 64 MB /dev/shm). Either way the
+                    # container's 64 MB /dev/shm). ImportError: this
+                    # Python has no shared memory. Either way the
                     # pickled transport works.
                     self._zero_copy = False
                     self._partition_cache.clear()
@@ -486,9 +480,8 @@ class ParallelFlowMotifEngine:
 
         Fault-tolerant: failed or timed-out shards are retried per
         :attr:`retry_policy` (on a fresh pool after a failed round — a
-        ``BrokenExecutor`` poisons its pool), and when a backend exhausts
-        its retries the dispatcher degrades along
-        ``process → thread → serial``. Shard
+        ``BrokenExecutor`` poisons its pool), and when the process pool
+        exhausts its retries the dispatcher degrades to ``"serial"``. Shard
         tasks are pure, so a shard that succeeds on any round/backend
         contributes exactly the output it would have produced first try,
         and the merge stays identical to serial. Every failure is
@@ -507,7 +500,9 @@ class ParallelFlowMotifEngine:
         policy = self.retry_policy
         results: List = [None] * len(tasks)
         pending = list(range(len(tasks)))
-        chain = _DEGRADATION_CHAIN[self.backend]
+        chain = (
+            _DEGRADATION_CHAIN if policy.degrade else _DEGRADATION_CHAIN[:1]
+        )
         for step, backend in enumerate(chain):
             report.final_backend = backend
             if step > 0:
@@ -528,11 +523,9 @@ class ParallelFlowMotifEngine:
                 )
                 if not pending:
                     return self._adopt_replies(results)
-            if not policy.degrade:
-                break
         raise ShardExecutionError(
             f"shards {pending} failed on every backend "
-            f"({' -> '.join(chain if policy.degrade else chain[:1])}) "
+            f"({' -> '.join(chain)}) "
             f"after {policy.max_retries} retries each; fault history: "
             f"{'; '.join(str(f) for f in report.faults)}",
             faults=report.faults,
@@ -550,9 +543,9 @@ class ParallelFlowMotifEngine:
         """One dispatch round over the still-pending shards.
 
         Fills ``results`` in place and returns the shard indices that
-        failed this round (classified and recorded on the way). Pool
-        backends run on the engine's executor for ``backend``, which a
-        round that fails drops (see :meth:`_pool`).
+        failed this round (classified and recorded on the way). The
+        process step runs on the engine's pool, which a round that fails
+        drops (see :meth:`_pool`).
         """
         if backend == "serial":
             failed: List[int] = []
@@ -575,7 +568,7 @@ class ParallelFlowMotifEngine:
             with _tracing.span(
                 "parallel.dispatch", backend=backend, round=round_no
             ):
-                pool = self._pool(backend)
+                pool = self._pool()
                 futures = {}
                 for index in pending:
                     try:
@@ -617,32 +610,29 @@ class ParallelFlowMotifEngine:
             if not healthy:
                 # Don't wait on stragglers from a timed-out round, and
                 # never reuse a possibly-broken pool.
-                self._drop_pool(backend)
+                self._drop_pool()
         return failed
 
-    def _pool(self, backend: str) -> Executor:
-        """The engine's executor for ``backend``, started on first use.
+    def _pool(self) -> ProcessPoolExecutor:
+        """The engine's process pool, started on first use.
 
         It has ``jobs`` workers, capped at the shard count: a fan-out
         never has more tasks than shards, so wider pools would only fork
         idle workers.
         """
-        pool = self._pools.get(backend)
-        if pool is None:
-            pool_cls = (
-                ProcessPoolExecutor if backend == "process"
-                else ThreadPoolExecutor
-            )
-            pool = self._pools[backend] = pool_cls(
+        if self._pool_executor is None:
+            self._pool_executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, self.num_shards)
             )
-        return pool
+        return self._pool_executor
 
-    def _drop_pool(self, backend: str, wait: bool = False) -> None:
-        """Shut the ``backend`` executor down (if one is live) and forget
-        it; ``wait`` joins its workers."""
-        pool = self._pools.pop(backend, None)
+    def _drop_pool(self, wait: bool = False) -> None:
+        """Shut the process pool down (if one is live) and forget it;
+        ``wait`` joins its workers, else :meth:`close` ends them."""
+        pool, self._pool_executor = self._pool_executor, None
         if pool is not None:
+            if not wait:  # shutdown() forgets its private worker map
+                self._stragglers.extend(pool._processes.values())
             pool.shutdown(wait=wait, cancel_futures=True)
 
     # ------------------------------------------------------------------

@@ -34,14 +34,15 @@ uses the recorded per-pair offsets to rebind instances onto the parent
 graph (:mod:`repro.parallel.merge`).
 
 Two materialization modes exist. ``materialize=True`` (default) slices the
-parent series into per-shard copies — the payload the thread/serial
-backends use directly. ``materialize=False`` produces *light* shards
-(``graph=None``): only the cut bounds and rebinding offsets, computed with
-bisects and no copying. The process backend ships light-shard bounds plus
-a shared-memory name; each worker slices its shard as zero-copy
-memoryview views straight off the attached :class:`~repro.graph.columnar.
-ColumnStore`'s series (:func:`slice_shard`). Both modes cut identically,
-so worker-side slices line up exactly with the parent-side offsets.
+parent series into per-shard copies — the payload the serial backend and
+the pickled transport use directly. ``materialize=False`` produces *light*
+shards (``graph=None``): only the cut bounds and rebinding offsets,
+computed with bisects and no copying. The process backend ships
+light-shard bounds plus a shared-memory name; each worker slices its shard
+as zero-copy memoryview views straight off the attached
+:class:`~repro.graph.columnar.ColumnStore`'s series (:func:`slice_shard`).
+Both modes cut identically, so worker-side slices line up exactly with the
+parent-side offsets.
 """
 
 from __future__ import annotations
@@ -209,10 +210,11 @@ def partition_time_range(
         should compute it once and pass it in.
     materialize:
         ``True`` (default) builds per-shard sliced copies of the series —
-        what thread/serial workers consume directly. ``False`` builds
-        light shards (``graph=None``) carrying only bounds and rebinding
-        offsets: the zero-copy process backend ships those bounds and has
-        each worker slice its own view of the shared columnar store.
+        what the serial backend and pickled tasks consume directly.
+        ``False`` builds light shards (``graph=None``) carrying only
+        bounds and rebinding offsets: the zero-copy process backend ships
+        those bounds and has each worker slice its own view of the shared
+        columnar store.
 
     Returns
     -------

@@ -4,7 +4,7 @@ Every sharded query — find, count, top-k, or a batch grid — ships one
 :class:`ShardTask` per shard and gets one :class:`ShardReply` back. The
 task is a frozen, picklable value, so it is dispatched over a
 :class:`concurrent.futures.ProcessPoolExecutor` as readily as it is run
-inline by the thread/serial backends. It carries the shard in one of
+inline by the serial backend. It carries the shard in one of
 three ways:
 
 * the name of a shared-memory :class:`~repro.graph.columnar.ColumnStore`
@@ -12,7 +12,7 @@ three ways:
 * the path of a sealed segment file (``segment_path``) when the graph is
   backed by the durable store;
 * the materialized :class:`~repro.parallel.partition.TimeShard` itself,
-  for the pickled transport and the in-process backends.
+  for the pickled transport and the serial backend.
 
 With a store ref only the shard's ``bounds`` travel; the worker resolves
 the store once per process and slices each shard once, straight off the
@@ -278,8 +278,9 @@ _STORES_LOCK = threading.Lock()
 
 
 def _reset_lock_in_child() -> None:
-    # A pool forked while a thread of this process held the lock (a
-    # straggler from a timed-out thread round) would inherit it held.
+    # A pool forked while another thread of this process held the lock
+    # (a user thread running an engine's inline path) would inherit it
+    # held.
     global _STORES_LOCK
     _STORES_LOCK = threading.Lock()
 
@@ -323,7 +324,7 @@ def release_store(ref: str) -> None:
 
     Pool workers exit with their pool; this is for the dispatching
     process, where store-ref tasks run inline after a process dispatch
-    degrades to threads. A view still alive elsewhere pins the mapping
+    degrades to serial. A view still alive elsewhere pins the mapping
     (``BufferError``); it is then released when the last view dies.
     """
     with _STORES_LOCK:
@@ -359,15 +360,15 @@ def run_shard_task(task: ShardTask) -> ShardReply:
 
     An untraced task (``task.trace is None``) just runs. Otherwise a
     *fresh* per-task registry and tracer are activated on this thread —
-    thread-local activation means concurrent thread-backend tasks never
-    share mutable state — and the previous state is restored afterwards,
-    so the serial inline path leaves the dispatcher's own registry
-    untouched. The tracer is parented at the shipped context, and the
-    whole task (store resolve and materialize included) runs under one
-    ``worker.shard_task`` span. ``profile_hz`` arms a sampling
-    :class:`~repro.obs.profiler.Profiler` pinned to this thread — unless
-    one is already sampling it (the serial inline path, where a second
-    profiler would double-count).
+    thread-local activation means engines run from concurrent user
+    threads never share mutable state — and the previous state is
+    restored afterwards, so the serial inline path leaves the
+    dispatcher's own registry untouched. The tracer is parented at the
+    shipped context, and the whole task (store resolve and materialize
+    included) runs under one ``worker.shard_task`` span. ``profile_hz``
+    arms a sampling :class:`~repro.obs.profiler.Profiler` pinned to this
+    thread — unless one is already sampling it (the serial inline path,
+    where a second profiler would double-count).
 
     The reply's spans, snapshot and profile are what the engine stitches,
     merges and adopts parent-side.

@@ -8,10 +8,10 @@ arrive in perfect time order. This package drops those assumptions:
   exponential backoff with deterministic seeded jitter, per-round shard
   timeouts), error classification, and the typed failures
   (:class:`ShardExecutionError`, :class:`ShardTimeoutError`) the parallel
-  engine raises instead of swallowing worker errors. The engine walks a
-  ``process → thread → serial`` degradation chain when a backend keeps
-  failing; merged output stays identical to serial throughout
-  (chaos-property-tested in ``tests/resilience``).
+  engine raises instead of swallowing worker errors. The engine degrades
+  ``process → serial`` when the process pool keeps failing; merged output
+  stays identical to serial throughout (chaos-property-tested in
+  ``tests/resilience``).
 * :mod:`repro.resilience.shm_registry` — crash-safe lifecycle for
   shared-memory :class:`~repro.graph.columnar.ColumnStore` exports: a
   process-wide registry with ``atexit``/``SIGTERM`` cleanup, creator-pid

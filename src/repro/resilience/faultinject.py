@@ -80,7 +80,7 @@ class FaultSpec:
     only_workers:
         Restrict the fault to processes other than the one that armed the
         plan (i.e. pool workers). Keeps ``"kill"`` from terminating the
-        driver when the engine degrades to thread/serial execution.
+        dispatching process when the engine degrades to serial execution.
     """
 
     kind: str

@@ -7,7 +7,7 @@ re-run it on the same backend, how long to wait between rounds
 the same policy sleep the same schedule, so chaos tests and replayed
 incidents are reproducible), how long a dispatch round may take before
 outstanding shards are declared timed out, and whether the engine may walk
-the ``process → thread → serial`` degradation chain when a backend keeps
+the ``process → serial`` degradation chain when the process pool keeps
 failing.
 
 Failures are *classified*, never swallowed: every observed error becomes a
@@ -65,7 +65,7 @@ def classify_error(exc: BaseException) -> str:
     if isinstance(exc, (FuturesTimeoutError, ShardTimeoutError, TimeoutError)):
         return "timeout"
     if isinstance(exc, BrokenExecutor):
-        # BrokenProcessPool / BrokenThreadPool: a worker died under us.
+        # BrokenProcessPool: a worker died under us.
         return "worker-crash"
     if isinstance(exc, (pickle.PicklingError, pickle.UnpicklingError)):
         return "serialization"
@@ -98,8 +98,8 @@ class RetryPolicy:
         the round's deadline passes are classified ``"timeout"`` and
         retried. ``None`` disables the deadline.
     degrade:
-        Allow the engine to walk ``process → thread → serial`` when a
-        backend exhausts its retries. With ``False`` the engine raises
+        Allow the engine to degrade ``process → serial`` when the process
+        pool exhausts its retries. With ``False`` the engine raises
         :class:`ShardExecutionError` instead.
     seed:
         Jitter seed (see above).
@@ -176,7 +176,7 @@ class DispatchReport:
     final_backend: str = ""
     #: Retry rounds executed beyond the first attempt, across backends.
     retry_rounds: int = 0
-    #: Degradation steps taken, e.g. ``["thread", "serial"]``.
+    #: Degradation steps taken, e.g. ``["serial"]``.
     degradations: List[str] = field(default_factory=list)
     faults: List[FaultEvent] = field(default_factory=list)
 

@@ -7,6 +7,7 @@ import random
 import zlib
 
 import pytest
+from shm_faults import fail_shm_export
 
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
@@ -48,6 +49,13 @@ def _derive_seed(nodeid: str) -> int:
 def seeded_rng(base_seed):
     """A ``random.Random`` seeded from :func:`base_seed`."""
     return random.Random(base_seed)
+
+
+@pytest.fixture
+def shm_unavailable():
+    """:func:`fail_shm_export` for one test; yields the mock."""
+    with fail_shm_export() as failing:
+        yield failing
 
 
 @pytest.fixture(scope="module")

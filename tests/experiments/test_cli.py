@@ -89,6 +89,48 @@ class TestFindCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "0"], ["--jobs", "-3"], ["--shards", "0"],
+         ["--jobs", "2", "--shards", "-1"]],
+        ids=" ".join,
+    )
+    def test_find_rejects_counts_below_one(self, edges_file, flag, capsys):
+        """``--jobs``/``--shards`` below 1 exit 2 with a message instead
+        of being clamped (or silently picking the serial engine)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["find", edges_file, "--delta", "10"] + flag)
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(["--backend", "thread"], "invalid choice"),
+         (["--no-shm"], "unrecognized arguments")],
+        ids=["--backend thread", "--no-shm"],
+    )
+    def test_find_removed_parallel_flags_rejected(
+        self, edges_file, flag, message, capsys
+    ):
+        """The thread backend and ``--no-shm`` are gone: argparse rejects
+        them instead of ignoring them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["find", edges_file, "--delta", "10", "--jobs", "2"] + flag)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_find_parallel_matches_serial(self, edges_file, capsys):
+        args = ["find", edges_file, "--motif", "M(3,3)", "--delta", "10"]
+
+        def records():
+            out = capsys.readouterr().out.splitlines()
+            return sorted(line for line in out if line.startswith("{"))
+
+        assert main(args) == 0
+        serial = records()
+        assert main(args + ["--jobs", "2", "--shards", "3"]) == 0
+        assert records() == serial != []
+
 
 class TestStreamCommand:
     @pytest.fixture

@@ -11,16 +11,21 @@ name.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
+import os
 import random
+from unittest import mock
 
 import pytest
+from shm_faults import fail_shm_export
 
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnarEdgeSeries, ColumnStore, columnarize
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import EdgeSeries, TimeSeriesGraph
+from repro.resilience.shm_registry import active_segments
 
 
 def _random_graph(seed: int, num_events: int = 80) -> InteractionGraph:
@@ -182,6 +187,41 @@ class TestSharedMemory:
             assert remote == _digest(ts)
         finally:
             shared.close(unlink=True)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "posix_fallocate"), reason="no posix_fallocate"
+    )
+    def test_export_backs_its_whole_block_before_writing(self):
+        """On tmpfs a new block takes its pages on first write, and a
+        write past the free space is SIGBUS, not an error; so the export
+        reserves every byte of the block first."""
+        ts = _random_graph(8).to_time_series()
+        with mock.patch.object(
+            os, "posix_fallocate", wraps=os.posix_fallocate
+        ) as fallocate:
+            shared = ColumnStore.from_graph(ts).to_shared()
+        try:
+            ((_fd, offset, length),) = [
+                call.args for call in fallocate.call_args_list
+            ]
+            assert offset == 0 and length == shared._shm.size
+        finally:
+            shared.close(unlink=True)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm to list"
+    )
+    def test_export_that_does_not_fit_raises_and_leaves_no_block(self):
+        ts = _random_graph(9).to_time_series()
+        store = ColumnStore.from_graph(ts)
+        before = set(os.listdir("/dev/shm"))
+        with fail_shm_export() as fallocate:
+            with pytest.raises(OSError) as excinfo:
+                store.to_shared()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert fallocate.call_count == 1
+        assert set(os.listdir("/dev/shm")) - before == set()
+        assert active_segments() == []
 
     def test_attach_missing_block_raises(self):
         with pytest.raises((FileNotFoundError, OSError)):

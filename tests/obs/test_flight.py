@@ -184,7 +184,7 @@ class TestFaultIntegration:
             fi.FaultSpec("raise", shards=(0,), times=1, only_workers=False)
         ):
             with ParallelFlowMotifEngine(
-                g, jobs=2, shards=4, backend="thread"
+                g, jobs=2, shards=4, backend="process"
             ) as engine:
                 count = engine.find_instances(motif, collect=False).count
         assert count == expected

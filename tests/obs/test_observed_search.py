@@ -122,14 +122,15 @@ class TestStitchedParallelTrace:
         assert result.count == serial.count
 
 
-class TestThreadBackendTrace:
-    def test_thread_backend_stitches_single_root(self):
+class TestBackendTrace:
+    @pytest.mark.parametrize("backend", ["process", "serial"])
+    def test_backend_stitches_single_root(self, backend):
         graph = _graph(num_events=600)
         with obs.observe() as observation:
-            engine = ParallelFlowMotifEngine(
-                graph, jobs=2, shards=2, backend="thread"
-            )
-            engine.find_instances(MOTIF, collect=False)
+            with ParallelFlowMotifEngine(
+                graph, jobs=2, shards=2, backend=backend
+            ) as engine:
+                engine.find_instances(MOTIF, collect=False)
         roots = stitch_trace(observation.spans())
         assert len(roots) == 1
         names = [c.span.name for c in roots[0].children]

@@ -110,7 +110,7 @@ class TestSerialBatch:
 
 
 class TestShardedBatch:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_matches_serial_batch(self, fig2_graph, backend):
         configs = _grid()
         serial = BatchRunner(fig2_graph, jobs=1).run(configs)
@@ -166,7 +166,7 @@ class TestRunnerConfigValidation:
             BatchRunner(fig2_graph, jobs=2, backend="proces")
 
     def test_sharded_reports_wall_time(self, fig2_graph):
-        runner = BatchRunner(fig2_graph, jobs=2, shards=3, backend="thread")
+        runner = BatchRunner(fig2_graph, jobs=2, shards=3, backend="serial")
         results = runner.run(_grid())
         for result in results:
             assert result.shard_timings is not None

@@ -8,8 +8,10 @@ must shrink by ≥10× versus pickled shard slices.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.graph.interaction import InteractionGraph
 from repro.parallel import BatchRunner, MotifConfig, ParallelFlowMotifEngine
 from repro.parallel.partition import partition_time_range
 from repro.parallel.worker import ShardTask
+from repro.resilience.shm_registry import active_segments
 
 
 def _random_graph(seed: int, num_events: int = 90) -> InteractionGraph:
@@ -45,7 +48,7 @@ MOTIFS = [
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_columnar_graph_matches_list_backed_all_backends(seed, backend):
     """find/count/top_k on a columnar-backed graph ≡ list-backed results."""
     graph = _random_graph(seed)
@@ -69,20 +72,66 @@ def test_columnar_graph_matches_list_backed_all_backends(seed, backend):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_zero_copy_process_equals_pickled_process(seed):
+def test_zero_copy_process_equals_pickled_process(seed, request):
     """The shm transport and the pickled-shard transport agree exactly."""
     graph = _random_graph(seed)
     motif = Motif.chain(3, delta=9, phi=4)
     with ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process"
-    ) as shm_engine, ParallelFlowMotifEngine(
-        graph, jobs=2, shards=3, backend="process", use_shared_memory=False
-    ) as pickled_engine:
-        assert shm_engine._zero_copy and not pickled_engine._zero_copy
+    ) as shm_engine:
         a = shm_engine.find_instances(motif)
+        assert shm_engine._zero_copy
+    request.getfixturevalue("shm_unavailable")
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="process"
+    ) as pickled_engine:
         b = pickled_engine.find_instances(motif)
-        assert a.count == b.count
-        assert _keys(a.instances) == _keys(b.instances)
+        assert not pickled_engine._zero_copy
+    assert a.count == b.count
+    assert _keys(a.instances) == _keys(b.instances)
+
+
+def test_shm_export_oserror_falls_back_to_pickled_slices(shm_unavailable):
+    """A full or missing /dev/shm makes the export raise OSError: the
+    process engine ships pickled slices instead, tries the export once,
+    and leaves no segment behind."""
+    graph = _random_graph(6)
+    motif = Motif.chain(3, delta=9, phi=4)
+    queries = ((motif, 9.0, 4.0),)
+    reference = FlowMotifEngine(graph).find_instances(motif)
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="process"
+    ) as engine:
+        result = engine.find_instances(motif)
+        assert shm_unavailable.call_count == 1
+        tasks = engine._shard_tasks(engine.partition(9.0), "search", queries)
+        assert all(t.shard is not None and t.shm_name is None for t in tasks)
+        again = engine.count_instances(motif)
+        assert shm_unavailable.call_count == 1  # the export is not retried
+        assert engine.last_dispatch.final_backend == "process"
+    assert active_segments() == []
+    assert result.count == again.count == reference.count
+    assert _keys(result.instances) == _keys(reference.instances)
+
+
+def test_python_without_shared_memory_falls_back_to_pickled_slices(
+    monkeypatch,
+):
+    """A Python built without POSIX shared memory cannot import
+    ``multiprocessing.shared_memory``: the engine pickles instead."""
+    monkeypatch.delattr(multiprocessing, "shared_memory", raising=False)
+    monkeypatch.setitem(sys.modules, "multiprocessing.shared_memory", None)
+    graph = _random_graph(7)
+    motif = Motif.chain(3, delta=9, phi=4)
+    reference = FlowMotifEngine(graph).find_instances(motif)
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="process"
+    ) as engine:
+        result = engine.find_instances(motif)
+        assert not engine._zero_copy
+        assert engine.last_dispatch.final_backend == "process"
+    assert active_segments() == []
+    assert _keys(result.instances) == _keys(reference.instances)
 
 
 def test_spawn_payload_at_least_10x_smaller():
@@ -123,20 +172,20 @@ def test_export_created_lazily_and_reused_across_queries():
     engine.close()  # idempotent
 
 
-def test_columnar_graph_with_shm_disabled_still_pickles():
-    """The documented no-shm fallback must work even when the *parent*
-    graph is columnar-backed: materialized shards are list-backed copies
+def test_columnar_graph_without_shm_still_pickles(shm_unavailable):
+    """The pickled fallback must work even when the *parent* graph is
+    columnar-backed: materialized shards are list-backed copies
     (memoryview slices cannot pickle)."""
     graph = _random_graph(5)
     ts = graph.to_time_series()
     motif = Motif.chain(3, delta=9, phi=4)
     reference = FlowMotifEngine(ts).find_instances(motif)
     with ParallelFlowMotifEngine(
-        columnarize(ts), jobs=2, shards=3, backend="process",
-        use_shared_memory=False,
+        columnarize(ts), jobs=2, shards=3, backend="process"
     ) as engine:
         result = engine.find_instances(motif)
         report = engine.last_dispatch
+    assert shm_unavailable.call_count == 1
     assert report.faults == [] and report.degradations == []
     assert report.final_backend == "process"
     assert result.count == reference.count
@@ -200,15 +249,14 @@ def test_exotic_node_ids_fall_back_to_pickled_transport():
     assert result.count == again.count == reference.count == 1
 
 
-def test_thread_and_serial_backends_skip_shared_memory():
+def test_serial_backend_skips_shared_memory():
     graph = _random_graph(2)
-    for backend in ("thread", "serial"):
-        with ParallelFlowMotifEngine(
-            graph, jobs=2, shards=2, backend=backend
-        ) as engine:
-            assert not engine._zero_copy
-            engine.find_instances(MOTIFS[0])
-            assert engine._export is None
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=2, backend="serial"
+    ) as engine:
+        assert not engine._zero_copy
+        engine.find_instances(MOTIFS[0])
+        assert engine._export is None
 
 
 def test_batch_runner_zero_copy_parity():

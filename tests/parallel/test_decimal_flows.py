@@ -64,14 +64,13 @@ def test_base_slice_of_columnar_series_is_a_picklable_list_copy():
         assert clone.times == part.times and clone.flows == part.flows
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_sharded_search_matches_serial_on_decimal_flows(backend):
+def test_sharded_search_matches_serial_on_decimal_flows():
     disagreements = []
     for seed in range(60):
         graph = _decimal_graph(seed)
         serial = FlowMotifEngine(graph)
         with ParallelFlowMotifEngine(
-            graph, jobs=1, shards=3, backend=backend
+            graph, jobs=1, shards=3, backend="serial"
         ) as sharded:
             for motif in MOTIFS:
                 if _keys(serial.find_instances(motif)) != _keys(

@@ -73,10 +73,11 @@ def test_jobs_do_not_change_results(jobs, base_seed):
     graph = _random_graph(seed=base_seed + 3)
     motif = Motif.chain(3, delta=9, phi=4)
     serial = FlowMotifEngine(graph).find_instances(motif)
-    backend = "serial" if jobs == 1 else "thread"
-    parallel = ParallelFlowMotifEngine(
+    backend = "serial" if jobs == 1 else "process"
+    with ParallelFlowMotifEngine(
         graph, jobs=jobs, shards=4, backend=backend
-    ).find_instances(motif)
+    ) as engine:
+        parallel = engine.find_instances(motif)
     assert _keys(parallel.instances) == _keys(serial.instances)
 
 
@@ -113,9 +114,10 @@ def test_parallel_runs_are_mutually_deterministic(base_seed):
     reference = ParallelFlowMotifEngine(
         graph, jobs=1, shards=4
     ).find_instances(motif)
-    again = ParallelFlowMotifEngine(
-        graph, jobs=2, shards=4, backend="thread"
-    ).find_instances(motif)
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=4, backend="process"
+    ) as engine:
+        again = engine.find_instances(motif)
     assert [i.canonical_key() for i in again.instances] == [
         i.canonical_key() for i in reference.instances
     ]

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import os
+
 import pytest
 
 from repro.core.engine import FlowMotifEngine
 from repro.core.instance import is_maximal, is_valid_instance
 from repro.core.motif import Motif
-from repro.parallel import ParallelFlowMotifEngine
+from repro.parallel import BatchRunner, ParallelFlowMotifEngine
 from repro.utils.timing import ShardTimingReport
 
 
 def _keys(instances):
     return sorted(i.canonical_key() for i in instances)
+
+
+def _kwargs_id(kwargs):
+    return ",".join(f"{key}={value}" for key, value in kwargs.items())
 
 
 class TestEquivalenceOnFixtures:
@@ -112,10 +119,10 @@ class TestHaloNecessity:
 
 
 class TestBackendsAndConfig:
-    def test_thread_backend_matches_serial(self, fig2_graph, triangle_phi0):
+    def test_serial_backend_matches_serial(self, fig2_graph, triangle_phi0):
         serial = FlowMotifEngine(fig2_graph).find_instances(triangle_phi0)
         parallel = ParallelFlowMotifEngine(
-            fig2_graph, jobs=2, shards=3, backend="thread"
+            fig2_graph, jobs=2, shards=3, backend="serial"
         ).find_instances(triangle_phi0)
         assert _keys(parallel.instances) == _keys(serial.instances)
 
@@ -124,13 +131,6 @@ class TestBackendsAndConfig:
         parallel = ParallelFlowMotifEngine(
             fig2_graph, jobs=2, shards=2, backend="process"
         ).find_instances(triangle_phi0)
-        assert _keys(parallel.instances) == _keys(serial.instances)
-
-    def test_engine_parallel_constructor(self, fig2_engine, triangle_phi0):
-        serial = fig2_engine.find_instances(triangle_phi0)
-        parallel = fig2_engine.parallel(jobs=1, shards=3).find_instances(
-            triangle_phi0
-        )
         assert _keys(parallel.instances) == _keys(serial.instances)
 
     def test_invalid_backend_rejected(self, fig2_graph):
@@ -144,13 +144,47 @@ class TestBackendsAndConfig:
     def test_unknown_argument_raises_without_release_noise(
         self, fig2_graph, caplog
     ):
-        """An argument that does not bind (e.g. the removed cost model)
-        raises TypeError, and the half-built engine's finalizer logs
-        nothing."""
+        """Removed inputs are rejected: an argument that does not bind
+        (the cost model, the shared-memory switch) raises TypeError, the
+        removed thread backend ValueError, and the half-built engine's
+        finalizer logs nothing."""
         with caplog.at_level("DEBUG", logger="repro.parallel.engine"):
             with pytest.raises(TypeError):
                 ParallelFlowMotifEngine(fig2_graph, jobs=1, cost_model=None)
+            with pytest.raises(TypeError):
+                ParallelFlowMotifEngine(
+                    fig2_graph, jobs=2, use_shared_memory=False
+                )
+            with pytest.raises(ValueError, match="backend"):
+                ParallelFlowMotifEngine(fig2_graph, jobs=2, backend="thread")
+            gc.collect()
         assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"jobs": 0}, {"jobs": -3}, {"shards": 0}, {"shards": -1},
+         {"jobs": -3, "shards": 0}],
+        ids=_kwargs_id,
+    )
+    def test_out_of_range_jobs_or_shards_rejected(self, fig2_graph, kwargs):
+        with pytest.raises(ValueError, match="at least 1"):
+            ParallelFlowMotifEngine(fig2_graph, backend="serial", **kwargs)
+
+    def test_none_keeps_the_defaults(self, fig2_graph):
+        engine = ParallelFlowMotifEngine(
+            fig2_graph, jobs=None, shards=None, backend="serial"
+        )
+        assert engine.jobs == (os.cpu_count() or 1)
+        assert engine.num_shards == engine.jobs
+        engine = ParallelFlowMotifEngine(fig2_graph, jobs=3, backend="serial")
+        assert engine.num_shards == 3
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"jobs": 0}, {"shards": 0}], ids=_kwargs_id
+    )
+    def test_batch_runner_inherits_the_range_check(self, fig2_graph, kwargs):
+        with pytest.raises(ValueError, match="at least 1"):
+            BatchRunner(fig2_graph, backend="serial", **kwargs)
 
     def test_partition_is_memoized(self, fig2_graph):
         engine = ParallelFlowMotifEngine(fig2_graph, jobs=1, shards=2)

@@ -1,7 +1,7 @@
 """One worker pool per engine: queries reuse its workers and their shards.
 
-A :class:`ParallelFlowMotifEngine` starts one executor per backend on its
-first fan-out and keeps it until a round fails or the engine closes.
+A :class:`ParallelFlowMotifEngine` starts one process pool on its first
+fan-out and keeps it until a round fails or the engine closes.
 Each case here fails on a design that starts a pool per dispatch round,
 that hands the fault plan to workers through their environment, or that
 keeps a shard's P1 match lists anywhere but next to the shard.
@@ -14,7 +14,6 @@ import multiprocessing
 import os
 import random
 import signal
-import threading
 import time
 
 import pytest
@@ -81,6 +80,21 @@ def no_children():
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert multiprocessing.active_children() == []
+
+
+def test_close_ends_a_timed_out_rounds_straggler(graph, serial, no_children):
+    """A timed-out round drops its pool without waiting, but its worker
+    still runs the delayed shard; leaving the ``with`` block ends it."""
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="process",
+        retry_policy=RetryPolicy(max_retries=2, timeout=0.5, base_delay=0.01,
+                                 jitter=0.0),
+    ) as engine:
+        with inject(FaultSpec(kind="delay", shards=(1,), delay=5.0, times=1)):
+            result = engine.find_instances(MOTIF)
+        assert "timeout" in engine.last_dispatch.fault_categories
+    assert multiprocessing.active_children() == []
+    assert result.count == serial.count
 
 
 def test_queries_share_worker_pids(graph, serial):
@@ -175,35 +189,8 @@ def test_close_joins_the_workers(graph, serial, no_children, surface):
     assert counts == [serial.count] * 2
 
 
-def test_thread_backend_reuses_its_pool(graph, serial, monkeypatch):
-    # Two shards on two threads: the barrier makes both threads of the
-    # pool run one task each in every query.
-    barrier = threading.Barrier(2, timeout=10.0)
-    ran_on = []
-    run = _worker.run_shard_task
-
-    def recording(task):
-        ran_on.append(threading.current_thread())
-        barrier.wait()
-        return run(task)
-
-    monkeypatch.setattr(_worker, "run_shard_task", recording)
-    with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=2, backend="thread"
-    ) as engine:
-        first = engine.find_instances(MOTIF)
-        first_threads = set(ran_on)
-        del ran_on[:]
-        second = engine.find_instances(MOTIF)
-        assert engine.last_dispatch.faults == []
-    assert len(first_threads) == 2
-    assert set(ran_on) == first_threads
-    for result in (first, second):
-        assert _keys(result.instances) == _keys(serial.instances)
-
-
 def test_close_releases_the_inline_attach_after_degradation(graph, serial):
-    """A dispatch that degrades to threads runs store-ref tasks in this
+    """A dispatch that degrades to serial runs store-ref tasks in this
     process; closing the engine drops the attach they cached here."""
     engine = ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process",
@@ -212,7 +199,8 @@ def test_close_releases_the_inline_attach_after_degradation(graph, serial):
     try:
         with inject(FaultSpec(kind="kill", times=10**9)):
             result = engine.find_instances(MOTIF)
-        assert engine.last_dispatch.final_backend == "thread"
+        assert engine.last_dispatch.degradations == ["serial"]
+        assert engine.last_dispatch.final_backend == "serial"
         ref = engine._export.shm_name
         assert ref in _worker._STORES
     finally:
@@ -305,8 +293,8 @@ def test_shard_keeps_its_p1_list_across_queries(graph, monkeypatch):
         export.close(unlink=True)
 
 
-def test_release_after_thread_degradation_unmaps(graph, serial, caplog):
-    """The match lists a thread-degraded query cached in this process hold
+def test_release_after_serial_degradation_unmaps(graph, serial, caplog):
+    """The match lists a serial-degraded query cached in this process hold
     views into the export; releasing the store drops them with their
     shards, so neither the attach nor the export stays mapped."""
     engine = ParallelFlowMotifEngine(
@@ -317,7 +305,8 @@ def test_release_after_thread_degradation_unmaps(graph, serial, caplog):
         with inject(FaultSpec(kind="kill", times=10**9)):
             found = engine.find_instances(MOTIF)
             counted = engine.count_instances(MOTIF, phi=2.0)
-        assert engine.last_dispatch.final_backend == "thread"
+        assert engine.last_dispatch.degradations == ["serial"]
+        assert engine.last_dispatch.final_backend == "serial"
         assert _worker._STORES[engine._export.shm_name][1]
     finally:
         with caplog.at_level("DEBUG"):

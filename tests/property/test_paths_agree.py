@@ -27,9 +27,11 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
 from typing import Callable, Dict, List
 
 import pytest
+from shm_faults import fail_shm_export
 
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
@@ -165,6 +167,18 @@ def _parallel(**kwargs) -> Callable:
     return make
 
 
+@contextmanager
+def _pickled_engine(case, _tmp_path_factory):
+    """A process engine whose shared-memory export fails as on a full
+    /dev/shm, so every fan-out ships pickled slices."""
+    with fail_shm_export():
+        with ParallelFlowMotifEngine(
+            case.graph, jobs=2, shards=3, backend="process"
+        ) as engine:
+            yield engine
+        assert not engine._zero_copy
+
+
 def _segment_engine(case, tmp_path_factory):
     store = SegmentStore(str(tmp_path_factory.mktemp("segment")))
     store.extend(case.events)
@@ -186,18 +200,10 @@ PATHS: Dict[str, tuple] = {
     "parallel-serial": (
         _parallel(jobs=1, shards=3, backend="serial"), _find_on,
     ),
-    "parallel-thread": (
-        _parallel(jobs=2, shards=3, backend="thread"), _find_on,
-    ),
     "process-shm": (
         _parallel(jobs=2, shards=3, backend="process"), _find_on,
     ),
-    "process-pickled": (
-        _parallel(
-            jobs=2, shards=3, backend="process", use_shared_memory=False
-        ),
-        _find_on,
-    ),
+    "process-pickled": (_pickled_engine, _find_on),
     "process-segment": (_segment_engine, _find_on),
     "batch": (_batch_runner, _batch),
     "stream-live": (None, _stream_live),

@@ -20,6 +20,7 @@ from repro.core.matching import find_structural_matches
 from repro.core.motif import Motif
 from repro.core.topk import top_k_instances
 from repro.graph.interaction import InteractionGraph
+from repro.parallel import ParallelFlowMotifEngine
 
 MOTIFS = [
     Motif((0, 1, 2), delta=8.0),
@@ -80,10 +81,10 @@ def test_serial_cache_history_matches_pure_p1(case, motif):
 
 @settings(max_examples=25, deadline=None)
 @given(case=cases(), motif=st.sampled_from(MOTIFS))
-def test_thread_sharded_history_matches_pure_p1(case, motif):
+def test_serial_sharded_history_matches_pure_p1(case, motif):
     graph, phi = case
     pure = find_structural_matches(graph.to_time_series(), motif)
-    with FlowMotifEngine(graph).parallel(
-        jobs=2, shards=3, backend="thread"
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=3, backend="serial"
     ) as engine:
         _check_history(engine, pure, motif, phi)

@@ -78,9 +78,9 @@ def test_transient_worker_kill_is_retried(graph, motif, serial):
     assert report.degradations == []
 
 
-def test_persistent_kill_degrades_to_thread(graph, motif, serial):
+def test_persistent_kill_degrades_to_serial(graph, motif, serial):
     """When every process round dies, the engine must fall back to the
-    thread backend (where the kill fault cannot fire: same pid as the
+    serial backend (where the kill fault cannot fire: same pid as the
     owner) and still produce the serial answer."""
     with ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process",
@@ -90,13 +90,13 @@ def test_persistent_kill_degrades_to_thread(graph, motif, serial):
             result = engine.find_instances(motif)
         report = engine.last_dispatch
     assert _keys(result.instances) == _keys(serial.instances)
-    assert "thread" in report.degradations
-    assert report.final_backend in ("thread", "serial")
+    assert report.degradations == ["serial"]
+    assert report.final_backend == "serial"
 
 
-def test_transient_raise_on_thread_backend(graph, motif, serial):
+def test_transient_raise_on_process_backend(graph, motif, serial):
     with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=4, backend="thread",
+        graph, jobs=2, shards=4, backend="process",
         retry_policy=RetryPolicy(max_retries=2, **FAST),
     ) as engine:
         with inject(
@@ -107,13 +107,14 @@ def test_transient_raise_on_thread_backend(graph, motif, serial):
     assert _keys(result.instances) == _keys(serial.instances)
     assert report.retry_rounds >= 1
     assert "task-error" in report.fault_categories
+    assert report.final_backend == "process"
 
 
 def test_shard_timeout_is_classified_and_retried(graph, motif, serial):
     """A shard delayed past the round deadline times out, is retried
     (fault fires only once), and the merged output is unchanged."""
     with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=3, backend="thread",
+        graph, jobs=2, shards=3, backend="process",
         retry_policy=RetryPolicy(max_retries=2, timeout=0.5, **FAST),
     ) as engine:
         with inject(
@@ -133,7 +134,7 @@ def test_exhausted_retries_raise_with_fault_history(graph, motif):
     ShardExecutionError carrying the classified history — never silently
     return partial results."""
     with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=3, backend="thread",
+        graph, jobs=2, shards=3, backend="process",
         retry_policy=RetryPolicy(max_retries=1, degrade=False, **FAST),
     ) as engine:
         with inject(
@@ -178,7 +179,7 @@ def test_retry_rounds_are_deterministic(graph, motif):
     and fault categories), run to run."""
     def run():
         with ParallelFlowMotifEngine(
-            graph, jobs=2, shards=3, backend="thread",
+            graph, jobs=2, shards=3, backend="process",
             retry_policy=RetryPolicy(max_retries=2, seed=5, **FAST),
         ) as engine:
             with inject(

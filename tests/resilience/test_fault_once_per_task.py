@@ -58,7 +58,7 @@ def _run(engine: ParallelFlowMotifEngine, traced: bool):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("transport", ["pickled", "shm", "segment"])
-def test_one_shot_fault_fires_once(tmp_path, transport, traced):
+def test_one_shot_fault_fires_once(tmp_path, request, transport, traced):
     graph = _graph()
     serial = FlowMotifEngine(graph).find_instances(MOTIF)
     source = graph
@@ -66,9 +66,10 @@ def test_one_shot_fault_fires_once(tmp_path, transport, traced):
         path = str(tmp_path / "graph.seg")
         write_segment(ColumnStore.from_graph(graph.to_time_series()), path)
         source = open_segment(path).to_graph()
+    elif transport == "pickled":
+        request.getfixturevalue("shm_unavailable")
     engine = ParallelFlowMotifEngine(
-        source, jobs=2, shards=3, backend="process",
-        use_shared_memory=transport != "pickled", retry_policy=FAST,
+        source, jobs=2, shards=3, backend="process", retry_policy=FAST
     )
     try:
         task = engine._shard_tasks(
