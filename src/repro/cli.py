@@ -159,7 +159,6 @@ def _cmd_find(args: argparse.Namespace) -> int:
             graph,
             jobs=args.jobs,
             shards=args.shards,
-            backend=args.backend,
         )
     else:
         engine = FlowMotifEngine(graph)
@@ -681,11 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     find_parser.add_argument(
         "--shards", type=_positive_int, default=None,
         help="time-shard count for parallel search (default: --jobs)",
-    )
-    find_parser.add_argument(
-        "--backend", choices=["process", "serial"],
-        default="process",
-        help="parallel execution backend (default process)",
     )
     find_parser.add_argument(
         "--trace", action="store_true",

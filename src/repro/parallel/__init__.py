@@ -18,13 +18,13 @@ to exactly one owning shard. This package builds on that observation:
   back, and the one P1→P2 kernel :func:`~repro.parallel.worker.
   run_shard_task` runs for every kind. Store-ref workers attach or map
   the store once per process and slice their shard as zero-copy views;
-* :mod:`repro.parallel.merge` — the **deduplicating merger** that rebinds
-  shard-local instances onto the parent graph's series and aggregates
-  per-shard timings;
+* :mod:`repro.parallel.merge` — the merger that rebinds shard-local
+  instances onto the parent graph's series, shard by shard, and
+  aggregates per-shard timings;
 * :mod:`repro.parallel.engine` — :class:`ParallelFlowMotifEngine`, a
   drop-in mirror of :class:`~repro.core.engine.FlowMotifEngine`
   (``find_instances`` / ``count_instances`` / ``top_k``) fanning shards out
-  over a process pool or a serial loop;
+  over a process pool (``jobs > 1``) or running them inline (``jobs=1``);
 * :mod:`repro.parallel.batch` — :class:`BatchRunner`, a multi-motif grid
   evaluator sharing phase-P1 structural matches across same-topology
   (motif, δ, φ) configurations — the paper's own Table 4 observation that

@@ -90,15 +90,16 @@ class BatchRunner:
     jobs:
         Worker count. The timeline is partitioned once (halo = the
         grid's maximum δ) and each shard shares P1 across the whole
-        grid. With one shard (the ``jobs=1`` default) that shard covers
-        the whole timeline and runs in-process; ``jobs=1`` with an
-        explicit ``shards`` runs every shard in-process (determinism
-        testing, as in the engine).
-    shards, backend:
+        grid. ``jobs=1`` (the default) runs every shard in this process;
+        with the default single shard, that shard covers the whole
+        timeline.
+    shards:
         As in :class:`~repro.parallel.engine.ParallelFlowMotifEngine`,
         which the runner wraps: its worker pool and shared-memory export
         serve every :meth:`run` until :meth:`close` (or the end of a
         ``with BatchRunner(...) as runner:`` block).
+    backend:
+        ``"process"``, the only value, as in the engine.
 
     Attributes
     ----------
@@ -116,7 +117,7 @@ class BatchRunner:
         backend: str = "process",
     ) -> None:
         # Compose the parallel engine: one source of truth for graph
-        # coercion, backend validation, dispatch, and partition caching.
+        # coercion, argument validation, dispatch, and partition caching.
         self._engine = ParallelFlowMotifEngine(
             graph, jobs=jobs, shards=shards, backend=backend
         )

@@ -11,31 +11,31 @@ property-tested for arbitrary shard counts in ``tests/parallel``.
 >>> g = InteractionGraph.from_tuples([
 ...     ("a", "b", 1.0, 5.0), ("b", "c", 2.0, 4.0), ("b", "c", 3.0, 2.0),
 ... ])
->>> engine = ParallelFlowMotifEngine(g, jobs=2, shards=3, backend="serial")
+>>> engine = ParallelFlowMotifEngine(g, jobs=1, shards=3)
 >>> result = engine.find_instances(Motif.chain(3, delta=10, phi=3))
 >>> result.count, result.shard_timings.num_shards
 (1, 3)
 
-Backends
---------
-``"process"`` (default)
-    :class:`concurrent.futures.ProcessPoolExecutor` — true multi-core
-    speedup for the pure-Python, CPU-bound shard kernel. The graph is
-    exported once into a shared-memory
+Execution
+---------
+``jobs > 1``
+    Shards fan out over a :class:`concurrent.futures.ProcessPoolExecutor`
+    — true multi-core speedup for the pure-Python, CPU-bound shard
+    kernel. The graph is exported once into a shared-memory
     :class:`~repro.graph.columnar.ColumnStore` and each worker's
     :class:`~repro.parallel.worker.ShardTask` carries only the shm name
     and shard bounds — zero-copy fan-out; workers rebuild their slice
     as memoryview views over the shared block. Graphs the store cannot
     hold bit-exactly, and hosts without usable shared memory, fall back
     to pickled shard slices. Results must still pickle (they do for all
-    built-in node types; use ``"serial"`` for exotic ones).
-``"serial"``
-    In-process loop over shards, regardless of ``jobs`` — the
-    deterministic reference used by the equivalence tests, and the last
-    step of the degradation chain.
+    built-in node types; use ``jobs=1`` for exotic ones).
+``jobs=1``, or a fan-out with a single shard
+    Shards run one after another in this process — the deterministic
+    reference used by the equivalence tests, and the last step
+    (``"serial"``) of the degradation chain. Every job count merges to
+    the same list (:mod:`repro.parallel.merge`).
 
-``jobs=1`` always runs the serial loop, so single-job runs are exactly
-reproducible without pool nondeterminism.
+``backend`` only accepts ``"process"``; an in-process run is ``jobs=1``.
 
 Worker pools
 ------------
@@ -86,11 +86,9 @@ from repro.resilience.retry import (
 
 LOG = logging.getLogger("repro.parallel.engine")
 
-_BACKENDS = ("process", "serial")
-
 #: Graceful-degradation order: when the process pool exhausts its
-#: retries, the dispatcher falls through to "serial", which shares the
-#: caller's process and therefore cannot lose workers.
+#: retries, the dispatcher falls through to "serial" — the inline loop,
+#: which shares the caller's process and therefore cannot lose workers.
 _DEGRADATION_CHAIN = ("process", "serial")
 
 #: Partitions retained per engine. Each partition holds sliced copies of
@@ -110,12 +108,12 @@ class ParallelFlowMotifEngine:
         :class:`TimeSeriesGraph` view.
     jobs:
         Worker count, at least 1; defaults to ``os.cpu_count()``.
-        ``jobs=1`` runs shards serially in-process.
+        ``jobs=1`` runs shards one after another in this process.
     shards:
         Shard count, at least 1; defaults to ``jobs``. More shards than
         jobs gives the pool latitude to balance uneven shards.
     backend:
-        ``"process"`` or ``"serial"`` (see module notes).
+        ``"process"``, the only value (see module notes).
     retry_policy:
         Fault-tolerance knobs for shard dispatch (see
         :class:`repro.resilience.RetryPolicy`): per-round shard timeout,
@@ -135,9 +133,9 @@ class ParallelFlowMotifEngine:
     partition per δ).
 
     A zero-copy engine owns one shared-memory block for its graph, and
-    a process engine one worker pool; both are created lazily on the first
-    fan-out, reused by every later query, and released by :meth:`close`
-    (also wired to garbage collection, and to
+    an engine with ``jobs > 1`` one worker pool; both are created lazily
+    on the first fan-out, reused by every later query, and released by
+    :meth:`close` (also wired to garbage collection, and to
     ``with ParallelFlowMotifEngine(...) as engine:``).
     """
 
@@ -168,9 +166,10 @@ class ParallelFlowMotifEngine:
                 "graph must be an InteractionGraph or TimeSeriesGraph, "
                 f"got {type(graph).__name__}"
             )
-        if backend not in _BACKENDS:
+        if backend != "process":
             raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
+                f"backend must be 'process' (pass jobs=1 to run shards "
+                f"in this process), got {backend!r}"
             )
         for name, value in (("jobs", jobs), ("shards", shards)):
             if value is not None and value < 1:
@@ -184,7 +183,7 @@ class ParallelFlowMotifEngine:
         # float64), and hosts whose shared memory is missing or full,
         # are detected when the export is first attempted and flip this
         # flag back off — see _shard_tasks.
-        self._zero_copy = backend == "process" and self.jobs > 1
+        self._zero_copy = self.jobs > 1
         self._partition_cache: dict = {}
         self._sorted_times: Optional[List[float]] = None
         self.retry_policy = (
@@ -211,7 +210,9 @@ class ParallelFlowMotifEngine:
 
         Cores are cut at event-count quantiles of the whole timeline
         (:func:`~repro.parallel.partition.partition_time_range`), so
-        every shard owns about the same number of events.
+        every shard owns about the same number of events. The shards are
+        light (bounds and rebinding offsets only); :meth:`_shard_tasks`
+        slices them when a fan-out needs the slice in this process.
         """
         key = (self.num_shards, halo)
         cached = self._partition_cache.pop(key, None)
@@ -229,10 +230,7 @@ class ParallelFlowMotifEngine:
             self.num_shards,
             halo,
             sorted_times=self._sorted_times,
-            # Zero-copy mode keeps parent-side shards light (bounds +
-            # rebinding offsets, no sliced copies): workers re-slice
-            # their own views of the shared columnar store.
-            materialize=not self._zero_copy,
+            materialize=False,
         )
         self._partition_cache[key] = shards
         while len(self._partition_cache) > _PARTITION_CACHE_SIZE:
@@ -361,10 +359,11 @@ class ParallelFlowMotifEngine:
         A graph the columnar store cannot hold bit-exactly (exotic node
         ids, values not exact in float64) is detected on the first
         export attempt and permanently flips the engine to the pickled
-        transport — one validation scan, no query-time failure. Light
-        shards reaching the pickled path are materialized here,
-        list-backed (safe to pickle), and cached in place so repeat
-        queries on the same partition pay the copy once.
+        transport — one validation scan, no query-time failure. The
+        partition's light shards are materialized here when the fan-out
+        runs inline or pickled, list-backed (safe to pickle), and cached
+        in place so repeat queries on the same partition pay the copy
+        once.
 
         When a tracer, metrics registry or profiler is active on this
         (the dispatching) thread, every task also carries the trace
@@ -393,7 +392,6 @@ class ParallelFlowMotifEngine:
                     # Python has no shared memory. Either way the
                     # pickled transport works.
                     self._zero_copy = False
-                    self._partition_cache.clear()
         if transport:
             self._store_ref = next(iter(transport.values()))
         else:
@@ -476,7 +474,8 @@ class ParallelFlowMotifEngine:
     def _dispatch(
         self, tasks: Sequence[_worker.ShardTask]
     ) -> List[List[_worker.ShardSearchOutput]]:
-        """Run shard tasks on the configured backend, preserving order.
+        """Run shard tasks, preserving order: inline when ``jobs == 1``
+        or there is a single task, else on the process pool.
 
         Fault-tolerant: failed or timed-out shards are retried per
         :attr:`retry_policy` (on a fresh pool after a failed round — a
@@ -492,7 +491,7 @@ class ParallelFlowMotifEngine:
         """
         report = DispatchReport(backend=self.backend, final_backend=self.backend)
         self.last_dispatch = report
-        if self.jobs == 1 or self.backend == "serial" or len(tasks) <= 1:
+        if self.jobs == 1 or len(tasks) <= 1:
             report.backend = report.final_backend = "serial"
             return self._adopt_replies(
                 [_worker.run_shard_task(task) for task in tasks]
@@ -639,6 +638,36 @@ class ParallelFlowMotifEngine:
     # FlowMotifEngine-mirroring entry points
     # ------------------------------------------------------------------
 
+    def _search(
+        self,
+        kind: str,
+        motif: Motif,
+        delta: Optional[float],
+        phi: Optional[float],
+        **options,
+    ) -> SearchResult:
+        """One sharded find (``kind="search"``) or count, merged."""
+        effective_delta = motif.delta if delta is None else delta
+        effective_phi = motif.phi if phi is None else phi
+        name = "find_instances" if kind == "search" else "count_instances"
+        with _tracing.span(
+            f"query.{name}",
+            motif=str(motif),
+            delta=effective_delta,
+            backend="serial" if self.jobs == 1 else self.backend,
+            shards=self.num_shards,
+        ) as query:
+            shards = self.partition(effective_delta)
+            (outputs,) = self._run_queries(
+                shards, kind, [(motif, effective_delta, effective_phi)],
+                **options,
+            )
+            with _tracing.span("parallel.merge"):
+                return _merge.merge_search_results(
+                    motif, shards, outputs, self._ts,
+                    wall_seconds=query.elapsed,
+                )
+
     def find_instances(
         self,
         motif: Motif,
@@ -654,28 +683,7 @@ class ParallelFlowMotifEngine:
         instance set; the merged result additionally carries a
         per-shard :class:`~repro.utils.timing.ShardTimingReport`.
         """
-        effective_delta = motif.delta if delta is None else delta
-        effective_phi = motif.phi if phi is None else phi
-        with _tracing.span(
-            "query.find_instances",
-            motif=str(motif),
-            delta=effective_delta,
-            backend=self.backend,
-            shards=self.num_shards,
-        ) as query:
-            shards = self.partition(effective_delta)
-            (outputs,) = self._run_queries(
-                shards,
-                "search",
-                [(motif, effective_delta, effective_phi)],
-                collect=collect,
-            )
-            with _tracing.span("parallel.merge"):
-                result = _merge.merge_search_results(
-                    motif, shards, outputs, self._ts,
-                    wall_seconds=query.elapsed,
-                )
-            return result
+        return self._search("search", motif, delta, phi, collect=collect)
 
     def count_instances(
         self,
@@ -684,27 +692,7 @@ class ParallelFlowMotifEngine:
         phi: Optional[float] = None,
     ) -> SearchResult:
         """Count maximal instances without constructing them, sharded."""
-        effective_delta = motif.delta if delta is None else delta
-        effective_phi = motif.phi if phi is None else phi
-        with _tracing.span(
-            "query.count_instances",
-            motif=str(motif),
-            delta=effective_delta,
-            backend=self.backend,
-            shards=self.num_shards,
-        ) as query:
-            shards = self.partition(effective_delta)
-            (outputs,) = self._run_queries(
-                shards,
-                "count",
-                [(motif, effective_delta, effective_phi)],
-            )
-            with _tracing.span("parallel.merge"):
-                result = _merge.merge_search_results(
-                    motif, shards, outputs, self._ts,
-                    wall_seconds=query.elapsed,
-                )
-            return result
+        return self._search("count", motif, delta, phi)
 
     def top_k(
         self,
@@ -719,7 +707,7 @@ class ParallelFlowMotifEngine:
             "query.top_k",
             motif=str(motif),
             k=k,
-            backend=self.backend,
+            backend="serial" if self.jobs == 1 else self.backend,
             shards=self.num_shards,
         ):
             shards = self.partition(effective_delta)

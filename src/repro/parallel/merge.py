@@ -1,6 +1,6 @@
 """Merging shard outputs back into engine-level results.
 
-The merger performs three jobs:
+The merger performs two jobs:
 
 1. **Rebinding** — shard workers return instances as shard-local
    ``(vertex_map, (lo, hi) per edge)`` records; rebinding maps the index
@@ -8,22 +8,20 @@ The merger performs three jobs:
    offsets recorded at partition time, so merged instances are
    indistinguishable from serially-found ones (``is_valid_instance`` and
    ``is_maximal`` hold against the parent graph).
-2. **Deduplication** — the anchored-ownership rule makes every instance
-   owned by exactly one shard, so duplicates cannot arise from a correct
-   partition; the merger still drops canonical-key duplicates as a safety
-   net against overlapping custom partitions.
-3. **Aggregation** — per-shard match counts and P1/P2 timings are summed
+2. **Aggregation** — per-shard match counts and P1/P2 timings are summed
    into the merged :class:`~repro.core.engine.SearchResult` and kept
    individually in its :class:`~repro.utils.timing.ShardTimingReport`.
 
-Merged instance order is deterministic (sorted by start time, end time,
-then vertex map) regardless of shard scheduling, so parallel runs are
-reproducible across backends and job counts.
+The anchored-ownership rule gives every instance exactly one owning
+shard, so shard outputs are disjoint and the merge only concatenates
+them: shards in index order, each in its own enumeration order. That
+order does not depend on scheduling or job count, and with one shard it
+is exactly the serial engine's list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.engine import SearchResult
 from repro.core.instance import MotifInstance, Run
@@ -59,14 +57,21 @@ def rebind_record(
     return MotifInstance(motif, vertex_map, runs)
 
 
-def _instance_sort_key(instance: MotifInstance) -> Tuple:
-    """Deterministic, shard-scheduling-independent ordering key."""
-    return (
-        instance.start_time,
-        instance.end_time,
-        tuple(repr(v) for v in instance.vertex_map),
-        tuple((run.lo, run.hi) for run in instance.runs),
-    )
+def _rebind_in_shard_order(
+    motif: Motif,
+    shards: Sequence[TimeShard],
+    outputs: Sequence[ShardSearchOutput],
+    parent: TimeSeriesGraph,
+) -> List[MotifInstance]:
+    """Every record rebound onto ``parent``: shards in index order, each
+    in its own enumeration order. Ownership makes the shards' outputs
+    disjoint, so nothing is dropped and nothing re-sorted."""
+    by_index: Dict[int, TimeShard] = {s.index: s for s in shards}
+    return [
+        rebind_record(record, motif, by_index[output.shard_index], parent)
+        for output in sorted(outputs, key=lambda o: o.shard_index)
+        for record in output.records
+    ]
 
 
 def merge_search_results(
@@ -93,22 +98,11 @@ def merge_search_results(
         Elapsed fan-out/merge time measured by the caller, recorded on the
         timing report.
     """
-    by_index: Dict[int, TimeShard] = {s.index: s for s in shards}
     result = SearchResult(motif=motif)
+    result.instances = _rebind_in_shard_order(motif, shards, outputs, parent)
     timings: List[ShardTiming] = []
-    instances: List[MotifInstance] = []
-    seen: set = set()
-    duplicates = 0
     for output in sorted(outputs, key=lambda o: o.shard_index):
-        shard = by_index[output.shard_index]
-        for record in output.records:
-            instance = rebind_record(record, motif, shard, parent)
-            key = instance.canonical_key()
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            instances.append(instance)
+        result.count += output.count
         result.num_matches += output.num_matches
         result.p1_seconds += output.p1_seconds
         result.p2_seconds += output.p2_seconds
@@ -121,9 +115,6 @@ def merge_search_results(
                 num_instances=output.count,
             )
         )
-    instances.sort(key=_instance_sort_key)
-    result.instances = instances
-    result.count = sum(o.count for o in outputs) - duplicates
     result.shard_timings = ShardTimingReport(
         shards=timings, wall_seconds=wall_seconds
     )
@@ -138,14 +129,12 @@ def merge_search_results(
     recorder = _flight.installed()
     if recorder is not None:
         # A merge summary in the ring buffer gives post-mortem bundles
-        # the last-known-good shape of the computation (a duplicate
-        # count > 0 here is the first symptom of a bad partition).
+        # the last-known-good shape of the computation.
         recorder.note(
             "merge",
             num_shards=len(timings),
             num_matches=result.num_matches,
             num_instances=result.count,
-            duplicates=duplicates,
             imbalance_ratio=result.shard_timings.imbalance_ratio,
         )
     return result
@@ -162,22 +151,11 @@ def merge_top_k(
 
     Correctness: each globally top-k instance is owned by exactly one
     shard and therefore appears in that shard's local top-k candidates,
-    so the union of candidates contains the global answer. Ties on flow
-    are broken by the deterministic merge order (start time, end time,
-    vertex map), which may differ from the serial engine's insertion-order
-    tie-break — the returned *flows* always agree.
+    so the union of candidates contains the global answer. The sort on
+    flow is stable, so ties keep the shard-major merge order, which may
+    differ from the serial engine's tie-break — the returned *flows*
+    always agree.
     """
-    by_index: Dict[int, TimeShard] = {s.index: s for s in shards}
-    candidates: List[MotifInstance] = []
-    seen: set = set()
-    for output in sorted(outputs, key=lambda o: o.shard_index):
-        shard = by_index[output.shard_index]
-        for record in output.records:
-            instance = rebind_record(record, motif, shard, parent)
-            key = instance.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(instance)
-    candidates.sort(key=lambda inst: (-inst.flow,) + _instance_sort_key(inst))
+    candidates = _rebind_in_shard_order(motif, shards, outputs, parent)
+    candidates.sort(key=lambda inst: -inst.flow)
     return candidates[:k]

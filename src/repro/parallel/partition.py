@@ -34,15 +34,16 @@ uses the recorded per-pair offsets to rebind instances onto the parent
 graph (:mod:`repro.parallel.merge`).
 
 Two materialization modes exist. ``materialize=True`` (default) slices the
-parent series into per-shard copies — the payload the serial backend and
-the pickled transport use directly. ``materialize=False`` produces *light*
+parent series into per-shard copies. ``materialize=False`` produces *light*
 shards (``graph=None``): only the cut bounds and rebinding offsets,
-computed with bisects and no copying. The process backend ships
-light-shard bounds plus a shared-memory name; each worker slices its shard
-as zero-copy memoryview views straight off the attached
+computed with bisects and no copying — what the parallel engine
+partitions into. A zero-copy fan-out ships light-shard bounds plus a
+shared-memory name; each worker slices its shard as zero-copy memoryview
+views straight off the attached
 :class:`~repro.graph.columnar.ColumnStore`'s series (:func:`slice_shard`).
-Both modes cut identically, so worker-side slices line up exactly with the
-parent-side offsets.
+An inline or pickled fan-out slices each light shard in the parent
+(:func:`materialize_shard`). Both modes cut identically, so worker-side
+slices line up exactly with the parent-side offsets.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def _slice_all_series(
     ``zero_copy=True`` (worker side) dispatches to the series' own
     ``slice`` — memoryview views for columnar backings. The parent-side
     default forces list-backed copies even off a columnar graph, because
-    materialized shards may be pickled (process backend with shared
-    memory disabled) and memoryviews cannot be.
+    materialized shards may be pickled (the fallback when shared memory
+    is unavailable) and memoryviews cannot be.
     """
     sliced: List[EdgeSeries] = []
     offsets: Dict[Pair, int] = {}
@@ -209,11 +210,10 @@ def partition_time_range(
         so callers partitioning the same graph repeatedly (δ-sweeps)
         should compute it once and pass it in.
     materialize:
-        ``True`` (default) builds per-shard sliced copies of the series —
-        what the serial backend and pickled tasks consume directly.
+        ``True`` (default) builds per-shard sliced copies of the series.
         ``False`` builds light shards (``graph=None``) carrying only
-        bounds and rebinding offsets: the zero-copy process backend ships
-        those bounds and has each worker slice its own view of the shared
+        bounds and rebinding offsets: a zero-copy fan-out ships those
+        bounds and has each worker slice its own view of the shared
         columnar store.
 
     Returns

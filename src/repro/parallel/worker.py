@@ -4,15 +4,15 @@ Every sharded query — find, count, top-k, or a batch grid — ships one
 :class:`ShardTask` per shard and gets one :class:`ShardReply` back. The
 task is a frozen, picklable value, so it is dispatched over a
 :class:`concurrent.futures.ProcessPoolExecutor` as readily as it is run
-inline by the serial backend. It carries the shard in one of
+inline (``jobs=1``, or a single shard). It carries the shard in one of
 three ways:
 
 * the name of a shared-memory :class:`~repro.graph.columnar.ColumnStore`
-  (``shm_name``), the process backend's default;
+  (``shm_name``), the process pool's default;
 * the path of a sealed segment file (``segment_path``) when the graph is
   backed by the durable store;
 * the materialized :class:`~repro.parallel.partition.TimeShard` itself,
-  for the pickled transport and the serial backend.
+  for the pickled transport and inline runs.
 
 With a store ref only the shard's ``bounds`` travel; the worker resolves
 the store once per process and slices each shard once, straight off the

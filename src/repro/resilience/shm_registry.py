@@ -77,6 +77,9 @@ _LOCK = threading.Lock()
 #: the current process.
 _REGISTRY: Dict[str, Tuple[int, "weakref.ref"]] = {}
 _INSTALLED = False
+#: (chaining handler, the SIGTERM disposition it replaced), once
+#: installed; a forked child still on the handler gets the latter back.
+_SIGTERM_SWAP: Optional[Tuple[object, object]] = None
 
 #: Extra callables run by the chaining SIGTERM handler *before* segment
 #: cleanup — the flight recorder dumps its diagnostic bundle here, so a
@@ -128,7 +131,7 @@ def _unlink_by_name(name: str) -> bool:
 def _install_handlers_once() -> None:
     """Arm atexit + SIGTERM cleanup (idempotent, main-thread only for
     the signal part; the atexit part always works)."""
-    global _INSTALLED
+    global _INSTALLED, _SIGTERM_SWAP
     if _INSTALLED:
         return
     _INSTALLED = True
@@ -148,8 +151,33 @@ def _install_handlers_once() -> None:
                 os.kill(os.getpid(), signum)
 
         signal.signal(signal.SIGTERM, _on_sigterm)
+        _SIGTERM_SWAP = (
+            _on_sigterm,
+            signal.SIG_DFL if previous is None else previous,
+        )
     except (ValueError, OSError):  # non-main thread / unsupported platform
         pass
+
+
+def _after_fork_in_child() -> None:
+    """Give a forked child (a pool worker) a fresh lock and the SIGTERM
+    disposition from before the chaining handler: another parent thread
+    may have held ``_LOCK`` at the fork, so the inherited handler could
+    block for good, and its pid-stamped hooks and entries do nothing in
+    the child anyway."""
+    global _LOCK, _INSTALLED, _SIGTERM_SWAP
+    _LOCK = threading.Lock()
+    _INSTALLED = False
+    swap, _SIGTERM_SWAP = _SIGTERM_SWAP, None
+    if swap is not None and signal.getsignal(signal.SIGTERM) is swap[0]:
+        try:
+            signal.signal(signal.SIGTERM, swap[1])
+        except (ValueError, OSError):  # forked from a non-main thread
+            pass
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def register_sigterm_hook(hook) -> None:

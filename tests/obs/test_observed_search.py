@@ -123,12 +123,12 @@ class TestStitchedParallelTrace:
 
 
 class TestBackendTrace:
-    @pytest.mark.parametrize("backend", ["process", "serial"])
-    def test_backend_stitches_single_root(self, backend):
+    @pytest.mark.parametrize("jobs", [2, 1], ids=["process", "serial"])
+    def test_backend_stitches_single_root(self, jobs):
         graph = _graph(num_events=600)
         with obs.observe() as observation:
             with ParallelFlowMotifEngine(
-                graph, jobs=2, shards=2, backend=backend
+                graph, jobs=jobs, shards=2
             ) as engine:
                 engine.find_instances(MOTIF, collect=False)
         roots = stitch_trace(observation.spans())
@@ -154,9 +154,7 @@ class TestNoopMode:
 
     def test_untraced_task_has_no_trace_context_or_obs_payload(self):
         graph = _graph(num_events=200)
-        engine = ParallelFlowMotifEngine(
-            graph, jobs=1, shards=2, backend="serial"
-        )
+        engine = ParallelFlowMotifEngine(graph, jobs=1, shards=2)
         query = (MOTIF, MOTIF.delta, MOTIF.phi)
         tasks = engine._shard_tasks(
             engine.partition(MOTIF.delta), "search", [query]

@@ -110,13 +110,11 @@ class TestSerialBatch:
 
 
 class TestShardedBatch:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_matches_serial_batch(self, fig2_graph, backend):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+    def test_matches_serial_batch(self, fig2_graph, jobs):
         configs = _grid()
         serial = BatchRunner(fig2_graph, jobs=1).run(configs)
-        sharded = BatchRunner(
-            fig2_graph, jobs=2, shards=3, backend=backend
-        ).run(configs)
+        sharded = BatchRunner(fig2_graph, jobs=jobs, shards=3).run(configs)
         for a, b in zip(serial, sharded):
             assert a.count == b.count
             assert _keys(a.instances) == _keys(b.instances)
@@ -127,9 +125,7 @@ class TestShardedBatch:
         triangle = Motif.cycle(3, delta=10, phi=0)
         configs = [MotifConfig(triangle, delta=2), MotifConfig(triangle, delta=10)]
         serial = BatchRunner(fig2_graph, jobs=1).run(configs)
-        sharded = BatchRunner(fig2_graph, jobs=1, shards=4, backend="serial").run(
-            configs
-        )
+        sharded = BatchRunner(fig2_graph, jobs=1, shards=4).run(configs)
         for a, b in zip(serial, sharded):
             assert _keys(a.instances) == _keys(b.instances)
 
@@ -165,8 +161,12 @@ class TestRunnerConfigValidation:
         with pytest.raises(ValueError, match="backend"):
             BatchRunner(fig2_graph, jobs=2, backend="proces")
 
+    def test_serial_backend_rejected_in_favour_of_one_job(self, fig2_graph):
+        with pytest.raises(ValueError, match="jobs=1"):
+            BatchRunner(fig2_graph, jobs=2, backend="serial")
+
     def test_sharded_reports_wall_time(self, fig2_graph):
-        runner = BatchRunner(fig2_graph, jobs=2, shards=3, backend="serial")
+        runner = BatchRunner(fig2_graph, jobs=1, shards=3)
         results = runner.run(_grid())
         for result in results:
             assert result.shard_timings is not None
@@ -187,9 +187,7 @@ class TestInstanceMotifAttachment:
         wide = Motif.cycle(3, delta=10, phi=0)
         narrow = Motif.cycle(3, delta=8, phi=0)
         serial = BatchRunner(fig2_graph, jobs=1).run([wide, narrow])
-        sharded = BatchRunner(fig2_graph, jobs=1, shards=3, backend="serial").run(
-            [wide, narrow]
-        )
+        sharded = BatchRunner(fig2_graph, jobs=1, shards=3).run([wide, narrow])
         for results in (serial, sharded):
             assert all(i.motif is wide for i in results[0].instances)
             assert all(i.motif is narrow for i in results[1].instances)

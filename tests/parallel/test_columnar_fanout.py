@@ -48,8 +48,8 @@ MOTIFS = [
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_columnar_graph_matches_list_backed_all_backends(seed, backend):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+def test_columnar_graph_matches_list_backed_all_backends(seed, jobs):
     """find/count/top_k on a columnar-backed graph ≡ list-backed results."""
     graph = _random_graph(seed)
     ts = graph.to_time_series()
@@ -57,7 +57,7 @@ def test_columnar_graph_matches_list_backed_all_backends(seed, backend):
     for motif in MOTIFS:
         reference = FlowMotifEngine(ts).find_instances(motif)
         with ParallelFlowMotifEngine(
-            columnar, jobs=2, shards=3, backend=backend
+            columnar, jobs=jobs, shards=3
         ) as engine:
             found = engine.find_instances(motif)
             assert found.count == reference.count
@@ -249,11 +249,9 @@ def test_exotic_node_ids_fall_back_to_pickled_transport():
     assert result.count == again.count == reference.count == 1
 
 
-def test_serial_backend_skips_shared_memory():
+def test_inline_run_skips_shared_memory():
     graph = _random_graph(2)
-    with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=2, backend="serial"
-    ) as engine:
+    with ParallelFlowMotifEngine(graph, jobs=1, shards=2) as engine:
         assert not engine._zero_copy
         engine.find_instances(MOTIFS[0])
         assert engine._export is None

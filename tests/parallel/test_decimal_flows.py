@@ -69,9 +69,7 @@ def test_sharded_search_matches_serial_on_decimal_flows():
     for seed in range(60):
         graph = _decimal_graph(seed)
         serial = FlowMotifEngine(graph)
-        with ParallelFlowMotifEngine(
-            graph, jobs=1, shards=3, backend="serial"
-        ) as sharded:
+        with ParallelFlowMotifEngine(graph, jobs=1, shards=3) as sharded:
             for motif in MOTIFS:
                 if _keys(serial.find_instances(motif)) != _keys(
                     sharded.find_instances(motif)

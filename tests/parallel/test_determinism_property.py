@@ -8,7 +8,9 @@ triples), tied timestamps, δ-windows straddling shard boundaries, and
 anchors landing exactly on cut points (integer timestamps + cuts at
 event-count quantiles, which are event times, guarantee boundary anchors). For every graph,
 motif, shard count and job count, the parallel engine must return exactly
-the serial engine's instance set, flows, and counts.
+the serial engine's instance set, flows, and counts. Lists compare in
+order too: one shard returns serial's list, and a job count never
+changes a sharded list.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ def _keys(instances):
     return sorted(i.canonical_key() for i in instances)
 
 
+def _ordered(instances):
+    return [i.canonical_key() for i in instances]
+
+
 @pytest.mark.parametrize("case", [0, 1, 2])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_find_instances_equals_serial(case, shards, base_seed):
@@ -66,6 +72,8 @@ def test_find_instances_equals_serial(case, shards, base_seed):
         assert parallel.count == serial.count
         assert _keys(parallel.instances) == _keys(serial.instances)
         assert sorted(parallel.flows()) == sorted(serial.flows())
+        if shards == 1:  # one shard is serial's list, in serial's order
+            assert _ordered(parallel.instances) == _ordered(serial.instances)
 
 
 @pytest.mark.parametrize("jobs", JOB_COUNTS)
@@ -73,10 +81,7 @@ def test_jobs_do_not_change_results(jobs, base_seed):
     graph = _random_graph(seed=base_seed + 3)
     motif = Motif.chain(3, delta=9, phi=4)
     serial = FlowMotifEngine(graph).find_instances(motif)
-    backend = "serial" if jobs == 1 else "process"
-    with ParallelFlowMotifEngine(
-        graph, jobs=jobs, shards=4, backend=backend
-    ) as engine:
+    with ParallelFlowMotifEngine(graph, jobs=jobs, shards=4) as engine:
         parallel = engine.find_instances(motif)
     assert _keys(parallel.instances) == _keys(serial.instances)
 
@@ -108,16 +113,17 @@ def test_counts_and_top_k_equal_serial(shards, base_seed):
 
 
 def test_parallel_runs_are_mutually_deterministic(base_seed):
-    """Same query, different job counts/backends → byte-identical order."""
+    """Same query, different job counts → identical find and top-k
+    lists, order included."""
     graph = _random_graph(seed=base_seed + 8)
-    motif = Motif.chain(3, delta=9, phi=2)
-    reference = ParallelFlowMotifEngine(
-        graph, jobs=1, shards=4
-    ).find_instances(motif)
-    with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=4, backend="process"
-    ) as engine:
-        again = engine.find_instances(motif)
-    assert [i.canonical_key() for i in again.instances] == [
-        i.canonical_key() for i in reference.instances
-    ]
+    motifs = _motifs() + [Motif.chain(3, delta=9, phi=2)]
+    for shards in (3, 4):
+        inline = ParallelFlowMotifEngine(graph, jobs=1, shards=shards)
+        with ParallelFlowMotifEngine(graph, jobs=2, shards=shards) as pooled:
+            for motif in motifs:
+                assert _ordered(pooled.find_instances(motif).instances) == (
+                    _ordered(inline.find_instances(motif).instances)
+                )
+                assert _ordered(pooled.top_k(motif, 7)) == _ordered(
+                    inline.top_k(motif, 7)
+                )

@@ -110,6 +110,7 @@ class TestHaloNecessity:
     def test_shards_contain_left_halo_events(self):
         graph, motif = self._graph_and_motif()
         engine = ParallelFlowMotifEngine(graph, jobs=1, shards=2)
+        engine.find_instances(motif)  # an inline run slices the shards
         shards = engine.partition(motif.delta)
         last = shards[-1]
         if last.core_start > 0.0:  # the boundary split the series
@@ -119,13 +120,6 @@ class TestHaloNecessity:
 
 
 class TestBackendsAndConfig:
-    def test_serial_backend_matches_serial(self, fig2_graph, triangle_phi0):
-        serial = FlowMotifEngine(fig2_graph).find_instances(triangle_phi0)
-        parallel = ParallelFlowMotifEngine(
-            fig2_graph, jobs=2, shards=3, backend="serial"
-        ).find_instances(triangle_phi0)
-        assert _keys(parallel.instances) == _keys(serial.instances)
-
     def test_process_backend_matches_serial(self, fig2_graph, triangle_phi0):
         serial = FlowMotifEngine(fig2_graph).find_instances(triangle_phi0)
         parallel = ParallelFlowMotifEngine(
@@ -136,6 +130,11 @@ class TestBackendsAndConfig:
     def test_invalid_backend_rejected(self, fig2_graph):
         with pytest.raises(ValueError):
             ParallelFlowMotifEngine(fig2_graph, jobs=1, backend="gpu")
+
+    def test_serial_backend_rejected_in_favour_of_one_job(self, fig2_graph):
+        """An in-process run is ``jobs=1``; the error says so."""
+        with pytest.raises(ValueError, match="jobs=1"):
+            ParallelFlowMotifEngine(fig2_graph, jobs=2, backend="serial")
 
     def test_invalid_graph_rejected(self):
         with pytest.raises(TypeError):
@@ -168,15 +167,13 @@ class TestBackendsAndConfig:
     )
     def test_out_of_range_jobs_or_shards_rejected(self, fig2_graph, kwargs):
         with pytest.raises(ValueError, match="at least 1"):
-            ParallelFlowMotifEngine(fig2_graph, backend="serial", **kwargs)
+            ParallelFlowMotifEngine(fig2_graph, **kwargs)
 
     def test_none_keeps_the_defaults(self, fig2_graph):
-        engine = ParallelFlowMotifEngine(
-            fig2_graph, jobs=None, shards=None, backend="serial"
-        )
+        engine = ParallelFlowMotifEngine(fig2_graph, jobs=None, shards=None)
         assert engine.jobs == (os.cpu_count() or 1)
         assert engine.num_shards == engine.jobs
-        engine = ParallelFlowMotifEngine(fig2_graph, jobs=3, backend="serial")
+        engine = ParallelFlowMotifEngine(fig2_graph, jobs=3)
         assert engine.num_shards == 3
 
     @pytest.mark.parametrize(
@@ -184,7 +181,7 @@ class TestBackendsAndConfig:
     )
     def test_batch_runner_inherits_the_range_check(self, fig2_graph, kwargs):
         with pytest.raises(ValueError, match="at least 1"):
-            BatchRunner(fig2_graph, backend="serial", **kwargs)
+            BatchRunner(fig2_graph, **kwargs)
 
     def test_partition_is_memoized(self, fig2_graph):
         engine = ParallelFlowMotifEngine(fig2_graph, jobs=1, shards=2)

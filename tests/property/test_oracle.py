@@ -139,5 +139,5 @@ def test_dag_motifs_equal_brute_force_on_every_engine(graph, motif):
         reverse=True,
     )
     assert [i.flow for i in engine.top_k(motif, 3)] == flows[:3]
-    sharded = ParallelFlowMotifEngine(ts, jobs=1, shards=3, backend="serial")
+    sharded = ParallelFlowMotifEngine(ts, jobs=1, shards=3)
     assert instance_keys(sharded.find_instances(motif).instances) == expected

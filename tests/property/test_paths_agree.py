@@ -4,7 +4,10 @@ One differential test per path and motif shape (chain M(3,2), cycle
 M(3,3)), all on the same seeded graphs. The reference is the serial
 :class:`~repro.core.engine.FlowMotifEngine` ``find_instances`` at the
 case's φ, compared as a multiset of ``canonical_key()``; counts compare
-with its size, ranking paths compare flows at φ=0.
+with its size, ranking paths compare flows at φ=0. Two paths compare
+lists, order included: a one-shard parallel find against serial's list,
+and the same three shards run inline (``jobs=1``) against the process
+pool (``jobs=2``).
 
 The graphs are built to hit rounding and boundary cases:
 
@@ -81,10 +84,12 @@ class Case:
         )
         self.phi = {name: rng.choice(attained) for name in MOTIFS}
         self.keys = {}
+        self.order = {}
         self.flows_at_zero = {}
         for name, motif in MOTIFS.items():
             found = serial.find_instances(motif, phi=self.phi[name])
             self.keys[name] = _keys(found.instances)
+            self.order[name] = _ordered(found.instances)
             at_zero = serial.find_instances(motif, phi=0.0)
             self.flows_at_zero[name] = sorted(
                 (i.flow for i in at_zero.instances), reverse=True
@@ -93,6 +98,10 @@ class Case:
 
 def _keys(instances) -> Counter:
     return Counter(i.canonical_key() for i in instances)
+
+
+def _ordered(instances) -> list:
+    return [i.canonical_key() for i in instances]
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +116,29 @@ def cases(module_seeded_rng) -> List[Case]:
 
 
 def _find_on(engine, case: Case, name: str):
-    """Find and count: the merger drops duplicate instances from a find,
-    but a sharded count has no instances to deduplicate."""
+    """Find and count: a shard that emits an instance it does not own
+    shows in both."""
     motif, phi = MOTIFS[name], case.phi[name]
     found = _keys(engine.find_instances(motif, phi=phi).instances)
     counted = engine.count_instances(motif, phi=phi).count
     want = case.keys[name]
     return (found, counted), (want, sum(want.values()))
+
+
+def _find_in_order(engine, case: Case, name: str):
+    """A one-shard find is serial find's list, in serial's order."""
+    found = engine.find_instances(MOTIFS[name], phi=case.phi[name])
+    return _ordered(found.instances), case.order[name]
+
+
+def _jobs_agree(engines, case: Case, name: str):
+    """The same shards inline and on the pool merge to the same list."""
+    motif, phi = MOTIFS[name], case.phi[name]
+    inline, pooled = (
+        _ordered(engine.find_instances(motif, phi=phi).instances)
+        for engine in engines
+    )
+    return pooled, inline
 
 
 def _serial_count(case, name):
@@ -179,6 +204,16 @@ def _pickled_engine(case, _tmp_path_factory):
         assert not engine._zero_copy
 
 
+@contextmanager
+def _inline_and_pooled(case, _tmp_path_factory):
+    with ParallelFlowMotifEngine(
+        case.graph, jobs=1, shards=3
+    ) as inline, ParallelFlowMotifEngine(
+        case.graph, jobs=2, shards=3
+    ) as pooled:
+        yield inline, pooled
+
+
 def _segment_engine(case, tmp_path_factory):
     store = SegmentStore(str(tmp_path_factory.mktemp("segment")))
     store.extend(case.events)
@@ -189,7 +224,7 @@ def _segment_engine(case, tmp_path_factory):
 
 
 def _batch_runner(case, _tmp_path_factory):
-    return BatchRunner(case.graph, jobs=1, shards=3, backend="serial")
+    return BatchRunner(case.graph, jobs=1, shards=3)
 
 
 #: path id → (engine factory or None, per-motif check).
@@ -197,9 +232,9 @@ PATHS: Dict[str, tuple] = {
     "count": (None, _serial_count),
     "top_k": (None, _serial_top_k),
     "top_one_dp": (None, _serial_top_one_dp),
-    "parallel-serial": (
-        _parallel(jobs=1, shards=3, backend="serial"), _find_on,
-    ),
+    "parallel-serial": (_parallel(jobs=1, shards=3), _find_on),
+    "parallel-one-shard-order": (_parallel(jobs=1, shards=1), _find_in_order),
+    "jobs-1-vs-2-order": (_inline_and_pooled, _jobs_agree),
     "process-shm": (
         _parallel(jobs=2, shards=3, backend="process"), _find_on,
     ),

@@ -84,7 +84,5 @@ def test_serial_cache_history_matches_pure_p1(case, motif):
 def test_serial_sharded_history_matches_pure_p1(case, motif):
     graph, phi = case
     pure = find_structural_matches(graph.to_time_series(), motif)
-    with ParallelFlowMotifEngine(
-        graph, jobs=2, shards=3, backend="serial"
-    ) as engine:
+    with ParallelFlowMotifEngine(graph, jobs=1, shards=3) as engine:
         _check_history(engine, pure, motif, phi)

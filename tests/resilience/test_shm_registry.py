@@ -162,6 +162,92 @@ class TestRegistry:
             shared.close(unlink=True)
 
 
+#: Fork harness: arms the chaining SIGTERM handler, then reports the
+#: SIGTERM handler a forked child sees, with the registry's handler on
+#: top ("disposition") or a later one ("later"), or how a pool worker
+#: forked while another thread held the registry lock dies of SIGTERM
+#: ("pool").
+FORKER = textwrap.dedent(
+    """
+    import multiprocessing, os, signal, sys, threading, time
+    from concurrent.futures import ProcessPoolExecutor
+    from repro.resilience import shm_registry
+
+    shm_registry.register_sigterm_hook(lambda: None)
+    assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+    fork = multiprocessing.get_context("fork")
+    if sys.argv[1] in ("disposition", "later"):
+        parent, child = fork.Pipe()
+
+        def later(signum, frame):
+            pass
+
+        def report(conn):
+            handler = signal.getsignal(signal.SIGTERM)
+            # Handlers.SIG_DFL has a .name, a function a __name__.
+            conn.send(getattr(handler, "name", None) or handler.__name__)
+
+        if sys.argv[1] == "later":
+            signal.signal(signal.SIGTERM, later)
+
+        proc = fork.Process(target=report, args=(child,))
+        proc.start()
+        print(parent.recv(), flush=True)
+        proc.join()
+    else:
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with shm_registry._LOCK:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        held.wait()
+        pool = ProcessPoolExecutor(max_workers=1, mp_context=fork)
+        pid = pool.submit(os.getpid).result()
+        release.set()
+        holder.join()
+        worker = pool._processes[pid]
+        os.kill(pid, signal.SIGTERM)
+        # The pool's manager thread may reap the worker first; it then
+        # sets the exit code on this same Process object.
+        deadline = time.monotonic() + 5
+        while worker.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        print(worker.exitcode, flush=True)
+        if worker.exitcode is None:
+            worker.kill()
+        pool.shutdown(wait=True)
+    """
+)
+
+
+def _run_forker(mode: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", FORKER, mode],
+        capture_output=True, env=env, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestForkedChildren:
+    """Forked children (pool workers) do not keep the parent's SIGTERM
+    chain or its registry lock."""
+
+    def test_forked_child_has_the_default_sigterm_disposition(self):
+        assert _run_forker("disposition") == "SIG_DFL"
+
+    def test_forked_child_keeps_a_handler_installed_later(self):
+        assert _run_forker("later") == "later"
+
+    def test_sigterm_ends_a_pool_worker_forked_under_the_lock(self):
+        assert _run_forker("pool") == str(-signal.SIGTERM)
+
+
 class TestPidAlive:
     def test_own_pid(self):
         assert pid_alive(os.getpid())
