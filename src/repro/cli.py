@@ -25,6 +25,7 @@ Or watch a live, time-ordered stream with the incremental online detector
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
 import sys
@@ -217,6 +218,14 @@ def _cmd_find(args: argparse.Namespace) -> int:
                 f"[observability written to {args.metrics_out}]",
                 file=sys.stderr,
             )
+    if not args.top:
+        # Engines return instances in different orders (a sharded run is
+        # shard-major): print the same ones whichever engine ran.
+        instances = heapq.nsmallest(
+            args.limit,
+            instances,
+            key=lambda inst: (inst.start_time, repr(inst.canonical_key())),
+        )
     for instance in instances[: args.limit]:
         print(json.dumps(instance.as_dict()))
     return 0

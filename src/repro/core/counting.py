@@ -59,7 +59,6 @@ def count_instances_in_match(
     match: StructuralMatch,
     delta: Optional[float] = None,
     phi: Optional[float] = None,
-    skip_rule: bool = True,
     anchor_range: Optional[Tuple[float, float]] = None,
 ) -> int:
     """Number of maximal instances of the motif within one structural match.
@@ -76,8 +75,7 @@ def count_instances_in_match(
         return 0
     total = 0
     for window in iter_maximal_windows(
-        series_list[0], series_list[-1], delta, skip_rule,
-        anchor_range=anchor_range,
+        series_list[0], series_list[-1], delta, anchor_range=anchor_range
     ):
         total += count_window_instances(series_list, window, phi)
     return total
@@ -87,17 +85,12 @@ def count_instances(
     matches: Sequence[StructuralMatch],
     delta: Optional[float] = None,
     phi: Optional[float] = None,
-    skip_rule: bool = True,
     anchor_range: Optional[Tuple[float, float]] = None,
 ) -> int:
     """Total maximal instance count across structural matches."""
     return sum(
         count_instances_in_match(
-            match,
-            delta=delta,
-            phi=phi,
-            skip_rule=skip_rule,
-            anchor_range=anchor_range,
+            match, delta=delta, phi=phi, anchor_range=anchor_range
         )
         for match in matches
     )

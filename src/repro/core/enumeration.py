@@ -172,7 +172,12 @@ def enumerate_window_ranges(
             else:
                 recurse(i + 1, next_start)
 
-    recurse(0, bisect_left(series_list[0].times, anchor))
+    try:
+        recurse(0, bisect_left(series_list[0].times, anchor))
+    finally:
+        # recurse is a cycle the collector frees later: let it hold no
+        # series, which may be views of a store closed in the meantime.
+        del series_list, emit
 
 
 def find_instances_in_match(

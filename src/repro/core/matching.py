@@ -120,8 +120,9 @@ def _extension_step(
     motif: Motif,
     emit: Callable[[StructuralMatch], None],
     admit: Optional[Callable[[int, EdgeSeries], bool]] = None,
-) -> Callable[..., int]:
-    """The one P1 DFS, as ``run(root)`` or ``run(anchor, anchor_pos)``.
+) -> Tuple[Callable[..., int], Callable[[], None]]:
+    """The one P1 DFS, as ``run(root)`` or ``run(anchor, anchor_pos)``,
+    and the ``release()`` that ends it.
 
     ``run(root)`` binds the source of motif edge 0 to graph vertex
     ``root``; ``run(anchor, anchor_pos)`` binds motif edge ``anchor_pos``
@@ -135,7 +136,11 @@ def _extension_step(
     ``anchor_pos`` may not reuse the anchor, so a match through it at
     several positions comes once, at the first (only a lookup can meet
     it: both its endpoints are bound). ``run`` returns the number of DFS
-    nodes it expanded.
+    nodes it expanded. The recursive ``fill``/``scan`` closures are a
+    reference cycle, which only the cyclic collector frees: a walk calls
+    ``release()`` when it is done, which drops everything the cycle holds
+    of the graph and of the matches, so a store whose views it walked can
+    be closed at once.
     """
     edges = motif.edges
     vertex_map: List[Optional[Node]] = [None] * motif.num_vertices
@@ -218,7 +223,12 @@ def _extension_step(
             chosen[pos] = seed
         return fill(0)
 
-    return run
+    def release() -> None:
+        nonlocal lookup, out_series, in_series, all_series, anchor, emit
+        lookup = out_series = in_series = all_series = anchor = emit = None
+        chosen[:] = [None] * len(chosen)
+
+    return run, release
 
 
 def iter_structural_matches(
@@ -268,12 +278,17 @@ def iter_structural_matches(
 
     found: List[StructuralMatch] = []
     pruned = temporal_pruning or phi > 0
-    run = _extension_step(graph, motif, found.append, admit if pruned else None)
-    for start in sorted(graph.nodes, key=repr):
-        run(start)
-        if found:
-            yield from found
-            found.clear()
+    run, release = _extension_step(
+        graph, motif, found.append, admit if pruned else None
+    )
+    try:
+        for start in sorted(graph.nodes, key=repr):
+            run(start)
+            if found:
+                yield from found
+                found.clear()
+    finally:
+        release()
 
 
 class MatchCache:
@@ -319,13 +334,16 @@ def matches_through(
     nodes expanded.
     """
     found: List[StructuralMatch] = []
-    run = _extension_step(graph, motif, found.append)
+    run, release = _extension_step(graph, motif, found.append)
     expanded = 0
-    for p, (a, b) in enumerate(motif.edges):
-        # A motif self-loop needs a graph self-loop, and two motif
-        # vertices cannot share a graph vertex.
-        if (a == b) == (series.src == series.dst):
-            expanded += run(series, p)
+    try:
+        for p, (a, b) in enumerate(motif.edges):
+            # A motif self-loop needs a graph self-loop, and two motif
+            # vertices cannot share a graph vertex.
+            if (a == b) == (series.src == series.dst):
+                expanded += run(series, p)
+    finally:
+        release()
     return found, expanded
 
 

@@ -111,7 +111,12 @@ def _search_window(
             else:
                 recurse(i + 1, next_start, bound_j)
 
-    recurse(0, bisect_left(series_list[0].times, anchor), float("inf"))
+    try:
+        recurse(0, bisect_left(series_list[0].times, anchor), float("inf"))
+    finally:
+        # recurse is a cycle the collector frees later: let it hold no
+        # series, which may be views of a store closed in the meantime.
+        del series_list, match, collector
 
 
 def top_k_instances(

@@ -6,12 +6,12 @@ at scale: every process-pool dispatch pickles entire event lists, and every
 slice copies. :class:`ColumnStore` flattens *all* series of a graph into
 four contiguous typed buffers (stdlib :mod:`array` — no new dependency):
 
+``offsets`` int64, ``num_series + 1`` event offsets; slot ``i``'s events
+            live in ``times[offsets[i]:offsets[i+1]]``
 ``times``   float64, all timestamps, series-concatenated in slot order
 ``flows``   float64, all flows, same layout
 ``cum``     float64, per-series prefix sums (``len(series) + 1`` entries
             each, so slot ``i``'s block starts at ``offsets[i] + i``)
-``offsets`` int64, ``num_series + 1`` event offsets; slot ``i``'s events
-            live in ``times[offsets[i]:offsets[i+1]]``
 
 Slots are assigned in the graph's deterministic ``all_series()`` order and
 indexed by ``(src, dst)`` pair. :class:`ColumnarEdgeSeries` is an
@@ -20,25 +20,45 @@ buffers — a zero-copy *view* that keeps the exact public API, so everything
 in :mod:`repro.core`, :mod:`repro.baselines` and :mod:`repro.experiments`
 works unchanged on a columnar graph.
 
+Block layout
+------------
+A store leaves its process as one block: a shared-memory export (format
+version 1) or a sealed segment file (version 2,
+:mod:`repro.graph.segments`). This module is the codec of both::
+
+    [0:24)            SEGMENT_HEADER — magic "FMCOLSTO", version, meta_len
+    [24:32)           v2 only: header and metadata CRC32s
+    [24 or 32:end)    metadata JSON — num_series/num_events/pid/pairs
+                      (v2 adds per-column CRC32s)
+    [align8(end):)    columns, in the order above, ending the block
+
+:func:`_layout` computes the column ranges from where the metadata ends,
+:func:`_carve` casts them to typed views, :class:`_MappedBlock` maps a
+sealed file or (Python < 3.13) an attached block, ``_metadata`` builds
+the metadata, and ``ColumnStore._from_columns`` computes the prefix sums
+of assembled columns (a memtable snapshot, a compaction).
+
 Shared-memory lifecycle
 -----------------------
 ``store.to_shared()`` serializes the whole store into **one**
-``multiprocessing.shared_memory`` block (header + JSON pair table + the
-four buffers); ``ColumnStore.attach(name)`` maps it back in another process
-without copying a byte. The creator calls ``close(unlink=True)`` when every
-worker is done; attachers either call ``close()`` or simply exit (the
-segment is reference-counted by the OS, not the interpreter). The parallel
-engine (:mod:`repro.parallel.engine`) uses exactly this path so process
-workers receive a :class:`~repro.parallel.worker.ShardTask` holding only
-the shm name and shard bounds instead of pickled event lists.
+``multiprocessing.shared_memory`` block; ``ColumnStore.attach(name)`` maps
+it back in another process without copying a byte. The creator calls
+``close(unlink=True)`` when every worker is done; attachers either call
+``close()`` or simply exit (the segment is reference-counted by the OS,
+not the interpreter). The parallel engine (:mod:`repro.parallel.engine`)
+uses exactly this path so process workers receive a
+:class:`~repro.parallel.worker.ShardTask` holding only the shm name and
+shard bounds instead of pickled event lists.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import mmap
 import os
 from array import array
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.graph.events import Node
@@ -65,6 +85,10 @@ LOG = logging.getLogger("repro.graph.columnar")
 #: so the orphan scanner can recognize segments without importing this
 #: module; imported above as ``_MAGIC``/``_HEADER``.
 _ALIGN = 8
+
+#: The four columns of a block, in block order, with their array
+#: typecodes (every item is 8 bytes).
+_COLUMNS = {"offsets": "q", "times": "d", "flows": "d", "cum": "d"}
 
 
 class ColumnarEdgeSeries(EdgeSeries):
@@ -232,8 +256,35 @@ class ColumnStore:
                     )
             times.extend(series.times)
             flows.extend(series.flows)
+            # A sliced series' sums start at its parent's running total:
+            # copy them as they are, never recompute.
             cum.extend(series._cum)
             offsets.append(len(times))
+        return cls(
+            pairs,
+            memoryview(times),
+            memoryview(flows),
+            memoryview(cum),
+            memoryview(offsets),
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        pairs: List[Tuple[Node, Node]],
+        times: array,
+        flows: array,
+        offsets: array,
+    ) -> "ColumnStore":
+        """A local store over assembled series-concatenated columns.
+
+        Builds ``cum``: per slot a 0.0 followed by the running sums of its
+        flows in event order, the same sums (and roundings) an
+        :class:`EdgeSeries` of those events holds.
+        """
+        cum = array("d")
+        for lo, hi in zip(offsets, offsets[1:]):
+            cum.extend(accumulate(flows[lo:hi], initial=0.0))
         return cls(
             pairs,
             memoryview(times),
@@ -319,8 +370,9 @@ class ColumnStore:
     # Shared-memory export / attach
     # ------------------------------------------------------------------
 
-    def _metadata_bytes(self) -> bytes:
-        meta = {
+    def _metadata(self) -> Dict[str, object]:
+        """The metadata every block carries (a sealed file adds ``crc``)."""
+        return {
             "num_series": self.num_series,
             "num_events": self.num_events,
             # Creator pid: lets attachers and the orphan scanner detect
@@ -328,7 +380,6 @@ class ColumnStore:
             "pid": os.getpid(),
             "pairs": [[src, dst] for src, dst in self.pairs],
         }
-        return json.dumps(meta, separators=(",", ":")).encode("utf-8")
 
     def to_shared(self, name: Optional[str] = None) -> "ColumnStore":
         """Copy this store into one new shared-memory block.
@@ -340,8 +391,11 @@ class ColumnStore:
         """
         from multiprocessing import shared_memory
 
-        meta = self._metadata_bytes()
-        total = _layout(len(meta), self.num_series, self.num_events)[-1]
+        meta = _encode_metadata(self._metadata())
+        ranges = _layout(
+            _HEADER.size + len(meta), self.num_series, self.num_events
+        )
+        total = ranges["cum"][1]
         shm = shared_memory.SharedMemory(
             create=True, size=max(total, 1), name=name
         )
@@ -358,17 +412,10 @@ class ColumnStore:
         buf = shm.buf
         _HEADER.pack_into(buf, 0, _MAGIC, _SHM_VERSION, len(meta))
         buf[_HEADER.size : _HEADER.size + len(meta)] = meta
-        offsets_v, times_v, flows_v, cum_v = _carve(
-            buf, len(meta), self.num_series, self.num_events
-        )
-        offsets_v[:] = self.offsets
-        times_v[:] = self.times
-        flows_v[:] = self.flows
-        cum_v[:] = self.cum
-        store = ColumnStore(
-            list(self.pairs), times_v, flows_v, cum_v, offsets_v,
-            shm=shm, owns_shm=True,
-        )
+        views = _carve(buf, ranges)
+        for name, view in views.items():
+            view[:] = getattr(self, name)
+        store = ColumnStore(list(self.pairs), shm=shm, owns_shm=True, **views)
         # Crash-safe lifecycle: the registry's atexit/SIGTERM hooks unlink
         # this segment if the process dies before close(unlink=True).
         _shm_registry.register(store)
@@ -434,18 +481,14 @@ class ColumnStore:
                 f"shared memory block {name!r} carries a ColumnStore "
                 f"header but its metadata does not decode: {exc}"
             ) from exc
-        if _layout(meta_len, num_series, num_events)[-1] > size:
+        ranges = _layout(_HEADER.size + meta_len, num_series, num_events)
+        if ranges["cum"][1] > size:
             shm.close()
             raise SegmentCorruptionError(
                 f"shared memory block {name!r} is smaller than the "
                 "column layout its metadata promises"
             )
-        offsets_v, times_v, flows_v, cum_v = _carve(
-            buf, meta_len, num_series, num_events
-        )
-        store = cls(
-            pairs, times_v, flows_v, cum_v, offsets_v, shm=shm, owns_shm=False
-        )
+        store = cls(pairs, shm=shm, owns_shm=False, **_carve(buf, ranges))
         creator_pid = meta.get("pid")
         store.creator_pid = (
             creator_pid if isinstance(creator_pid, int) else None
@@ -499,51 +542,65 @@ class ColumnStore:
         self.close(unlink=True)
 
 
-def _layout(
-    meta_len: int, num_series: int, num_events: int
-) -> Tuple[int, int, int, int, int]:
-    """Byte offsets of (offsets, times, flows, cum) plus total size.
+def _encode_metadata(meta: Dict[str, object]) -> bytes:
+    return json.dumps(meta, separators=(",", ":")).encode("utf-8")
 
-    The single source of truth for the shared-block format — both
-    :meth:`ColumnStore.to_shared` and :meth:`ColumnStore.attach` carve
-    with it.
+
+def _layout(
+    meta_end: int, num_series: int, num_events: int
+) -> Dict[str, Tuple[int, int]]:
+    """The ``(start, end)`` byte range of each column, in block order.
+
+    The one layout of both block formats: the columns follow one another
+    from the first 8-byte boundary at or after ``meta_end``, where the
+    metadata ends (byte 24 + its length in a shared-memory export, 32 +
+    its length in a sealed file), and the last one ends the block.
     """
-    off0 = _align(_HEADER.size + meta_len)
-    off1 = off0 + 8 * (num_series + 1)  # offsets: int64
-    off2 = off1 + 8 * num_events  # times: float64
-    off3 = off2 + 8 * num_events  # flows: float64
-    total = off3 + 8 * (num_events + num_series)  # cum: float64
-    return off0, off1, off2, off3, total
+    items = (num_series + 1, num_events, num_events, num_events + num_series)
+    ranges = {}
+    start = _align(meta_end)
+    for name, count in zip(_COLUMNS, items):
+        ranges[name] = (start, start + 8 * count)
+        start += 8 * count
+    return ranges
 
 
 def _carve(
-    buf: memoryview, meta_len: int, num_series: int, num_events: int
-) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
-    """Cast the four column regions of a shared buffer to typed views."""
-    off0, off1, off2, off3, end = _layout(meta_len, num_series, num_events)
-    offsets_v = buf[off0:off1].cast("q")
-    times_v = buf[off1:off2].cast("d")
-    flows_v = buf[off2:off3].cast("d")
-    cum_v = buf[off3:end].cast("d")
-    return offsets_v, times_v, flows_v, cum_v
+    buf: memoryview, ranges: Dict[str, Tuple[int, int]]
+) -> Dict[str, memoryview]:
+    """Cast each column's byte range of ``buf`` to a typed view."""
+    return {
+        name: buf[start:end].cast(_COLUMNS[name])
+        for name, (start, end) in ranges.items()
+    }
 
 
-class _AttachedBlock:
-    """Minimal stand-in for ``SharedMemory`` on attach-only mappings.
+class _MappedBlock:
+    """The ``name``/``buf``/``close()`` surface of ``SharedMemory`` over
+    one mmap of a whole file descriptor, which it closes.
 
-    Provides the ``name``/``buf``/``close()`` surface :class:`ColumnStore`
-    uses, backed by a direct ``shm_open`` + ``mmap`` pair. Exists because
-    Python < 3.13 registers even attach-only ``SharedMemory`` objects with
-    the multiprocessing resource tracker, which then either unlinks the
-    exporter's block when an attaching process exits (spawn) or corrupts
-    the shared registry (fork). Attachers never unlink, so no tracking is
-    wanted.
+    Maps a sealed segment file (read-only, see
+    :func:`repro.graph.segments.open_segment`) and, on Python < 3.13, an
+    attached shared-memory block: there even attach-only
+    ``SharedMemory`` objects register with the multiprocessing resource
+    tracker, which then either unlinks the exporter's block when an
+    attaching process exits (spawn) or corrupts the shared registry
+    (fork). It has no ``unlink``: closing a mapping never removes what
+    it maps.
     """
 
-    def __init__(self, name: str, mm) -> None:
+    def __init__(
+        self, name: str, fd: int, access: int = mmap.ACCESS_DEFAULT
+    ) -> None:
         self.name = name
-        self._mmap = mm
-        self.buf: Optional[memoryview] = memoryview(mm)
+        try:
+            size = os.fstat(fd).st_size
+            if size == 0:  # mmap refuses an empty file
+                raise SegmentCorruptionError(f"segment {name!r} is empty")
+            self._mmap: Optional[mmap.mmap] = mmap.mmap(fd, size, access=access)
+        finally:
+            os.close(fd)
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
 
     def close(self) -> None:
         if self.buf is not None:
@@ -564,18 +621,12 @@ def _open_shared_memory(name: str):
         pass
     try:
         import _posixshmem
-        import mmap
-        import os
     except ImportError:  # non-POSIX: tracker is not involved anyway
         return shared_memory.SharedMemory(name=name, create=False)
     fd = _posixshmem.shm_open(
         name if name.startswith("/") else "/" + name, os.O_RDWR, mode=0o600
     )
-    try:
-        mm = mmap.mmap(fd, os.fstat(fd).st_size)
-    finally:
-        os.close(fd)
-    return _AttachedBlock(name, mm)
+    return _MappedBlock(name, fd)
 
 
 class GrowableColumnStore:
@@ -715,43 +766,11 @@ class GrowableColumnStore:
             times[at] = src_times[k]
             flows[at] = src_flows[k]
             position[slot] = at + 1
-        cum = array("d", bytes(8 * (n + num_series)))
-        at = 0
-        for slot in range(num_series):
-            cum[at] = 0.0
-            running = 0.0
-            base = at + 1
-            for i in range(offsets[slot], offsets[slot + 1]):
-                running += flows[i]
-                cum[base + i - offsets[slot]] = running
-            at = base + counts[slot]
-        return ColumnStore(
-            list(self._pairs),
-            memoryview(times),
-            memoryview(flows),
-            memoryview(cum),
-            memoryview(offsets),
-        )
+        return ColumnStore._from_columns(list(self._pairs), times, flows, offsets)
 
     def to_graph(self) -> TimeSeriesGraph:
         """Shorthand for ``snapshot().to_graph()``."""
         return self.snapshot().to_graph()
-
-    def seal_to(self, path: str) -> dict:
-        """Freeze the buffer and seal it into a durable segment file.
-
-        ``seal_to(path)`` is ``snapshot()`` plus
-        :func:`repro.graph.segments.write_segment`: the atomic
-        tmp-fsync-rename protocol with per-column CRCs, so the ingested
-        events survive any crash from the rename on. Returns the
-        segment metadata (including the column CRCs). The buffer itself
-        is left untouched — callers managing an LSM lifecycle should
-        use :class:`~repro.graph.segments.SegmentStore`, which also
-        resets the memtable and records the seal in its manifest.
-        """
-        from repro.graph.segments import write_segment
-
-        return write_segment(self.snapshot(), path)
 
 
 def columnarize(

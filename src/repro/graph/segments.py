@@ -9,7 +9,10 @@ buffers ship across hosts as ordinary files.
 
 Unlike the shm tier (whose lifetime is bounded by the exporter's crash
 hooks), a file outlives every process — so data at rest must *prove* its
-integrity instead of assuming it:
+integrity instead of assuming it. The block layout, its mapping and its
+metadata are :mod:`repro.graph.columnar`'s; this module keeps only the
+durability protocol around them: checksums, the atomic seal, quarantine,
+the manifest, compaction and fsck.
 
 Segment file format (version 2)
 -------------------------------
@@ -18,7 +21,7 @@ Segment file format (version 2)
     [ 0:24)   SEGMENT_HEADER  — magic "FMCOLSTO", version=2, meta_len
     [24:32)   <II>            — header CRC32 (of bytes 0:24),
                                 meta CRC32 (of bytes 32:off0, JSON + pad)
-    [32:off0) metadata JSON   — num_series/num_events/pairs/creator pid
+    [32:off0) metadata JSON   — num_series/num_events/pid/pairs
                                 + per-column CRC32s; zero-padded to 8B
     [off0:)   columns         — offsets(int64) · times(f64) · flows(f64)
                                 · cum(f64), exactly tiling to EOF
@@ -66,7 +69,16 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.columnar import ColumnStore, _align
+from repro.graph.columnar import (
+    _COLUMNS,
+    ColumnStore,
+    GrowableColumnStore,
+    _align,
+    _carve,
+    _encode_metadata,
+    _layout,
+    _MappedBlock,
+)
 from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _metrics
 from repro.resilience.faultinject import crash_point as _crash_point
@@ -100,9 +112,6 @@ _CRC_STRUCT = struct.Struct("<II")
 _CRC_OFFSET = _HEADER.size
 _META_OFFSET = _CRC_OFFSET + _CRC_STRUCT.size
 
-#: Column names in file order; meta["crc"] carries one CRC32 per entry.
-_COLUMNS = ("offsets", "times", "flows", "cum")
-
 MANIFEST_NAME = "MANIFEST.jsonl"
 SEGMENT_SUFFIX = ".seg"
 
@@ -111,32 +120,6 @@ def _counter(name: str, amount: int = 1) -> None:
     registry = _metrics.active()
     if registry is not None and amount:
         registry.counter(name).inc(amount)
-
-
-def _layout_file(
-    meta_len: int, num_series: int, num_events: int
-) -> Tuple[int, int, int, int, int]:
-    """Byte offsets of (offsets, times, flows, cum) plus total file size."""
-    off0 = _align(_META_OFFSET + meta_len)
-    off1 = off0 + 8 * (num_series + 1)
-    off2 = off1 + 8 * num_events
-    off3 = off2 + 8 * num_events
-    total = off3 + 8 * (num_events + num_series)
-    return off0, off1, off2, off3, total
-
-
-def _column_ranges(
-    meta_len: int, num_series: int, num_events: int
-) -> Dict[str, Tuple[int, int]]:
-    off0, off1, off2, off3, total = _layout_file(
-        meta_len, num_series, num_events
-    )
-    return {
-        "offsets": (off0, off1),
-        "times": (off1, off2),
-        "flows": (off2, off3),
-        "cum": (off3, total),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -168,22 +151,14 @@ def write_segment(store: ColumnStore, path: str) -> Dict[str, object]:
     the per-column CRCs), which the caller typically records in a
     :class:`SegmentManifest`.
     """
-    columns = {
-        "offsets": memoryview(store.offsets).cast("B"),
-        "times": memoryview(store.times).cast("B"),
-        "flows": memoryview(store.flows).cast("B"),
-        "cum": memoryview(store.cum).cast("B"),
+    columns = [memoryview(getattr(store, name)).cast("B") for name in _COLUMNS]
+    meta = store._metadata()
+    meta["crc"] = {
+        name: zlib.crc32(column) for name, column in zip(_COLUMNS, columns)
     }
-    meta = {
-        "num_series": store.num_series,
-        "num_events": store.num_events,
-        "pid": os.getpid(),
-        "pairs": [[src, dst] for src, dst in store.pairs],
-        "crc": {name: zlib.crc32(columns[name]) for name in _COLUMNS},
-    }
-    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    off0 = _align(_META_OFFSET + len(meta_bytes))
-    pad = b"\x00" * (off0 - _META_OFFSET - len(meta_bytes))
+    meta_bytes = _encode_metadata(meta)
+    meta_end = _META_OFFSET + len(meta_bytes)
+    pad = b"\x00" * (_align(meta_end) - meta_end)
     header = _HEADER.pack(_MAGIC, SEGMENT_FILE_VERSION, len(meta_bytes))
     crc_block = _CRC_STRUCT.pack(
         zlib.crc32(header), zlib.crc32(meta_bytes + pad)
@@ -196,8 +171,8 @@ def write_segment(store: ColumnStore, path: str) -> Dict[str, object]:
         fh.write(crc_block)
         fh.write(meta_bytes)
         fh.write(pad)
-        for name in _COLUMNS:
-            fh.write(columns[name])
+        for column in columns:
+            fh.write(column)
         fh.flush()
         _crash_point("segments.seal.before_fsync")
         os.fsync(fh.fileno())
@@ -212,36 +187,6 @@ def write_segment(store: ColumnStore, path: str) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Opening (read side, validated)
 # ----------------------------------------------------------------------
-
-
-class _MappedSegmentFile:
-    """``SharedMemory``-shaped handle over one mmap'd segment file.
-
-    Provides the ``name``/``buf``/``close()`` surface
-    :class:`ColumnStore` manages, so the mapped store plugs into the
-    existing close/lifetime machinery (no ``unlink`` attribute: closing
-    a mapping never deletes the file).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.name = path
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            size = os.fstat(fd).st_size
-            if size == 0:
-                raise SegmentCorruptionError(f"segment {path!r} is empty")
-            self._mmap = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-        self.buf: Optional[memoryview] = memoryview(self._mmap)
-
-    def close(self) -> None:
-        if self.buf is not None:
-            self.buf.release()
-            self.buf = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
 
 
 class SegmentColumnStore(ColumnStore):
@@ -272,8 +217,9 @@ class SegmentColumnStore(ColumnStore):
 
 def _validate_buffer(
     path: str, buf: memoryview, check_crc: bool = True
-) -> dict:
-    """Check every checksum of a mapped/loaded segment; returns metadata.
+) -> Tuple[dict, Dict[str, Tuple[int, int]]]:
+    """Check every checksum of a mapped segment; returns its metadata
+    and column ranges.
 
     Raises :class:`SegmentCorruptionError` describing the first failure:
     short file, bad magic, wrong version, header/meta CRC mismatch, size
@@ -334,7 +280,7 @@ def _validate_buffer(
             f"segment {path!r} metadata is inconsistent: {len(pairs)} "
             f"pairs for {num_series} series"
         )
-    ranges = _column_ranges(meta_len, num_series, num_events)
+    ranges = _layout(_META_OFFSET + meta_len, num_series, num_events)
     total = ranges["cum"][1]
     if len(buf) != total:
         raise SegmentCorruptionError(
@@ -342,16 +288,14 @@ def _validate_buffer(
             f"{total} — truncated or padded file"
         )
     if check_crc:
-        for name in _COLUMNS:
-            lo, hi = ranges[name]
+        for name, (lo, hi) in ranges.items():
             if zlib.crc32(buf[lo:hi]) != crcs.get(name):
                 raise SegmentCorruptionError(
                     f"segment {path!r} column {name!r} CRC mismatch: the "
                     "column data is corrupt"
                 )
     meta["pairs"] = pairs
-    meta["meta_len"] = meta_len
-    return meta
+    return meta, ranges
 
 
 def quarantine_segment(path: str) -> str:
@@ -371,18 +315,13 @@ def quarantine_segment(path: str) -> str:
 def verify_segment(path: str) -> dict:
     """Validate every checksum of a sealed segment; returns its metadata.
 
-    Pure check — never renames or repairs. Raises
+    Pure check — never renames or repairs: :func:`open_segment` with
+    ``quarantine=False``, closed at once. Raises
     :class:`SegmentCorruptionError` on any damage,
     ``FileNotFoundError``/``OSError`` when the file cannot be read.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        meta = _validate_buffer(path, memoryview(data))
-    except SegmentCorruptionError:
-        _counter("segments.crc_failures")
-        raise
-    _counter("segments.validated")
+    store, meta = _map_segment(path, validate=True, quarantine=False)
+    store.close()
     return meta
 
 
@@ -398,48 +337,33 @@ def open_segment(
     skips validation. The returned store holds the mapping open; call
     ``close()`` (or drop every graph built from it) to release it.
     """
+    return _map_segment(path, validate, quarantine)[0]
+
+
+def _map_segment(
+    path: str, validate: bool, quarantine: bool
+) -> Tuple[SegmentColumnStore, dict]:
+    """:func:`open_segment`, also returning the segment's metadata."""
     try:
-        block = _MappedSegmentFile(path)
+        block = _MappedBlock(path, os.open(path, os.O_RDONLY), mmap.ACCESS_READ)
+        try:
+            meta, ranges = _validate_buffer(path, block.buf, check_crc=validate)
+        except BaseException:
+            block.close()
+            raise
     except SegmentCorruptionError:
         _counter("segments.crc_failures")
         if quarantine:
             quarantine_segment(path)
         raise
-    try:
-        try:
-            meta = _validate_buffer(path, block.buf, check_crc=validate)
-        except SegmentCorruptionError:
-            _counter("segments.crc_failures")
-            block.close()
-            if quarantine:
-                quarantine_segment(path)
-            raise
-    except Exception:
-        if block.buf is not None:
-            block.close()
-        raise
     if validate:
         _counter("segments.validated")
-    meta_len = meta["meta_len"]
-    num_series, num_events = meta["num_series"], meta["num_events"]
-    ranges = _column_ranges(meta_len, num_series, num_events)
-    buf = block.buf
-    views = {
-        name: buf[lo:hi].cast("q" if name == "offsets" else "d")
-        for name, (lo, hi) in ranges.items()
-    }
     store = SegmentColumnStore(
-        meta["pairs"],
-        views["times"],
-        views["flows"],
-        views["cum"],
-        views["offsets"],
-        block,
-        path,
+        meta["pairs"], block=block, path=path, **_carve(block.buf, ranges)
     )
     creator = meta.get("pid")
     store.creator_pid = creator if isinstance(creator, int) else None
-    return store
+    return store, meta
 
 
 # ----------------------------------------------------------------------
@@ -589,25 +513,14 @@ def _merge_stores(stores: Sequence[ColumnStore]) -> ColumnStore:
             sources[pair].append((view.times, view.flows))
     times = array("d")
     flows = array("d")
-    cum = array("d")
     offsets = array("q", [0])
     for pair in order:
         streams = [zip(t, f) for t, f in sources[pair]]
-        cum.append(0.0)
-        running = 0.0
         for t, f in heapq.merge(*streams, key=lambda event: event[0]):
             times.append(t)
             flows.append(f)
-            running += f
-            cum.append(running)
         offsets.append(len(times))
-    return ColumnStore(
-        order,
-        memoryview(times),
-        memoryview(flows),
-        memoryview(cum),
-        memoryview(offsets),
-    )
+    return ColumnStore._from_columns(order, times, flows, offsets)
 
 
 class SegmentStore:
@@ -634,8 +547,6 @@ class SegmentStore:
         elif not os.path.isdir(root):
             raise FileNotFoundError(f"segment store {root!r} does not exist")
         self.manifest = SegmentManifest(os.path.join(root, MANIFEST_NAME))
-        from repro.graph.columnar import GrowableColumnStore
-
         self._memtable = GrowableColumnStore()
 
     # -- ingestion -----------------------------------------------------
@@ -693,8 +604,6 @@ class SegmentStore:
                 "column_crc": meta["crc"],
             }
         )
-        from repro.graph.columnar import GrowableColumnStore
-
         self._memtable = GrowableColumnStore()
         return name
 
@@ -781,16 +690,6 @@ class SegmentStore:
             for store in stores:
                 if isinstance(store, SegmentColumnStore):
                     store.close()
-
-    @property
-    def num_sealed_events(self) -> int:
-        records, _torn = self.manifest.load()
-        live = set(self.live_segments())
-        return sum(
-            int(r.get("num_events", 0))
-            for r in records
-            if r.get("name") in live
-        )
 
 
 # ----------------------------------------------------------------------

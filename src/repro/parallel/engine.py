@@ -214,28 +214,29 @@ class ParallelFlowMotifEngine:
         light (bounds and rebinding offsets only); :meth:`_shard_tasks`
         slices them when a fan-out needs the slice in this process.
         """
-        key = (self.num_shards, halo)
-        cached = self._partition_cache.pop(key, None)
-        if cached is not None:
-            self._partition_cache[key] = cached  # refresh LRU position
-            return cached
-        if self._sorted_times is None:
-            # The flattened timeline sort is halo-independent: pay it
-            # once per engine, not once per δ in a sweep.
-            self._sorted_times = sorted(
-                t for series in self._ts.all_series() for t in series.times
+        with _tracing.span("parallel.partition", halo=halo):
+            key = (self.num_shards, halo)
+            cached = self._partition_cache.pop(key, None)
+            if cached is not None:
+                self._partition_cache[key] = cached  # refresh LRU position
+                return cached
+            if self._sorted_times is None:
+                # The flattened timeline sort is halo-independent: pay it
+                # once per engine, not once per δ in a sweep.
+                self._sorted_times = sorted(
+                    t for series in self._ts.all_series() for t in series.times
+                )
+            shards = partition_time_range(
+                self._ts,
+                self.num_shards,
+                halo,
+                sorted_times=self._sorted_times,
+                materialize=False,
             )
-        shards = partition_time_range(
-            self._ts,
-            self.num_shards,
-            halo,
-            sorted_times=self._sorted_times,
-            materialize=False,
-        )
-        self._partition_cache[key] = shards
-        while len(self._partition_cache) > _PARTITION_CACHE_SIZE:
-            self._partition_cache.pop(next(iter(self._partition_cache)))
-        return shards
+            self._partition_cache[key] = shards
+            while len(self._partition_cache) > _PARTITION_CACHE_SIZE:
+                self._partition_cache.pop(next(iter(self._partition_cache)))
+            return shards
 
     def clear_cache(self) -> None:
         """Drop memoized partitions (e.g. after replacing the graph)."""
@@ -374,6 +375,10 @@ class ParallelFlowMotifEngine:
         every task, since a reused pool's workers never see later changes
         to the environment.
         """
+        tracer = _tracing.active()
+        # Captured here, outside transport.export: worker spans are
+        # children of the query span.
+        context = tracer.context() if tracer is not None else (None, None)
         transport: dict = {}
         if self._zero_copy and len(shards) > 1:
             base = getattr(self._ts, "_column_store", None)
@@ -382,7 +387,9 @@ class ParallelFlowMotifEngine:
                 transport = {"segment_path": str(segment_path)}
             else:
                 try:
-                    transport = {"shm_name": self._shared_store().shm_name}
+                    with _tracing.span("transport.export"):
+                        store = self._shared_store()
+                    transport = {"shm_name": store.shm_name}
                 except (TypeError, ValueError, OSError, ImportError):
                     # TypeError/ValueError: the graph cannot live in a
                     # ColumnStore bit-exactly (exotic node ids, values
@@ -400,16 +407,13 @@ class ParallelFlowMotifEngine:
                     shard.graph = materialize_shard(
                         self._ts, shard.bounds, zero_copy=False
                     ).graph
-        tracer = _tracing.active()
         prof = _profiler.active()
         if (
             tracer is not None
             or prof is not None
             or _obs_metrics.active() is not None
         ):
-            options["trace"] = (
-                tracer.context() if tracer is not None else (None, None)
-            )
+            options["trace"] = context
             options["profile_hz"] = prof.hz if prof is not None else None
         options["fault_plan"] = os.environ.get(_faultinject.ENV_VAR)
         queries = tuple(queries)

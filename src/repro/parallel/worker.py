@@ -42,7 +42,6 @@ instances are bit-identical to what a serial search would have produced
 
 from __future__ import annotations
 
-import gc
 import logging
 import os
 import threading
@@ -301,17 +300,19 @@ def _store_shard(task: ShardTask) -> Tuple[TimeShard, MatchCache]:
     with _STORES_LOCK:
         entry = _STORES.get(ref)
         if entry is None:
-            if task.shm_name is not None:
-                store = ColumnStore.attach(ref)
-            else:
-                from repro.graph.segments import open_segment
+            with _span("transport.attach"):
+                if task.shm_name is not None:
+                    store = ColumnStore.attach(ref)
+                else:
+                    from repro.graph.segments import open_segment
 
-                store = open_segment(ref, quarantine=False)
+                    store = open_segment(ref, quarantine=False)
             entry = _STORES[ref] = (store, {})
         store, shards = entry
         cached = shards.pop(task.bounds, None)
         if cached is None:
-            shard = slice_shard(store.iter_series(), task.bounds)
+            with _span("transport.slice"):
+                shard = slice_shard(store.iter_series(), task.bounds)
             cached = (shard, MatchCache(shard.graph))
         shards[task.bounds] = cached
         while len(shards) > 2 * task.bounds[1]:
@@ -333,8 +334,6 @@ def release_store(ref: str) -> None:
         return
     store, shards = entry
     shards.clear()
-    # P1's recursive DFS closures are cycles that may still pin views.
-    gc.collect()
     try:
         store.close()
     except BufferError:

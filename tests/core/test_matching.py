@@ -122,3 +122,60 @@ class TestMatchContents:
         ts = graph_of(("a", "b"), ("c", "d")).to_time_series()
         matches = find_structural_matches(ts, Motif.chain(2, 1))
         assert {m.walk for m in matches} == {("a", "b"), ("c", "d")}
+
+
+class TestNoCyclePinsViews:
+    """The recursive closures of P1 and P2 are reference cycles, but none
+    holds the graph once its walk is done, so a store whose views they
+    walked can be closed as soon as its last user is deleted, without
+    waiting for (or forcing) a cyclic garbage collection."""
+
+    @staticmethod
+    def _graph():
+        import random
+
+        rng = random.Random(4)
+        graph = InteractionGraph()
+        for _ in range(200):
+            u, v = rng.sample(range(8), 2)
+            graph.add_interaction(
+                f"n{u}", f"n{v}", float(rng.randrange(60)), float(rng.randint(1, 9))
+            )
+        return graph
+
+    @pytest.mark.parametrize("walk", ["find", "top_k", "matches_through"])
+    def test_shared_store_closes_with_gc_disabled(self, walk):
+        import gc
+
+        from repro.core.engine import FlowMotifEngine
+        from repro.core.matching import matches_through
+        from repro.graph.columnar import ColumnStore
+
+        motif = Motif.chain(3, delta=10, phi=2)
+        shared = ColumnStore.from_graph(self._graph()).to_shared()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            view = shared.to_graph()
+            if walk == "find":
+                engine = FlowMotifEngine(view)
+                result = engine.find_instances(motif)
+                assert result.count > 0
+                del engine
+            elif walk == "top_k":
+                engine = FlowMotifEngine(view)
+                result = engine.top_k(motif, 3)
+                assert result
+                del engine
+            else:
+                anchor = view.all_series()[0]
+                result, _expanded = matches_through(view, motif, anchor)
+                assert result
+                del anchor
+            del result, view
+            shared.close(unlink=True)
+        finally:
+            if enabled:
+                gc.enable()
+            gc.collect()
+            shared.close(unlink=True)

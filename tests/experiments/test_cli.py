@@ -131,6 +131,41 @@ class TestFindCommand:
         assert main(args + ["--jobs", "2", "--shards", "3"]) == 0
         assert records() == serial != []
 
+    def test_find_limit_prints_the_same_instances_on_every_engine(
+        self, tmp_path, capsys
+    ):
+        """``--limit`` keeps the earliest instances (by start time, then
+        canonical key), not the first ones an engine happened to return:
+        a sharded run returns them shard-major."""
+        import random
+
+        rng = random.Random(0)
+        path = tmp_path / "edges.csv"
+        with open(path, "w") as fh:
+            fh.write("src,dst,time,flow\n")
+            for _ in range(400):
+                u, v = rng.sample(range(12), 2)
+                fh.write(
+                    f"n{u},n{v},{rng.randrange(0, 200)},{rng.randint(1, 9)}\n"
+                )
+        args = ["find", str(path), "--motif", "M(3,2)", "--delta", "30",
+                "--phi", "2", "--limit", "50"]
+
+        def printed(extra):
+            assert main(args + extra) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [json.loads(line) for line in out if line.startswith("{")]
+
+        serial = printed([])
+        assert len(serial) == 50
+        starts = [
+            min(t for edge in r["edges"] for t, _ in edge["events"])
+            for r in serial
+        ]
+        assert starts == sorted(starts)
+        assert printed(["--shards", "2"]) == serial
+        assert printed(["--jobs", "2", "--shards", "3"]) == serial
+
 
 class TestStreamCommand:
     @pytest.fixture

@@ -449,3 +449,184 @@ class TestAttachTypedErrors:
         from repro.resilience import SegmentCorruptionError
 
         assert issubclass(SegmentCorruptionError, ValueError)
+
+
+# ----------------------------------------------------------------------
+# Byte formats: the shared-memory block (v1) and the sealed file (v2)
+# ----------------------------------------------------------------------
+
+#: A fixed small interaction list. Its flows make the prefix sums round
+#: (0.1 + 0.2 is not 0.3 in float64), so the pinned ``cum`` CRC also
+#: pins the order in which the sums are taken.
+_FORMAT_EVENTS = [
+    ("a", "b", 1.0, 0.1),
+    ("b", "c", 2.0, 3.0),
+    ("a", "b", 4.0, 0.2),
+    ("c", "a", 4.5, 5.0),
+    ("a", "b", 6.0, 0.7),
+    ("b", "c", 7.0, 1.25),
+]
+
+#: The metadata's pair table, in slot order.
+_FORMAT_PAIRS = [["a", "b"], ["b", "c"], ["c", "a"]]
+
+#: Per-column (byte length, CRC32). The byte ranges follow one another
+#: from the first 8-aligned offset after the metadata.
+_FORMAT_COLUMNS = [
+    ("offsets", 32, 0xFD222814),
+    ("times", 48, 0x25660B6D),
+    ("flows", 48, 0xB41FB5C5),
+    ("cum", 72, 0x5E935F75),
+]
+
+
+def _format_store():
+    from repro.graph.columnar import GrowableColumnStore
+
+    grow = GrowableColumnStore()
+    grow.extend(_FORMAT_EVENTS)
+    return grow.snapshot()
+
+
+def _check_columns(data, meta_end):
+    """Each column starts where the previous ends, from ``meta_end``
+    rounded up to 8 bytes, and the last one ends the block."""
+    import zlib
+
+    at = (meta_end + 7) // 8 * 8
+    crcs = {}
+    for name, length, crc in _FORMAT_COLUMNS:
+        assert zlib.crc32(data[at : at + length]) == crc, name
+        crcs[name] = crc
+        at += length
+    assert at == len(data)
+    return crcs
+
+
+def _read_meta(data, start, meta_len):
+    import json
+
+    meta = json.loads(bytes(data[start : start + meta_len]))
+    assert meta.pop("pid") == os.getpid()
+    return meta
+
+
+class TestByteFormats:
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm to read"
+    )
+    def test_shared_block_v1(self):
+        from repro.resilience.shm_registry import SEGMENT_HEADER, SEGMENT_MAGIC
+
+        shared = _format_store().to_shared()
+        try:
+            with open(os.path.join("/dev/shm", shared.shm_name), "rb") as fh:
+                data = fh.read()
+        finally:
+            shared.close(unlink=True)
+        magic, version, meta_len = SEGMENT_HEADER.unpack_from(data, 0)
+        assert (magic, version) == (SEGMENT_MAGIC, 1)
+        assert meta_len == 78 + len(str(os.getpid()))
+        meta = _read_meta(data, 24, meta_len)
+        assert list(meta) == ["num_series", "num_events", "pairs"]
+        assert meta == {"num_series": 3, "num_events": 6, "pairs": _FORMAT_PAIRS}
+        _check_columns(data, 24 + meta_len)
+
+    def test_sealed_file_v2(self, tmp_path):
+        import struct
+        import zlib
+
+        from repro.graph.segments import write_segment
+        from repro.resilience.shm_registry import SEGMENT_HEADER, SEGMENT_MAGIC
+
+        path = str(tmp_path / "format.seg")
+        returned = write_segment(_format_store(), path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        magic, version, meta_len = SEGMENT_HEADER.unpack_from(data, 0)
+        assert (magic, version) == (SEGMENT_MAGIC, 2)
+        assert meta_len == 161 + len(str(os.getpid()))
+        header_crc, meta_crc = struct.unpack_from("<II", data, 24)
+        assert header_crc == zlib.crc32(data[:24])
+        meta_end = 32 + meta_len
+        assert meta_crc == zlib.crc32(data[32 : (meta_end + 7) // 8 * 8])
+        meta = _read_meta(data, 32, meta_len)
+        assert list(meta) == ["num_series", "num_events", "pairs", "crc"]
+        crcs = _check_columns(data, meta_end)
+        assert meta == {
+            "num_series": 3,
+            "num_events": 6,
+            "pairs": _FORMAT_PAIRS,
+            "crc": crcs,
+        }
+        assert list(meta["crc"]) == [name for name, _, _ in _FORMAT_COLUMNS]
+        returned.pop("pid")
+        assert returned == meta
+
+
+def _series_of(graph):
+    """``all_series()`` as plain values, prefix sums included (series
+    equality ignores them); holds no view of the graph's buffers."""
+    return [
+        (s.src, s.dst, list(s.times), list(s.flows), list(s._cum))
+        for s in graph.all_series()
+    ]
+
+
+class TestRoundTrips:
+    def _reference(self):
+        return InteractionGraph.from_tuples(_FORMAT_EVENTS).to_time_series()
+
+    def _mapped(self, store):
+        """``_series_of`` a mapped store's graph, then unmap the store."""
+        graph = store.to_graph()
+        try:
+            assert graph.all_series() == self._reference().all_series()
+            return _series_of(graph)
+        finally:
+            del graph
+            store.close()
+
+    def test_export_attach(self):
+        shared = ColumnStore.from_graph(self._reference()).to_shared()
+        try:
+            attached = ColumnStore.attach(shared.shm_name)
+            assert self._mapped(attached) == _series_of(self._reference())
+        finally:
+            shared.close(unlink=True)
+
+    def test_seal_open(self, tmp_path):
+        from repro.graph.segments import open_segment, write_segment
+
+        path = str(tmp_path / "one.seg")
+        write_segment(ColumnStore.from_graph(self._reference()), path)
+        assert self._mapped(open_segment(path)) == _series_of(
+            self._reference()
+        )
+
+    def test_snapshot(self):
+        graph = _format_store().to_graph()
+        assert graph.all_series() == self._reference().all_series()
+        assert _series_of(graph) == _series_of(self._reference())
+
+    def test_compacting_two_seals_equals_one_seal(self, tmp_path):
+        from repro.graph.segments import SegmentStore
+
+        split = SegmentStore(str(tmp_path / "split"))
+        split.extend(_FORMAT_EVENTS[:3])
+        split.seal()
+        split.extend(_FORMAT_EVENTS[3:])
+        split.seal()
+        merged = split.compact()
+        whole = SegmentStore(str(tmp_path / "whole"))
+        whole.extend(_FORMAT_EVENTS)
+        sealed = whole.seal()
+        assert split.live_segments() == [merged]
+        with open(split.segment_path(merged), "rb") as fh:
+            merged_bytes = fh.read()
+        with open(whole.segment_path(sealed), "rb") as fh:
+            sealed_bytes = fh.read()
+        assert merged_bytes == sealed_bytes
+        assert self._mapped(split.open_segment(merged)) == _series_of(
+            self._reference()
+        )

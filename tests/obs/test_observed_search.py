@@ -139,6 +139,31 @@ class TestBackendTrace:
         assert obs_metrics.active() is None
         assert obs_tracing.active() is None
 
+    def test_partition_export_attach_and_slice_have_spans(self):
+        """The parent's partition and shm export are children of the
+        query span; a worker's first attach and each new shard's slicing
+        are children of its ``worker.materialize``."""
+        graph = _graph(num_events=600)
+        with obs.observe() as observation:
+            with ParallelFlowMotifEngine(graph, jobs=2, shards=2) as engine:
+                engine.find_instances(MOTIF, collect=False)
+        (root,) = stitch_trace(observation.spans())
+        names = [c.span.name for c in root.children]
+        assert names.count("parallel.partition") == 1
+        assert names.count("transport.export") == 1
+        assert names.count("worker.shard_task") == 2
+        transport = [
+            grandchild.span.name
+            for task in root.children
+            if task.span.name == "worker.shard_task"
+            for child in task.children
+            if child.span.name == "worker.materialize"
+            for grandchild in child.children
+        ]
+        assert transport.count("transport.slice") == 2
+        assert 1 <= transport.count("transport.attach") <= 2
+        assert set(transport) == {"transport.attach", "transport.slice"}
+
 
 class TestNoopMode:
     def test_disabled_records_nothing_and_leaks_nothing(self):
