@@ -1,16 +1,17 @@
 """``repro.obs`` — dependency-free observability for the motif engines.
 
-Five pieces, one activation model:
+Five pieces, one activation slot:
 
-* :mod:`repro.obs.metrics` — counters / gauges / histograms in a
+* :mod:`repro.obs.metrics` — counters and gauges in a
   :class:`MetricsRegistry` with deterministic snapshots and associative
   merge (per-worker registries fold into one report in any order).
 * :mod:`repro.obs.tracing` — ``span()`` context managers with explicit
   parent ids; serialized span lists cross process boundaries and
   stitch back into a single trace tree.
 * :mod:`repro.obs.profiler` — sampling wall-clock profiler attributing
-  collapsed stacks to the ambient trace span; per-task profiles ride
-  the shard reply home exactly like metrics snapshots do.
+  collapsed stacks to the sampled thread's innermost open span;
+  per-task profiles ride the shard reply home exactly like metrics
+  snapshots do.
 * :mod:`repro.obs.flight` — bounded in-memory flight recorder dumping
   a JSONL diagnostic bundle on shard retries, degradations and
   SIGTERM.
@@ -30,26 +31,25 @@ Turn it on around any region with::
     print(ob.render_trace())         # stitched span tree
     print(ob.render_profile())       # span-attributed hot frames
 
-Activation is thread-local: concurrent observed regions on different
+An :class:`Observation` bundles the three: its registry, its tracer (or
+None) and its profiler (or None). Entering it puts it in this thread's
+one slot (:mod:`repro.obs.slot`), leaving restores the outer one, and
+every gate reads that slot. Concurrent observed regions on different
 threads (e.g. engines queried from two user threads) do not see each
-other's registries.
+other's data, and a forked pool worker starts with an empty slot.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
 from . import flight as flight
 from . import metrics as metrics
 from . import profiler as profiler
+from . import slot as slot
 from . import tracing as tracing
 from .flight import FlightRecorder
-from .metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    render_prometheus,
-    render_text,
-)
+from .metrics import MetricsRegistry, render_prometheus, render_text
 from .profiler import ProfileReport, Profiler
 from .sink import JsonlSink, load_observations, load_profiles, read_jsonl
 from .tracing import (
@@ -63,7 +63,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "FlightRecorder",
     "JsonlSink",
     "MetricsRegistry",
@@ -83,6 +82,7 @@ __all__ = [
     "render_prometheus",
     "render_text",
     "render_trace_tree",
+    "slot",
     "span",
     "span_totals",
     "stitch_trace",
@@ -91,47 +91,58 @@ __all__ = [
 
 
 class Observation:
-    """Handle for one observed region: registry, tracer and profiler.
+    """One observed region: a metrics registry, a tracer and a profiler.
 
-    Usable as a context manager (see :func:`observe`); the collected
-    data stays readable after exit.
+    ``trace`` is True for a fresh trace, a :data:`TraceContext` to
+    continue one shipped from another process (the shard-task
+    trampoline), or False for metrics only; ``profile`` arms a sampling
+    profiler at ``profile_hz``. Entering puts the observation in this
+    thread's slot (:mod:`repro.obs.slot`) and starts the profiler;
+    leaving stops it and restores the outer observation. An observation
+    may be entered again and keeps accumulating. The collected data
+    stays readable after exit.
     """
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        trace: bool = True,
+        trace: Union[bool, TraceContext] = True,
         profile: bool = False,
         profile_hz: float = profiler.DEFAULT_HZ,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else (
-            Tracer() if trace else None
-        )
+        self.registry = MetricsRegistry()
+        self.tracer: Optional[Tracer] = None
+        if trace:
+            self.tracer = Tracer() if trace is True else Tracer(*trace)
         self.profiler: Optional[Profiler] = (
             Profiler(hz=profile_hz) if profile else None
         )
-        self._prev_registry: Optional[MetricsRegistry] = None
-        self._prev_tracer: Optional[Tracer] = None
-        self._prev_profiler: Optional[Profiler] = None
+        self._outer: Optional["Observation"] = None
 
     def __enter__(self) -> "Observation":
-        self._prev_registry = metrics.activate(self.registry)
-        if self.tracer is not None:
-            self._prev_tracer = tracing.activate(self.tracer)
+        self._outer = slot.swap(self)
         if self.profiler is not None:
-            self._prev_profiler = profiler.activate(self.profiler)
             self.profiler.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.profiler is not None:
             self.profiler.stop()
-            profiler.activate(self._prev_profiler)
-        metrics.activate(self._prev_registry)
-        if self.tracer is not None:
-            tracing.activate(self._prev_tracer)
+        slot.swap(self._outer)
+        self._outer = None
+
+    def adopt(
+        self,
+        spans: Sequence[dict],
+        snapshot: Optional[dict],
+        profile: Optional[dict],
+    ) -> None:
+        """Fold one shard reply's spans, snapshot and profile in."""
+        if self.tracer is not None and spans:
+            self.tracer.add_spans(spans)
+        if snapshot:
+            self.registry.merge(snapshot)
+        if self.profiler is not None and profile:
+            self.profiler.adopt(profile)
 
     # -- conveniences ----------------------------------------------------
 
@@ -173,7 +184,7 @@ def observe(
     profile: bool = False,
     profile_hz: float = profiler.DEFAULT_HZ,
 ) -> Observation:
-    """Activate observability for a ``with`` region on this thread.
+    """Observe a ``with`` region on this thread.
 
     ``trace=False`` collects metrics only (no span bookkeeping) — used
     by benchmarks measuring counter overhead in isolation.

@@ -1,27 +1,27 @@
 """Dependency-free metrics registry with deterministic merge semantics.
 
-One :class:`MetricsRegistry` holds counters, gauges, and fixed-bucket
-histograms, keyed by a metric name plus an optional sorted label set.
-Registries are designed around the parallel engine's fan-out model:
+One :class:`MetricsRegistry` holds counters and gauges, keyed by a
+metric name plus an optional sorted label set. Registries are designed
+around the parallel engine's fan-out model:
 
 * **per-worker registries** — each shard task, in a worker process or
   inline, records into its own registry, snapshots it, and ships the
   plain-dict snapshot back with its results;
 * **associative merge** — :meth:`MetricsRegistry.merge` folds snapshots
-  together with order-independent semantics (counters and histogram
-  buckets *sum*, gauges take the *max*), so merging per-worker snapshots
-  in any order renders the identical report (property-tested in
-  ``tests/obs/test_metrics.py``);
+  together with order-independent semantics (counters *sum*, gauges take
+  the *max*), so merging per-worker snapshots in any order renders the
+  identical report (property-tested in ``tests/obs/test_metrics.py``);
 * **deterministic rendering** — :meth:`snapshot`,
   :func:`render_prometheus`, and :func:`render_text` emit metrics in
   sorted (name, labels) order, independent of insertion order.
 
-Activation is *per thread* and explicitly scoped: instrumented hot paths
-ask :func:`active` for the current registry and do nothing when it is
-``None`` (the default). Disabled mode therefore costs one function call
-and one attribute read per instrumented *call site* — never per DP cell
-or per event — and allocates nothing (asserted by the zero-overhead
-tests and the ``bench_columnar_store`` overhead smoke).
+Instrumented hot paths ask :func:`active` for the registry of the
+observation active on this thread (:mod:`repro.obs.slot`) and do nothing
+when it is ``None`` (the default). Disabled mode therefore costs one
+function call and one test of an empty dict per instrumented *call
+site* — never per DP cell or per event — and allocates nothing (asserted
+by the zero-overhead tests and the ``bench_columnar_store`` overhead
+smoke).
 
 >>> registry = MetricsRegistry()
 >>> registry.counter("p1.matches").inc(3)
@@ -33,27 +33,18 @@ tests and the ``bench_columnar_store`` overhead smoke).
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from .slot import _SLOTS, current
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "active",
-    "activate",
-    "histogram_quantile",
     "render_prometheus",
     "render_text",
 ]
-
-#: Default histogram boundaries — a geometric grid wide enough for both
-#: counts (events, DP cells) and sub-second latencies. Histograms created
-#: with the same name must share boundaries or merging raises.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0
-)
 
 #: Canonical label rendering: ``name{a=1,b=x}``. An empty label set
 #: renders as the bare name. Used as the snapshot dict key, so snapshots
@@ -137,39 +128,8 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Fixed-boundary histogram. Merge semantics: per-bucket sum.
-
-    ``buckets`` are upper bounds of the finite buckets; one implicit
-    overflow bucket catches everything above the last boundary.
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError(
-                f"bucket boundaries must be sorted and distinct: {buckets!r}"
-            )
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-
 class MetricsRegistry:
-    """A named collection of counters, gauges, and histograms.
+    """A named collection of counters and gauges.
 
     Metric creation is guarded by a lock (several threads may lazily
     create the same metric); *updates* are plain attribute writes — the
@@ -180,7 +140,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, _LabelItems], Counter] = {}
         self._gauges: Dict[Tuple[str, _LabelItems], Gauge] = {}
-        self._histograms: Dict[Tuple[str, _LabelItems], Histogram] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -205,29 +164,6 @@ class MetricsRegistry:
                 metric = self._gauges.setdefault(key, Gauge())
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        **labels: object,
-    ) -> Histogram:
-        """The histogram registered under ``name`` + ``labels``.
-
-        The first creation fixes the bucket boundaries; later calls with
-        different ``buckets`` raise (mixed boundaries cannot merge).
-        """
-        key = (name, _label_items(labels))
-        metric = self._histograms.get(key)
-        if metric is None:
-            with self._lock:
-                metric = self._histograms.setdefault(key, Histogram(buckets))
-        if metric.buckets != tuple(float(b) for b in buckets):
-            raise ValueError(
-                f"histogram {name!r} already registered with boundaries "
-                f"{metric.buckets}, got {tuple(buckets)!r}"
-            )
-        return metric
-
     # ------------------------------------------------------------------
     # Snapshot / merge
     # ------------------------------------------------------------------
@@ -248,22 +184,14 @@ class MetricsRegistry:
                 _render_key(*key): metric.value
                 for key, metric in sorted(self._gauges.items())
             },
-            "histograms": {
-                _render_key(*key): {
-                    "buckets": list(metric.buckets),
-                    "counts": list(metric.counts),
-                    "sum": metric.sum,
-                    "count": metric.count,
-                }
-                for key, metric in sorted(self._histograms.items())
-            },
         }
 
     def merge(self, snapshot: dict) -> "MetricsRegistry":
         """Fold one snapshot into this registry (associative, in place).
 
-        Counters and histogram buckets sum; gauges keep the maximum.
-        Returns ``self`` so merges chain.
+        Counters sum; gauges keep the maximum. Any other section (the
+        ``histograms`` of older sink files) is ignored. Returns ``self``
+        so merges chain.
         """
         for key, value in snapshot.get("counters", {}).items():
             name, labels = split_key(key)
@@ -273,19 +201,6 @@ class MetricsRegistry:
             gauge = self.gauge(name, **dict(labels))
             if value > gauge.value:
                 gauge.value = value
-        for key, data in snapshot.get("histograms", {}).items():
-            name, labels = split_key(key)
-            hist = self.histogram(
-                name, buckets=data["buckets"], **dict(labels)
-            )
-            if len(hist.counts) != len(data["counts"]):
-                raise ValueError(
-                    f"histogram {key!r} bucket count mismatch on merge"
-                )
-            for i, c in enumerate(data["counts"]):
-                hist.counts[i] += c
-            hist.sum += data["sum"]
-            hist.count += data["count"]
         return self
 
     @classmethod
@@ -302,18 +217,6 @@ class MetricsRegistry:
         return render_text(self.snapshot())
 
 
-# ----------------------------------------------------------------------
-# Thread-local activation
-# ----------------------------------------------------------------------
-
-
-class _ThreadState(threading.local):
-    registry: Optional[MetricsRegistry] = None
-
-
-_STATE = _ThreadState()
-
-
 def active() -> Optional[MetricsRegistry]:
     """The registry instrumented code should record into (None = off).
 
@@ -321,19 +224,10 @@ def active() -> Optional[MetricsRegistry]:
     ``reg = metrics.active()`` / ``if reg is None: skip`` — no metric
     objects exist and no work happens while observability is disabled.
     """
-    return _STATE.registry
-
-
-def activate(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Swap the current thread's active registry; returns the previous one.
-
-    Prefer the scoped :func:`repro.obs.observe` context manager; this
-    low-level hook exists for the worker trampoline, which must activate
-    and restore around a single task.
-    """
-    previous = _STATE.registry
-    _STATE.registry = registry
-    return previous
+    if not _SLOTS:
+        return None
+    observation = current()
+    return observation.registry if observation is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -372,9 +266,8 @@ def _format_value(value: float) -> str:
 def render_prometheus(snapshot: dict) -> str:
     """Prometheus text exposition (v0.0.4) of one snapshot.
 
-    Counters gain the conventional ``_total`` suffix, dots become
-    underscores, histograms expose cumulative ``_bucket{le=...}`` series
-    plus ``_sum``/``_count``. Output order is deterministic.
+    Counters gain the conventional ``_total`` suffix and dots become
+    underscores. Output order is deterministic.
     """
     lines: List[str] = []
     seen_types: set = set()
@@ -398,66 +291,7 @@ def render_prometheus(snapshot: dict) -> str:
         type_line(prom, "gauge")
         value = snapshot["gauges"][key]
         lines.append(f"{prom}{_prom_labels(labels)} {_format_value(value)}")
-    for key in sorted(snapshot.get("histograms", {})):
-        name, labels = split_key(key)
-        prom = _prom_name(name)
-        type_line(prom, "histogram")
-        data = snapshot["histograms"][key]
-        cumulative = 0
-        for bound, count in zip(data["buckets"], data["counts"]):
-            cumulative += count
-            le = _format_value(float(bound))
-            items = labels + (("le", le),)
-            lines.append(f"{prom}_bucket{_prom_labels(items)} {cumulative}")
-        cumulative += data["counts"][-1]
-        items = labels + (("le", "+Inf"),)
-        lines.append(f"{prom}_bucket{_prom_labels(items)} {cumulative}")
-        lines.append(
-            f"{prom}_sum{_prom_labels(labels)} {_format_value(data['sum'])}"
-        )
-        lines.append(f"{prom}_count{_prom_labels(labels)} {data['count']}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def histogram_quantile(data: dict, q: float) -> float:
-    """Estimate quantile ``q`` of a snapshot histogram by interpolation.
-
-    The Prometheus estimator: find the bucket the ``q``-th observation
-    lands in, then interpolate linearly between its lower and upper
-    bound (the first finite bucket's lower bound is 0). Observations in
-    the overflow bucket clamp to the last finite boundary — the
-    estimate is then a lower bound, exactly as in PromQL.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    buckets = data["buckets"]
-    counts = data["counts"]
-    total = data["count"]
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    cumulative = 0
-    for i, bound in enumerate(buckets):
-        prev_cumulative = cumulative
-        cumulative += counts[i]
-        if cumulative >= rank:
-            lower = buckets[i - 1] if i > 0 else 0.0
-            in_bucket = counts[i]
-            if in_bucket == 0:
-                return float(bound)
-            frac = (rank - prev_cumulative) / in_bucket
-            return lower + (float(bound) - lower) * min(max(frac, 0.0), 1.0)
-    return float(buckets[-1])
-
-
-def _quantile_suffix(data: dict) -> str:
-    if not data["count"]:
-        return ""
-    parts = [
-        f"p{int(q * 100)}={histogram_quantile(data, q):g}"
-        for q in (0.50, 0.95, 0.99)
-    ]
-    return " " + " ".join(parts)
 
 
 def render_text(snapshot: dict) -> str:
@@ -467,16 +301,6 @@ def render_text(snapshot: dict) -> str:
         rows.append((key, _format_value(snapshot["counters"][key])))
     for key in sorted(snapshot.get("gauges", {})):
         rows.append((key, _format_value(snapshot["gauges"][key])))
-    for key in sorted(snapshot.get("histograms", {})):
-        data = snapshot["histograms"][key]
-        mean = data["sum"] / data["count"] if data["count"] else 0.0
-        rows.append(
-            (
-                key,
-                f"count={data['count']} sum={data['sum']:g} mean={mean:g}"
-                + _quantile_suffix(data),
-            )
-        )
     if not rows:
         return "(no metrics recorded)"
     width = max(len(name) for name, _ in rows)

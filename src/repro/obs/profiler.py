@@ -9,20 +9,24 @@ extension, no per-line tracing overhead: the profiled code runs
 completely unmodified and pays only for the GIL handoffs the sampler
 thread forces (~1% at the default rate).
 
-Samples are attributed to the **ambient trace span** of the sampled
-thread (:mod:`repro.obs.tracing` keeps a per-thread innermost-span-name
-registry while at least one profiler runs): the span name becomes the
-root frame of every collapsed line and feeds the ``by_span`` table, so
-a profile answers both "which function burns the time" and "inside
-which phase (``p1.match`` / ``p2.enumerate`` / ...)" — and the by-span
-sample shares reconcile with the tracer's own ``span_totals``.
+A profiler samples exactly one thread: the one that started it. Each
+sample is attributed to that thread's **innermost open span**, read at
+sample time from the tracer of the observation in the thread's slot
+(:mod:`repro.obs.slot`) — so when the inline shard-task trampoline swaps
+a per-task tracer in, samples follow it into the task's ``p1.*`` /
+``p2.*`` spans. The span name becomes the root frame of every collapsed
+line and feeds the ``by_span`` table, so a profile answers both "which
+function burns the time" and "inside which phase (``p1.match`` /
+``p2.enumerate`` / ...)" — and the by-span sample shares reconcile with
+the tracer's own ``span_totals``.
 
-Like metrics and tracing, profiling is **off by default**, activated
-per thread (:func:`active`/:func:`activate`), and crosses process
-boundaries through the shard task: the parallel engine ships the
-active profiler's rate inside each :class:`~repro.parallel.worker.
-ShardTask`, the worker arms a per-task :class:`Profiler` around the
-task, and the serialized :class:`ProfileReport` rides home in the
+Like metrics and tracing, profiling is **off by default**: an
+:class:`~repro.obs.Observation` entered with ``profile=True`` starts
+one. It crosses process boundaries through the shard task: the parallel
+engine ships the profiler's rate inside each
+:class:`~repro.parallel.worker.ShardTask`, a pool worker arms a per-task
+:class:`Profiler` around the task, and the serialized
+:class:`ProfileReport` rides home in the
 :class:`~repro.parallel.worker.ShardReply`, where the dispatcher
 :meth:`~Profiler.adopt`\\ s it.
 
@@ -34,19 +38,16 @@ True
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import tracing as _tracing
+from .slot import _SLOTS
 
 __all__ = [
     "DEFAULT_HZ",
     "ProfileReport",
     "Profiler",
-    "active",
-    "activate",
 ]
 
 #: Default sampling rate. Prime, so the sampler cannot phase-lock with
@@ -66,8 +67,8 @@ class ProfileReport:
     """Aggregated samples of one (or several merged) profiling runs.
 
     ``collapsed`` maps ``"span;module:func;module:func"`` lines to sample
-    counts — the flamegraph wire format. ``by_span`` maps the ambient
-    span name active at sample time to its sample count.
+    counts — the flamegraph wire format. ``by_span`` maps the innermost
+    open span name at sample time to its sample count.
     """
 
     __slots__ = ("hz", "samples", "collapsed", "by_span")
@@ -208,78 +209,32 @@ def _walk_stack(frame) -> List[str]:
 
 
 class Profiler:
-    """Background sampling profiler for a fixed set of threads.
+    """Background sampling profiler of the thread that starts it.
 
-    Parameters
-    ----------
-    hz:
-        Sampling rate. Off-by-default design: nothing runs until
-        :meth:`start`.
-    threads:
-        Thread idents to sample. ``None`` (default) pins the profiler to
-        the thread that *created* it — the right scope for per-task
-        worker profiling and for the dispatcher, whose pool-backend
-        tasks arm their own profilers (so samples are never counted
-        twice by nested profilers on different threads).
-    all_threads:
-        Sample every live thread except the sampler itself. For
-        standalone whole-process profiling (the ``profile``-less CLI
-        paths); do not combine with per-task profilers in the same
-        process.
+    Nothing runs until :meth:`start`; the sampler thread then wakes
+    ``hz`` times per second. Stopping and starting again accumulates
+    into the same :attr:`report`.
     """
 
-    def __init__(
-        self,
-        hz: float = DEFAULT_HZ,
-        threads: Optional[Iterable[int]] = None,
-        all_threads: bool = False,
-    ) -> None:
+    def __init__(self, hz: float = DEFAULT_HZ) -> None:
         if hz <= 0:
             raise ValueError(f"hz must be positive, got {hz!r}")
         self.hz = float(hz)
         self._interval = 1.0 / self.hz
-        self._all_threads = bool(all_threads)
-        self._threads: Optional[Set[int]] = (
-            None
-            if all_threads
-            else (
-                set(threads)
-                if threads is not None
-                else {threading.get_ident()}
-            )
-        )
         self.report = ProfileReport(hz=self.hz)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._pid: Optional[int] = None
+        self._target = 0
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None
-
-    @property
-    def sampling_here(self) -> bool:
-        """Whether this profiler's sampler thread lives in *this* process.
-
-        A fork-based process pool clones the dispatcher's thread-local
-        state into its workers, so a worker can inherit an ``active()``
-        profiler whose sampler thread only exists in the parent — a
-        ghost that records nothing here. The worker trampoline uses this
-        predicate (not mere presence) to decide whether arming its own
-        per-task profiler would double-count.
-        """
-        return self._thread is not None and self._pid == os.getpid()
-
     def start(self) -> "Profiler":
-        """Arm the sampler thread (and the tracing ambient registry)."""
+        """Arm the sampler thread on the calling thread."""
         if self._thread is not None:
             return self
-        self._pid = os.getpid()
+        self._target = threading.get_ident()
         self._stop.clear()
-        _tracing.enable_ambient()
         self._thread = threading.Thread(
             target=self._run, name="repro-profiler", daemon=True
         )
@@ -292,7 +247,6 @@ class Profiler:
         if thread is not None:
             self._stop.set()
             thread.join(timeout=2.0)
-            _tracing.disable_ambient()
         return self.report
 
     def __enter__(self) -> "Profiler":
@@ -304,24 +258,22 @@ class Profiler:
     # -- sampling --------------------------------------------------------
 
     def _run(self) -> None:
-        own_ident = threading.get_ident()
         while not self._stop.wait(self._interval):
-            self._sample_once(own_ident)
+            self._sample_once()
 
-    def _sample_once(self, own_ident: int) -> None:
-        frames = sys._current_frames()
-        try:
-            for ident, frame in frames.items():
-                if ident == own_ident:
-                    continue
-                if self._threads is not None and ident not in self._threads:
-                    continue
-                span_name = _tracing.ambient_span_name(ident)
-                stack = _walk_stack(frame)
-                with self._lock:
-                    self.report.add_stack(span_name, stack)
-        finally:
-            del frames  # drop frame references promptly
+    def _sample_once(self) -> None:
+        frame = sys._current_frames().get(self._target)
+        if frame is None:
+            return
+        observation = _SLOTS.get(self._target)
+        tracer = observation.tracer if observation is not None else None
+        span_name = (
+            tracer.open_span_name(self._target) if tracer is not None else None
+        )
+        stack = _walk_stack(frame)
+        del frame  # drop the frame reference promptly
+        with self._lock:
+            self.report.add_stack(span_name, stack)
 
     # -- cross-process folding ------------------------------------------
 
@@ -332,32 +284,3 @@ class Profiler:
         foreign = ProfileReport.from_dict(profile_dict)
         with self._lock:
             self.report.merge(foreign)
-
-
-# ----------------------------------------------------------------------
-# Thread-local activation (mirrors repro.obs.metrics / tracing)
-# ----------------------------------------------------------------------
-
-
-class _ThreadState(threading.local):
-    profiler: Optional[Profiler] = None
-
-
-_STATE = _ThreadState()
-
-
-def active() -> Optional[Profiler]:
-    """The current thread's profiler, or None when profiling is off.
-
-    This is the gate the parallel engine uses to decide whether shard
-    tasks should ship a ``profile_hz`` and whether worker profiles
-    should be adopted — one attribute read when off.
-    """
-    return _STATE.profiler
-
-
-def activate(profiler: Optional[Profiler]) -> Optional[Profiler]:
-    """Swap the current thread's profiler; returns the previous one."""
-    previous = _STATE.profiler
-    _STATE.profiler = profiler
-    return previous

@@ -10,7 +10,8 @@ with a ``"kind"`` field —
     One serialized :class:`repro.obs.tracing.Span` (``to_dict`` form).
 
 ``{"kind": "event", "name": ..., ...}``
-    Free-form structured events (fault reports, checkpoints).
+    Free-form structured events, returned as-is by
+    :func:`load_observations`.
 
 ``{"kind": "profile", "profile": {...}}``
     A :meth:`repro.obs.profiler.ProfileReport.to_dict` payload
@@ -57,11 +58,6 @@ class JsonlSink:
             record = dict(d)
             record["kind"] = "span"
             self._write(record)
-
-    def emit_event(self, name: str, **fields: object) -> None:
-        record = {"kind": "event", "name": name}
-        record.update(fields)
-        self._write(record)
 
     def emit_profile(self, profile: dict) -> None:
         """One serialized :class:`~repro.obs.profiler.ProfileReport`."""
@@ -118,7 +114,7 @@ def load_observations(
                 events.append(record)
     snapshot: Dict[str, dict] = (
         registry.snapshot() if registry is not None
-        else {"counters": {}, "gauges": {}, "histograms": {}}
+        else {"counters": {}, "gauges": {}}
     )
     return snapshot, spans, events
 

@@ -10,17 +10,19 @@ which span. That is the whole cross-process story:
    :class:`TraceContext` (trace id + current span id);
 2. the context rides in the :class:`~repro.parallel.worker.ShardTask`
    (next to the shard's store ref and bounds);
-3. the worker activates a fresh tracer parented at the shipped context,
-   runs the task under ``p1.*``/``p2.*`` spans, and returns its
-   serialized span list with the shard output;
+3. the worker enters a fresh observation whose tracer is parented at
+   the shipped context, runs the task under ``p1.*``/``p2.*`` spans, and
+   returns its serialized span list with the shard output;
 4. the dispatcher stitches worker spans into its own list — span ids
    embed the producing pid, so ids never collide and the stitched tree
    provably crosses the worker boundary.
 
-Like the metrics registry (:mod:`repro.obs.metrics`), tracing is
-activated per thread. While no tracer is active the module-level
-:func:`span` helper records nothing; it still returns a clock whose
-``elapsed`` times the block, so timing code never needs a second timer.
+The module-level :func:`span` helper records into the tracer of the
+observation active on this thread (:mod:`repro.obs.slot`). While there
+is none it records nothing; it still returns a clock whose ``elapsed``
+times the block, so timing code never needs a second timer. Open spans
+are kept per thread in a dict keyed by thread ident, so the sampling
+profiler can read the innermost open span of the thread it samples.
 
 Span taxonomy (see README "Observability"): ``query.*`` engine entry
 points, ``p1.*`` structural matching, ``p2.*`` instance search /
@@ -35,17 +37,14 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .slot import current
+
 __all__ = [
     "Span",
     "SpanNode",
     "TraceContext",
     "Tracer",
     "active",
-    "activate",
-    "ambient_span_name",
-    "current_context",
-    "disable_ambient",
-    "enable_ambient",
     "set_span_hook",
     "span",
     "stitch_trace",
@@ -55,44 +54,10 @@ __all__ = [
 
 _SEQ = itertools.count(1)
 
-# ----------------------------------------------------------------------
-# Ambient span registry (for the sampling profiler) and span hook (for
-# the flight recorder). Both are zero-cost while unused: span push/pop
-# checks one module-level int / None respectively.
-# ----------------------------------------------------------------------
-
-#: thread ident -> innermost open span *name* on that thread, maintained
-#: only while at least one profiler holds the registry enabled. The
-#: sampler thread reads it to attribute samples to trace phases.
-_AMBIENT: Dict[int, str] = {}
-_AMBIENT_USERS = 0
-_AMBIENT_LOCK = threading.Lock()
-
 #: Optional callback invoked with every *finished* span dict — the
 #: flight recorder's tap. None (the default) keeps span exit at its
 #: usual cost.
 _SPAN_HOOK = None
-
-
-def enable_ambient() -> None:
-    """Reference-count the ambient registry on (profiler ``start``)."""
-    global _AMBIENT_USERS
-    with _AMBIENT_LOCK:
-        _AMBIENT_USERS += 1
-
-
-def disable_ambient() -> None:
-    """Drop one ambient-registry user; clears the table at zero."""
-    global _AMBIENT_USERS
-    with _AMBIENT_LOCK:
-        _AMBIENT_USERS = max(0, _AMBIENT_USERS - 1)
-        if _AMBIENT_USERS == 0:
-            _AMBIENT.clear()
-
-
-def ambient_span_name(thread_ident: int) -> Optional[str]:
-    """Innermost open span name on a thread (None when none / disabled)."""
-    return _AMBIENT.get(thread_ident)
 
 
 def set_span_hook(hook) -> None:
@@ -100,14 +65,6 @@ def set_span_hook(hook) -> None:
     global _SPAN_HOOK
     _SPAN_HOOK = hook
 
-
-def _ambient_update(stack: "List[Span]") -> None:
-    """Refresh this thread's ambient entry from a span stack."""
-    ident = threading.get_ident()
-    if stack:
-        _AMBIENT[ident] = stack[-1].name
-    else:
-        _AMBIENT.pop(ident, None)
 
 #: ``(trace_id, parent_span_id)`` — everything a worker needs to open
 #: spans under the dispatcher's tree. Kept a plain tuple so it pickles
@@ -242,10 +199,11 @@ class _SpanHandle(_Clock):
 class Tracer:
     """Collects finished spans for one trace within one process.
 
-    The ambient parent (what a new span without an explicit parent
-    attaches to) is tracked per thread; the finished-span list is shared
-    under a lock, so worker threads and foreign (shipped-back) spans can
-    land in the same tracer safely.
+    The open spans (the innermost one is what a new span without an
+    explicit parent attaches to) are tracked per thread, keyed by thread
+    ident; the finished-span list is shared under a lock, so worker
+    threads and foreign (shipped-back) spans can land in the same tracer
+    safely.
     """
 
     def __init__(
@@ -257,21 +215,27 @@ class Tracer:
         self.root_parent = parent_id
         self._finished: List[Span] = []
         self._lock = threading.Lock()
-        self._stacks = threading.local()
+        self._stacks: Dict[int, List[Span]] = {}
 
-    # -- ambient span stack (per thread) --------------------------------
+    # -- open-span stacks (per thread) ----------------------------------
 
     def _stack(self) -> List[Span]:
-        stack = getattr(self._stacks, "value", None)
+        ident = threading.get_ident()
+        stack = self._stacks.get(ident)
         if stack is None:
-            stack = self._stacks.value = []
+            stack = self._stacks[ident] = []
         return stack
 
+    def open_span_name(self, thread_ident: int) -> Optional[str]:
+        """Innermost open span name on a thread (None when none is open).
+
+        Safe to call from another thread: slicing the stack is atomic.
+        """
+        top = self._stacks.get(thread_ident, ())[-1:]
+        return top[0].name if top else None
+
     def _push(self, span_obj: Span) -> None:
-        stack = self._stack()
-        stack.append(span_obj)
-        if _AMBIENT_USERS:
-            _ambient_update(stack)
+        self._stack().append(span_obj)
 
     def _pop(self, span_obj: Span) -> None:
         stack = self._stack()
@@ -282,8 +246,6 @@ class Tracer:
                 stack.remove(span_obj)
             except ValueError:
                 pass
-        if _AMBIENT_USERS:
-            _ambient_update(stack)
         with self._lock:
             self._finished.append(span_obj)
         if _SPAN_HOOK is not None:
@@ -293,7 +255,7 @@ class Tracer:
                 pass
 
     def current_span_id(self) -> Optional[str]:
-        """Ambient parent id for this thread (falls back to the root
+        """Innermost open span id on this thread (falls back to the root
         parent the tracer was opened under)."""
         stack = self._stack()
         return stack[-1].span_id if stack else self.root_parent
@@ -312,8 +274,7 @@ class Tracer:
     ) -> _SpanHandle:
         """A context manager opening one span under this tracer.
 
-        ``parent_id`` overrides the ambient parent (used by workers to
-        attach their first span to the shipped dispatcher context).
+        ``parent_id`` overrides the innermost open span as the parent.
         """
         effective_parent = (
             parent_id if parent_id is not None else self.current_span_id()
@@ -338,42 +299,10 @@ class Tracer:
         finished.sort(key=lambda s: (s.start, s.span_id))
         return [s.to_dict() for s in finished]
 
-    def drain(self) -> List[dict]:
-        """Like :meth:`spans` but clears the collected list."""
-        with self._lock:
-            finished = list(self._finished)
-            self._finished.clear()
-        finished.sort(key=lambda s: (s.start, s.span_id))
-        return [s.to_dict() for s in finished]
-
-
-# ----------------------------------------------------------------------
-# Thread-local activation (mirrors repro.obs.metrics)
-# ----------------------------------------------------------------------
-
-
-class _ThreadState(threading.local):
-    tracer: Optional[Tracer] = None
-
-
-_STATE = _ThreadState()
-
-
 def active() -> Optional[Tracer]:
-    """The current thread's tracer, or None when tracing is off."""
-    return _STATE.tracer
-
-
-def activate(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Swap the current thread's tracer; returns the previous one."""
-    previous = _STATE.tracer
-    _STATE.tracer = tracer
-    if _AMBIENT_USERS:
-        # Keep the profiler's span attribution truthful across tracer
-        # swaps (worker trampoline activating a fresh per-task tracer,
-        # then restoring the dispatcher's).
-        _ambient_update(tracer._stack() if tracer is not None else [])
-    return previous
+    """This thread's tracer, or None when tracing is off."""
+    observation = current()
+    return observation.tracer if observation is not None else None
 
 
 def span(name: str, **attrs: object) -> _Clock:
@@ -384,16 +313,10 @@ def span(name: str, **attrs: object) -> _Clock:
     ``wall_seconds``), so a traced run's span durations equal its
     reported timings exactly.
     """
-    tracer = _STATE.tracer
+    tracer = active()
     if tracer is None:
         return _Clock()
     return tracer.span(name, **attrs)
-
-
-def current_context() -> Optional[TraceContext]:
-    """The shippable trace context of the active tracer (None when off)."""
-    tracer = _STATE.tracer
-    return tracer.context() if tracer is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -66,9 +66,8 @@ from repro.graph.columnar import ColumnStore
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import flight as _flight
-from repro.obs import metrics as _obs_metrics
-from repro.obs import profiler as _profiler
 from repro.obs import tracing as _tracing
+from repro.obs.slot import current as _current_observation
 from repro.parallel import merge as _merge
 from repro.parallel import worker as _worker
 from repro.parallel.partition import (
@@ -366,16 +365,16 @@ class ParallelFlowMotifEngine:
         in place so repeat queries on the same partition pay the copy
         once.
 
-        When a tracer, metrics registry or profiler is active on this
-        (the dispatching) thread, every task also carries the trace
-        context and profile rate; see
+        When an observation is active on this (the dispatching) thread,
+        every task also carries its trace context and profile rate; see
         :func:`repro.parallel.worker.run_shard_task`. A fault plan armed
         in this process's environment
         (:func:`repro.resilience.inject`) is read here, once, and rides in
         every task, since a reused pool's workers never see later changes
         to the environment.
         """
-        tracer = _tracing.active()
+        observation = _current_observation()
+        tracer = observation.tracer if observation is not None else None
         # Captured here, outside transport.export: worker spans are
         # children of the query span.
         context = tracer.context() if tracer is not None else (None, None)
@@ -407,12 +406,8 @@ class ParallelFlowMotifEngine:
                     shard.graph = materialize_shard(
                         self._ts, shard.bounds, zero_copy=False
                     ).graph
-        prof = _profiler.active()
-        if (
-            tracer is not None
-            or prof is not None
-            or _obs_metrics.active() is not None
-        ):
+        if observation is not None:
+            prof = observation.profiler
             options["trace"] = context
             options["profile_hz"] = prof.hz if prof is not None else None
         options["fault_plan"] = os.environ.get(_faultinject.ENV_VAR)
@@ -432,27 +427,20 @@ class ParallelFlowMotifEngine:
     def _adopt_replies(
         self, replies: Sequence[_worker.ShardReply]
     ) -> List[List[_worker.ShardSearchOutput]]:
-        """Fold worker observability payloads back into this thread and
-        return each shard's outputs.
+        """Fold worker observability payloads into this thread's
+        observation and return each shard's outputs.
 
-        Spans are adopted by the active tracer (stitching the worker
-        subtrees under the dispatching span via their shipped parent
-        ids), snapshots merge associatively into the active registry,
-        and profiles fold into the active profiler's report. Replies from
+        :meth:`~repro.obs.Observation.adopt` stitches the worker spans
+        under the dispatching span via their shipped parent ids, merges
+        snapshots associatively and folds profiles in. Replies from
         retried attempts that ultimately failed never reach this point,
         so each shard contributes exactly one snapshot.
         """
-        tracer = _tracing.active()
-        registry = _obs_metrics.active()
-        prof = _profiler.active()
+        observation = _current_observation()
         recorder = _flight.installed()
         for reply in replies:
-            if tracer is not None and reply.spans:
-                tracer.add_spans(reply.spans)
-            if registry is not None and reply.snapshot:
-                registry.merge(reply.snapshot)
-            if prof is not None and reply.profile:
-                prof.adopt(reply.profile)
+            if observation is not None:
+                observation.adopt(reply.spans, reply.snapshot, reply.profile)
             if recorder is not None and reply.snapshot:
                 recorder.note_metrics(reply.snapshot)
         return [reply.outputs for reply in replies]
@@ -520,7 +508,7 @@ class ParallelFlowMotifEngine:
             for round_no in range(policy.max_retries + 1):
                 if round_no > 0:
                     report.record_retry_round(backend)
-                    _time.sleep(policy.delay_for(round_no - 1, token=step))
+                    _time.sleep(policy.delay_for(round_no - 1))
                 pending = self._run_round(
                     tasks, results, pending, backend, round_no, report
                 )

@@ -56,9 +56,8 @@ from repro.core.matching import MatchCache
 from repro.core.motif import Motif
 from repro.graph.columnar import ColumnStore
 from repro.graph.events import Node
-from repro.obs import metrics as _obs_metrics
-from repro.obs import profiler as _obs_profiler
-from repro.obs import tracing as _tracing
+from repro.obs import Observation
+from repro.obs.slot import current as _current_observation
 from repro.obs.tracing import span as _span
 from repro.parallel.partition import TimeShard, slice_shard
 from repro.resilience import faultinject as _faultinject
@@ -357,53 +356,35 @@ def _execute(task: ShardTask) -> List[ShardSearchOutput]:
 def run_shard_task(task: ShardTask) -> ShardReply:
     """The pool entry point: run one shard task, observed if it asks.
 
-    An untraced task (``task.trace is None``) just runs. Otherwise a
-    *fresh* per-task registry and tracer are activated on this thread —
-    thread-local activation means engines run from concurrent user
-    threads never share mutable state — and the previous state is
-    restored afterwards, so the serial inline path leaves the
-    dispatcher's own registry untouched. The tracer is parented at the
-    shipped context, and the whole task (store resolve and materialize
-    included) runs under one ``worker.shard_task`` span. ``profile_hz``
-    arms a sampling :class:`~repro.obs.profiler.Profiler` pinned to this
-    thread — unless one is already sampling it (the serial inline path,
-    where a second profiler would double-count).
+    An unobserved task (``task.trace is None``) just runs. Otherwise the
+    task runs inside a *fresh* per-task :class:`~repro.obs.Observation`
+    — its own registry, a tracer parented at the shipped context (none
+    when the dispatcher traces nothing), and a sampling profiler when
+    ``profile_hz`` is set and no profiler samples this thread already
+    (the inline path, where a second one would double-count). Leaving it
+    restores whatever observation this thread had, so the inline path
+    leaves the dispatcher's own untouched. The whole task (store resolve
+    and materialize included) runs under one ``worker.shard_task`` span.
 
-    The reply's spans, snapshot and profile are what the engine stitches,
-    merges and adopts parent-side.
+    The reply's spans, snapshot and profile are what the engine folds
+    back in through :meth:`~repro.obs.Observation.adopt`.
     """
     if task.trace is None:
         return ShardReply(_execute(task))
-    trace_id, parent_id = task.trace
-    registry = _obs_metrics.MetricsRegistry()
-    tracer = (
-        _tracing.Tracer(trace_id, parent_id) if trace_id is not None else None
+    outer = _current_observation()
+    observation = Observation(
+        trace=task.trace if task.trace[0] is not None else False,
+        profile=bool(task.profile_hz)
+        and (outer is None or outer.profiler is None),
+        profile_hz=task.profile_hz,
     )
-    ambient_prof = _obs_profiler.active()
-    profiler = (
-        _obs_profiler.Profiler(hz=task.profile_hz)
-        if task.profile_hz
-        and (ambient_prof is None or not ambient_prof.sampling_here)
-        else None
-    )
-    prev_registry = _obs_metrics.activate(registry)
-    prev_tracer = _tracing.activate(tracer)
-    if profiler is not None:
-        profiler.start()
-    try:
-        if tracer is not None:
-            with tracer.span("worker.shard_task", shard=task.bounds[0]):
-                outputs = _execute(task)
-        else:
+    with observation:
+        with _span("worker.shard_task", shard=task.bounds[0]):
             outputs = _execute(task)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-        _obs_metrics.activate(prev_registry)
-        _tracing.activate(prev_tracer)
+    report = observation.profile()
     return ShardReply(
         outputs,
-        spans=tracer.spans() if tracer is not None else [],
-        snapshot=registry.snapshot(),
-        profile=profiler.report.to_dict() if profiler is not None else None,
+        spans=observation.spans(),
+        snapshot=observation.snapshot(),
+        profile=report.to_dict() if report is not None else None,
     )

@@ -5,10 +5,10 @@ never die, shared-memory segments that are always cleaned up, streams that
 arrive in perfect time order. This package drops those assumptions:
 
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` (bounded retries,
-  exponential backoff with deterministic seeded jitter, per-round shard
-  timeouts), error classification, and the typed failures
-  (:class:`ShardExecutionError`, :class:`ShardTimeoutError`) the parallel
-  engine raises instead of swallowing worker errors. The engine degrades
+  capped exponential backoff, per-round shard timeouts), error
+  classification, and the typed failures (:class:`ShardExecutionError`,
+  :class:`ShardTimeoutError`) the parallel engine raises instead of
+  swallowing worker errors. The engine degrades
   ``process → serial`` when the process pool keeps failing; merged output
   stays identical to serial throughout (chaos-property-tested in
   ``tests/resilience``).

@@ -3,12 +3,11 @@
 One :class:`RetryPolicy` describes everything the parallel engine's
 fault-tolerant dispatcher may do about a failing shard: how many times to
 re-run it on the same backend, how long to wait between rounds
-(exponential backoff with *deterministic* seeded jitter — two runs with
-the same policy sleep the same schedule, so chaos tests and replayed
-incidents are reproducible), how long a dispatch round may take before
-outstanding shards are declared timed out, and whether the engine may walk
-the ``process → serial`` degradation chain when the process pool keeps
-failing.
+(capped exponential backoff — two runs with the same policy sleep the
+same schedule, so chaos tests and replayed incidents are reproducible),
+how long a dispatch round may take before outstanding shards are declared
+timed out, and whether the engine may walk the ``process → serial``
+degradation chain when the process pool keeps failing.
 
 Failures are *classified*, never swallowed: every observed error becomes a
 :class:`FaultEvent` (category + shard + attempt + backend) collected into
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import pickle
-import random
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -79,7 +77,7 @@ def classify_error(exc: BaseException) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-retry schedule with deterministic backoff for shard tasks.
+    """Bounded-retry schedule with capped exponential backoff for shard tasks.
 
     Parameters
     ----------
@@ -89,10 +87,6 @@ class RetryPolicy:
     base_delay, backoff_factor, max_delay:
         Round ``k`` sleeps ``min(max_delay, base_delay * backoff_factor**k)``
         seconds before retrying.
-    jitter:
-        Fractional jitter added on top of the backoff delay. The jitter is
-        drawn from a generator seeded by ``(seed, attempt)`` — fully
-        deterministic, so retried runs are bit-reproducible.
     timeout:
         Per-dispatch-round budget in seconds: shards still unfinished when
         the round's deadline passes are classified ``"timeout"`` and
@@ -101,18 +95,17 @@ class RetryPolicy:
         Allow the engine to degrade ``process → serial`` when the process
         pool exhausts its retries. With ``False`` the engine raises
         :class:`ShardExecutionError` instead.
-    seed:
-        Jitter seed (see above).
+
+    There is no jitter: it spreads out the retries of many independent
+    clients, but here one dispatcher retries its own shards.
     """
 
     max_retries: int = 2
     base_delay: float = 0.05
     backoff_factor: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.1
     timeout: Optional[float] = None
     degrade: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -125,24 +118,14 @@ class RetryPolicy:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
             )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter!r}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
-    def delay_for(self, attempt: int, token: int = 0) -> float:
-        """Seconds to sleep before retry round ``attempt`` (0-based).
-
-        Deterministic: the jitter component is seeded by
-        ``(seed, attempt, token)``, never by wall-clock entropy.
-        """
-        delay = min(
+    def delay_for(self, attempt: int) -> float:
+        """Seconds to sleep before retry round ``attempt`` (0-based)."""
+        return min(
             self.max_delay, self.base_delay * self.backoff_factor ** attempt
         )
-        if self.jitter and delay > 0:
-            mixed = (self.seed * 1000003 + attempt) * 1000003 + token
-            delay *= 1.0 + self.jitter * random.Random(mixed).random()
-        return delay
 
 
 @dataclass

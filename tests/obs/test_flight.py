@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro.obs import flight, metrics, tracing
+from repro import obs
+from repro.obs import flight, tracing
 from repro.obs.flight import FlightRecorder
 
 
@@ -84,13 +85,9 @@ class TestBundles:
     def test_dump_appends_active_metrics_snapshot(self, tmp_path):
         recorder = FlightRecorder(bundle_dir=str(tmp_path))
         recorder.note("tick")
-        reg = metrics.MetricsRegistry()
-        reg.counter("stream.events").inc(7)
-        prev = metrics.activate(reg)
-        try:
+        with obs.observe(trace=False) as observation:
+            observation.registry.counter("stream.events").inc(7)
             path = recorder.dump("probe")
-        finally:
-            metrics.activate(prev)
         lines = _read_bundle(path)
         assert lines[-1]["kind"] == "metrics"
         assert lines[-1]["snapshot"]["counters"]["stream.events"] == 7
@@ -124,13 +121,9 @@ class TestInstallation:
 
     def test_span_hook_feeds_the_ring(self, tmp_path):
         recorder = flight.install(bundle_dir=str(tmp_path))
-        tracer = tracing.Tracer()
-        prev = tracing.activate(tracer)
-        try:
+        with obs.observe():
             with tracing.span("p2.enumerate", shard=1):
                 pass
-        finally:
-            tracing.activate(prev)
         spans = [r for r in recorder.records() if r["kind"] == "span"]
         assert len(spans) == 1
         assert spans[0]["span"]["name"] == "p2.enumerate"
@@ -138,13 +131,9 @@ class TestInstallation:
     def test_uninstall_disarms_hook(self, tmp_path):
         recorder = flight.install(bundle_dir=str(tmp_path))
         flight.uninstall()
-        tracer = tracing.Tracer()
-        prev = tracing.activate(tracer)
-        try:
+        with obs.observe():
             with tracing.span("p1.match"):
                 pass
-        finally:
-            tracing.activate(prev)
         assert flight.installed() is None
         assert recorder.records() == []
 

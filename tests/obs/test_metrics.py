@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 import threading
 
 import pytest
 
+from repro import obs
 from repro.obs import metrics
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     MetricsRegistry,
     render_prometheus,
     render_text,
@@ -19,17 +20,15 @@ from repro.obs.metrics import (
 def _random_registry(rng: random.Random) -> MetricsRegistry:
     reg = MetricsRegistry()
     for _ in range(rng.randrange(0, 12)):
-        kind = rng.choice(("counter", "gauge", "histogram"))
+        kind = rng.choice(("counter", "gauge"))
         name = rng.choice(("p1.matches", "p2.dp.cells", "stream.events"))
         labels = {}
         if rng.random() < 0.5:
             labels["motif"] = rng.choice(("M(3,2)", "M(3,3)", "0-1-2-0"))
         if kind == "counter":
             reg.counter(name, **labels).inc(rng.randrange(1, 100))
-        elif kind == "gauge":
-            reg.gauge(name, **labels).set(rng.uniform(0, 10))
         else:
-            reg.histogram(name, **labels).observe(rng.uniform(0, 200))
+            reg.gauge(name, **labels).set(rng.uniform(0, 10))
     return reg
 
 
@@ -37,7 +36,7 @@ class TestMergeAssociativity:
     @pytest.mark.parametrize("seed", range(8))
     def test_any_merge_order_renders_identically(self, seed):
         """Property: folding worker snapshots in any order gives the same
-        rendered report — counters sum, gauges max, buckets sum."""
+        rendered report — counters sum, gauges max."""
         rng = random.Random(seed)
         snapshots = [_random_registry(rng).snapshot() for _ in range(4)]
         rendered = set()
@@ -58,7 +57,7 @@ class TestMergeAssociativity:
         b.gauge("g").set(5.0)
         c = MetricsRegistry()
         c.gauge("g").set(3.0)
-        c.histogram("h").observe(0.5)
+        c.counter("c").inc(4)
 
         left = MetricsRegistry.from_snapshot(a.snapshot())
         left.merge(b.snapshot())
@@ -71,32 +70,30 @@ class TestMergeAssociativity:
 
         assert left.snapshot() == right.snapshot()
 
-    def test_counter_sum_gauge_max_bucket_sum(self):
+    def test_counter_sum_gauge_max(self):
         a = MetricsRegistry()
         a.counter("n").inc(3)
         a.gauge("g").set(7.0)
-        a.histogram("h").observe(0.005)
         b = MetricsRegistry()
         b.counter("n").inc(4)
         b.gauge("g").set(2.0)
-        b.histogram("h").observe(0.005)
         a.merge(b.snapshot())
         snap = a.snapshot()
         assert snap["counters"]["n"] == 7
         assert snap["gauges"]["g"] == 7.0
-        assert sum(snap["histograms"]["h"]["counts"]) == 2
-        assert snap["histograms"]["h"]["count"] == 2
 
-    def test_mismatched_histogram_buckets_rejected(self):
-        a = MetricsRegistry()
-        a.histogram("h").observe(1.0)
-        snap = a.snapshot()
-        snap["histograms"]["h"]["buckets"] = [1.0, 2.0]
-        snap["histograms"]["h"]["counts"] = [0, 1, 0]
-        b = MetricsRegistry()
-        b.histogram("h").observe(1.0)
-        with pytest.raises(ValueError):
-            b.merge(snap)
+    def test_merge_ignores_a_histograms_section(self):
+        """Snapshots written before histograms were dropped still merge:
+        their counters and gauges fold in, the histograms are skipped."""
+        old = {
+            "counters": {"n": 2},
+            "gauges": {"g": 1.5},
+            "histograms": {
+                "h": {"buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1}
+            },
+        }
+        merged = MetricsRegistry().merge(old).snapshot()
+        assert merged == {"counters": {"n": 2}, "gauges": {"g": 1.5}}
 
 
 class TestSnapshotDeterminism:
@@ -141,30 +138,16 @@ class TestLabelEscaping:
 
 
 class TestPrometheusExposition:
-    def test_counter_gauge_histogram_families(self):
+    def test_counter_and_gauge_families(self):
         reg = MetricsRegistry()
         reg.counter("stream.events").inc(10)
         reg.gauge("stream.watermark_lag").set(1.5)
-        reg.histogram("p2.window_seconds").observe(0.05)
         out = reg.render_prometheus()
         assert "# TYPE stream_events_total counter" in out
         assert "stream_events_total 10" in out
         assert "# TYPE stream_watermark_lag gauge" in out
-        assert "# TYPE p2_window_seconds histogram" in out
-        assert 'p2_window_seconds_bucket{le="+Inf"} 1' in out
-        assert "p2_window_seconds_count 1" in out
+        assert "stream_watermark_lag 1.5" in out
         assert out.endswith("\n")
-
-    def test_histogram_buckets_are_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=(1.0, 10.0))
-        h.observe(0.5)
-        h.observe(5.0)
-        h.observe(50.0)
-        out = render_prometheus(reg.snapshot())
-        assert 'h_bucket{le="1"} 1' in out
-        assert 'h_bucket{le="10"} 2' in out
-        assert 'h_bucket{le="+Inf"} 3' in out
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus(MetricsRegistry().snapshot()) == ""
@@ -176,81 +159,52 @@ class TestActivation:
         assert metrics.active() is None
 
     def test_activate_returns_previous(self):
-        reg = MetricsRegistry()
-        prev = metrics.activate(reg)
-        try:
-            assert metrics.active() is reg
-        finally:
-            metrics.activate(prev)
-        assert metrics.active() is prev
+        """Entering a nested observation activates it; leaving restores
+        the previous one."""
+        with obs.observe(trace=False) as outer:
+            assert metrics.active() is outer.registry
+            with obs.observe(trace=False) as inner:
+                assert metrics.active() is inner.registry
+            assert metrics.active() is outer.registry
+        assert metrics.active() is None
 
     def test_activation_is_thread_local(self):
-        reg = MetricsRegistry()
-        prev = metrics.activate(reg)
         seen = []
-        try:
+        with obs.observe(trace=False) as ob:
             t = threading.Thread(target=lambda: seen.append(metrics.active()))
             t.start()
-            t.join()
-        finally:
-            metrics.activate(prev)
+            t.join(timeout=10)
+            assert not t.is_alive()
+            assert metrics.active() is ob.registry
         assert seen == [None]
 
-    def test_default_buckets_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+    def test_concurrent_threads_each_see_their_own_observation(self):
+        """Eight threads enter and leave nested observations under a tiny
+        switch interval: each must always read its own registry, and the
+        slot must be empty once they are done."""
+        errors = []
 
+        def worker():
+            for _ in range(300):
+                with obs.observe(trace=False) as outer:
+                    with obs.observe(trace=False) as inner:
+                        if metrics.active() is not inner.registry:
+                            errors.append("inner")
+                    if metrics.active() is not outer.registry:
+                        errors.append("outer")
+                if metrics.active() is not None:
+                    errors.append("after")
 
-class TestHistogramQuantiles:
-    def _snapshot(self, values, buckets=(1.0, 10.0, 100.0)):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", buckets=buckets)
-        for v in values:
-            h.observe(v)
-        return reg.snapshot()["histograms"]["h"]
-
-    def test_interpolates_within_bucket(self):
-        # 10 observations all landing in (1, 10]: p50 sits at the
-        # bucket's midpoint under the uniform-within-bucket assumption.
-        data = self._snapshot([5.0] * 10)
-        assert metrics.histogram_quantile(data, 0.5) == pytest.approx(5.5)
-
-    def test_first_bucket_lower_bound_is_zero(self):
-        data = self._snapshot([0.5] * 4)
-        # rank 2 of 4 in bucket (0, 1]: 0 + 1 * (2/4)
-        assert metrics.histogram_quantile(data, 0.5) == pytest.approx(0.5)
-
-    def test_overflow_clamps_to_last_finite_bound(self):
-        data = self._snapshot([1e6] * 3)
-        assert metrics.histogram_quantile(data, 0.99) == 100.0
-
-    def test_monotone_in_q(self):
-        data = self._snapshot([0.5, 2.0, 3.0, 20.0, 50.0, 99.0])
-        qs = [metrics.histogram_quantile(data, q) for q in (0.1, 0.5, 0.9, 1.0)]
-        assert qs == sorted(qs)
-
-    def test_empty_histogram_is_zero(self):
-        data = self._snapshot([])
-        assert metrics.histogram_quantile(data, 0.5) == 0.0
-
-    def test_out_of_range_q_rejected(self):
-        data = self._snapshot([1.0])
-        with pytest.raises(ValueError):
-            metrics.histogram_quantile(data, 1.5)
-        with pytest.raises(ValueError):
-            metrics.histogram_quantile(data, -0.1)
-
-    def test_render_text_includes_percentiles(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("p2.window_seconds", buckets=(1.0, 10.0))
-        for v in (0.5, 2.0, 5.0):
-            h.observe(v)
-        out = render_text(reg.snapshot())
-        assert "p50=" in out
-        assert "p95=" in out
-        assert "p99=" in out
-
-    def test_render_text_empty_histogram_has_no_percentiles(self):
-        reg = MetricsRegistry()
-        reg.histogram("h")
-        out = render_text(reg.snapshot())
-        assert "p50=" not in out
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert obs.slot.current() is None and not obs.slot._SLOTS

@@ -12,6 +12,7 @@ The ISSUE 7 acceptance criteria, as tests:
   with no observability payload.
 """
 
+import json
 import math
 import os
 import random
@@ -20,6 +21,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.core.engine import FlowMotifEngine
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
@@ -214,6 +216,39 @@ class TestNoopMode:
         assert len(spans) == len(observation.spans())
         roots = stitch_trace(spans)
         assert len(roots) == 1
+
+    def test_sink_file_with_histograms_still_loads(self, tmp_path, capsys):
+        """A sink file whose snapshot carries a ``histograms`` section
+        (the format before histograms were dropped) loads and renders its
+        counters and gauges."""
+        path = tmp_path / "old.jsonl"
+        snapshot = {
+            "counters": {"p1.matches": 5},
+            "gauges": {"parallel.num_shards": 4},
+            "histograms": {
+                "p2.window_seconds": {
+                    "buckets": [0.1, 1.0],
+                    "counts": [2, 1, 0],
+                    "sum": 0.9,
+                    "count": 3,
+                }
+            },
+        }
+        path.write_text(json.dumps({"kind": "metrics", "snapshot": snapshot}) + "\n")
+        loaded, spans, _events = obs.load_observations([str(path)])
+        assert loaded == {
+            "counters": {"p1.matches": 5},
+            "gauges": {"parallel.num_shards": 4},
+        }
+        assert spans == []
+        assert main(["metrics", str(path), "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert "p1.matches" in text and "parallel.num_shards" in text
+        assert main(["metrics", str(path)]) == 0
+        prom = capsys.readouterr().out
+        assert "p1_matches_total 5" in prom
+        assert "parallel_num_shards 4" in prom
+        assert "p2_window_seconds" not in prom
 
 
 class TestOverhead:

@@ -2,8 +2,8 @@
 
 The statistical parts keep their assertions loose (a sampler thread on a
 loaded CI box may fire late); the deterministic parts — report merging,
-serialization, collapsed-stack format, activation scoping, the
-fork-ghost guard — are exact.
+serialization, collapsed-stack format, activation scoping, the empty
+slot of a forked child — are exact.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import random
 import threading
 import time
 
+import pytest
+
 from repro import obs
 from repro.core.motif import Motif
 from repro.graph.interaction import InteractionGraph
-from repro.obs import profiler as profiler_mod
-from repro.obs import tracing
+from repro.obs import metrics, slot, tracing
 from repro.obs.profiler import NO_SPAN, ProfileReport, Profiler
 from repro.parallel import ParallelFlowMotifEngine
 
@@ -104,11 +105,41 @@ class TestSampling:
         assert report.dominant_span(prefixes=("p2.",)) == "p2.test_hotspot"
 
     def test_profile_off_by_default(self):
-        assert profiler_mod.active() is None
+        assert slot.current() is None
         with obs.observe(trace=True) as o:
+            assert slot.current().profiler is None
             _busy(0.02)
         assert o.profile() is None
-        assert profiler_mod.active() is None
+        assert slot.current() is None
+
+    def test_samples_only_the_starting_thread(self):
+        """Another thread's spans never land in this thread's profile."""
+
+        def other():
+            with obs.observe():
+                with tracing.span("p2.other_thread"):
+                    _busy(0.2)
+
+        with obs.observe(profile=True, profile_hz=250.0) as o:
+            t = threading.Thread(target=other)
+            with tracing.span("p1.this_thread"):
+                t.start()
+                _busy(0.2)
+                t.join(timeout=10)
+        assert not t.is_alive()
+        report = o.profile()
+        assert report.by_span.get("p1.this_thread", 0) > 0
+        assert "p2.other_thread" not in report.by_span
+
+    def test_reentered_observation_accumulates_samples(self):
+        observation = obs.observe(profile=True, profile_hz=250.0)
+        counts = []
+        for _ in range(2):
+            with observation:
+                with tracing.span("p2.pass"):
+                    _busy(0.1)
+            counts.append(observation.profile().by_span.get("p2.pass", 0))
+        assert 0 < counts[0] < counts[1]
 
     def test_stop_is_idempotent_and_joins_thread(self):
         profiler = Profiler(hz=200.0)
@@ -116,52 +147,54 @@ class TestSampling:
         _busy(0.05)
         profiler.stop()
         profiler.stop()
-        assert not profiler.sampling_here
         names = [t.name for t in threading.enumerate()]
         assert "repro-profiler" not in names
 
 
 class TestActivation:
     def test_activate_returns_previous(self):
-        profiler = Profiler()
-        prev = profiler_mod.activate(profiler)
-        try:
-            assert profiler_mod.active() is profiler
-        finally:
-            profiler_mod.activate(prev)
-        assert profiler_mod.active() is prev
+        """Entering a nested observation activates it; leaving restores
+        the previous one and its profiler."""
+        with obs.observe(profile=True) as outer:
+            with obs.observe() as inner:
+                assert slot.current() is inner
+                assert inner.profile() is None
+            assert slot.current() is outer
+            assert slot.current().profiler is outer.profiler
+        assert slot.current() is None
 
     def test_activation_is_thread_local(self):
-        profiler = Profiler()
-        prev = profiler_mod.activate(profiler)
         seen = []
-        try:
-            t = threading.Thread(
-                target=lambda: seen.append(profiler_mod.active())
-            )
+        with obs.observe(profile=True):
+            t = threading.Thread(target=lambda: seen.append(slot.current()))
             t.start()
-            t.join()
-        finally:
-            profiler_mod.activate(prev)
+            t.join(timeout=10)
+        assert not t.is_alive()
         assert seen == [None]
 
 
 class TestForkGhostGuard:
-    def test_sampling_here_requires_same_pid(self):
-        """A forked worker inherits the dispatcher's thread-local
-        profiler object, but not its sampler thread: ``sampling_here``
-        must be False there so the worker arms its own profiler."""
-        profiler = Profiler(hz=200.0)
-        assert not profiler.sampling_here  # never started
-        profiler.start()
+    def test_forked_child_starts_unobserved(self):
+        """A child forked inside an observed region (a pool worker forked
+        by a traced query) must not record into its copy of the parent's
+        registry or tracer."""
+        read_end, write_end = os.pipe()
+        with obs.observe():
+            pid = os.fork()
+            if pid == 0:
+                clean = (
+                    slot.current() is None
+                    and metrics.active() is None
+                    and tracing.active() is None
+                )
+                os.write(write_end, b"1" if clean else b"0")
+                os._exit(0)
+            os.waitpid(pid, 0)
+        os.close(write_end)
         try:
-            assert profiler.sampling_here
-            real_pid = profiler._pid
-            profiler._pid = os.getpid() + 1  # what a forked child sees
-            assert not profiler.sampling_here
-            profiler._pid = real_pid
+            assert os.read(read_end, 1) == b"1"
         finally:
-            profiler.stop()
+            os.close(read_end)
 
     def test_worker_samples_cross_process_boundary(self):
         """End to end: a profiled process-backend search ships span-
@@ -204,13 +237,16 @@ def _skewed_graph() -> InteractionGraph:
 
 
 class TestReconciliation:
-    def test_profile_reconciles_with_tracer(self):
-        """A profiled process-backend find: the span its samples land in
-        most is the span with the most tracer seconds among p1./p2."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_profile_reconciles_with_tracer(self, jobs):
+        """A profiled sharded find: the span its samples land in most is
+        the span with the most tracer seconds among p1./p2. With
+        ``jobs=1`` the shard tasks run inline on the sampled thread, each
+        under its own per-task tracer."""
         motif = Motif.chain(3, delta=5.0, phi=0.0)
         with obs.observe(trace=True, profile=True) as observation:
             with ParallelFlowMotifEngine(
-                _skewed_graph(), jobs=2, shards=4, backend="process"
+                _skewed_graph(), jobs=jobs, shards=4, backend="process"
             ) as engine:
                 assert engine.find_instances(motif, collect=False).count > 0
         profile = observation.profile()

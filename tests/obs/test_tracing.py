@@ -2,6 +2,7 @@
 
 import threading
 
+from repro import obs
 from repro.obs import tracing
 from repro.obs.tracing import (
     Tracer,
@@ -77,6 +78,22 @@ class TestTracer:
         # The second thread's span must NOT nest under t1 (different stack).
         assert by_name["t2"]["parent_id"] is None
 
+    def test_open_span_name_reads_another_threads_stack(self):
+        tracer = Tracer()
+        here = threading.get_ident()
+        seen = []
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                t = threading.Thread(
+                    target=lambda: seen.append(tracer.open_span_name(here))
+                )
+                t.start()
+                t.join(timeout=10)
+            assert tracer.open_span_name(here) == "outer"
+        assert not t.is_alive()
+        assert seen == ["inner"]
+        assert tracer.open_span_name(here) is None
+
 
 class TestNoopPath:
     def test_module_span_is_noop_when_inactive(self):
@@ -102,15 +119,23 @@ class TestNoopPath:
         assert a.elapsed >= inner >= 0.0
 
     def test_traced_handle_elapsed_is_the_span_duration(self):
-        tracer = Tracer()
-        previous = tracing.activate(tracer)
-        try:
+        with obs.observe() as observation:
             with tracing.span("timed") as handle:
                 sum(range(1000))
-        finally:
-            tracing.activate(previous)
-        (record,) = tracer.spans()
+        (record,) = observation.spans()
         assert handle.elapsed == record["end"] - record["start"]
+
+    def test_nested_observe_restores_the_outer_tracer(self):
+        with obs.observe() as outer:
+            with obs.observe(trace=False):
+                assert tracing.active() is None
+                with tracing.span("untraced"):
+                    pass
+            assert tracing.active() is outer.tracer
+            with tracing.span("traced"):
+                pass
+        assert tracing.active() is None
+        assert [s["name"] for s in outer.spans()] == ["traced"]
 
 
 class TestStitching:

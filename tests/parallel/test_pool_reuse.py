@@ -29,7 +29,7 @@ from repro.parallel import worker as _worker
 from repro.parallel.partition import materialize_shard, partition_time_range
 from repro.resilience import FaultSpec, RetryPolicy, active_segments, inject
 
-FAST = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05, jitter=0.0)
+FAST = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
 MOTIF = Motif.chain(3, delta=9, phi=4)
 
 
@@ -87,8 +87,7 @@ def test_close_ends_a_timed_out_rounds_straggler(graph, serial, no_children):
     still runs the delayed shard; leaving the ``with`` block ends it."""
     with ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process",
-        retry_policy=RetryPolicy(max_retries=2, timeout=0.5, base_delay=0.01,
-                                 jitter=0.0),
+        retry_policy=RetryPolicy(max_retries=2, timeout=0.5, base_delay=0.01),
     ) as engine:
         with inject(FaultSpec(kind="delay", shards=(1,), delay=5.0, times=1)):
             result = engine.find_instances(MOTIF)
@@ -109,6 +108,36 @@ def test_queries_share_worker_pids(graph, serial):
     assert os.getpid() not in first_pids | second_pids
     for result in (first, second):
         assert _keys(result.instances) == _keys(serial.instances)
+
+
+def _worker_observation():
+    """Pool probe: whether this worker would record into a registry or a
+    tracer when it runs an unobserved task."""
+    from repro.obs import metrics, tracing
+
+    time.sleep(0.05)  # keep this worker busy so the next probe lands on another
+    return os.getpid(), metrics.active() is None, tracing.active() is None
+
+
+def test_workers_forked_by_a_traced_query_record_nothing_later(graph, serial):
+    """A worker forked during a traced find must not keep recording into
+    its copy of the dispatcher's registry and tracer for the rest of the
+    pool's life."""
+    with ParallelFlowMotifEngine(
+        graph, jobs=2, shards=2, backend="process"
+    ) as engine:
+        _, pids = _traced_find(engine)  # the pool forks inside this query
+        for _ in range(3):
+            assert _keys(engine.find_instances(MOTIF).instances) == _keys(
+                serial.instances
+            )
+            assert engine.count_instances(MOTIF).count == serial.count
+        pool = engine._pool()
+        probes = [pool.submit(_worker_observation) for _ in range(6)]
+        reports = [probe.result(timeout=30) for probe in probes]
+        live = {p.pid for p in multiprocessing.active_children()}
+    assert pids and {pid for pid, _, _ in reports} <= live
+    assert all(no_registry and no_tracer for _, no_registry, no_tracer in reports)
 
 
 def test_kill_replaces_the_pool(graph, serial):
@@ -194,7 +223,7 @@ def test_close_releases_the_inline_attach_after_degradation(graph, serial):
     process; closing the engine drops the attach they cached here."""
     engine = ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process",
-        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0),
+        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
     )
     try:
         with inject(FaultSpec(kind="kill", times=10**9)):
@@ -299,7 +328,7 @@ def test_release_after_serial_degradation_unmaps(graph, serial, caplog):
     shards, so neither the attach nor the export stays mapped."""
     engine = ParallelFlowMotifEngine(
         graph, jobs=2, shards=3, backend="process",
-        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0),
+        retry_policy=RetryPolicy(max_retries=0, base_delay=0.0),
     )
     try:
         with inject(FaultSpec(kind="kill", times=10**9)):

@@ -26,7 +26,7 @@ from repro.graph.segments import open_segment, write_segment
 from repro.parallel import BatchRunner, ParallelFlowMotifEngine
 from repro.resilience import FaultSpec, RetryPolicy, inject
 
-FAST = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05, jitter=0.0)
+FAST = RetryPolicy(max_retries=2, base_delay=0.01, max_delay=0.05)
 MOTIF = Motif.chain(3, delta=9, phi=4)
 
 

@@ -30,8 +30,8 @@ class TestRetryPolicyValidation:
             {"base_delay": -0.1},
             {"max_delay": -1.0},
             {"backoff_factor": 0.5},
-            {"jitter": -0.01},
-            {"jitter": 1.5},
+            {"backoff_factor": 0.999},
+            {"base_delay": 1.0, "max_delay": -1e-9},
             {"timeout": 0.0},
             {"timeout": -3.0},
         ],
@@ -39,6 +39,12 @@ class TestRetryPolicyValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        policy = RetryPolicy(
+            max_retries=0, base_delay=0.0, backoff_factor=1.0, max_delay=0.0
+        )
+        assert policy.delay_for(0) == policy.delay_for(4) == 0.0
 
     def test_frozen(self):
         policy = RetryPolicy()
@@ -48,41 +54,27 @@ class TestRetryPolicyValidation:
 
 class TestDelaySchedule:
     def test_deterministic_across_instances(self):
-        a = RetryPolicy(seed=7)
-        b = RetryPolicy(seed=7)
-        for attempt in range(5):
-            assert a.delay_for(attempt) == b.delay_for(attempt)
-
-    def test_seed_changes_jitter(self):
-        a = RetryPolicy(seed=1, jitter=0.5)
-        b = RetryPolicy(seed=2, jitter=0.5)
-        assert a.delay_for(0) != b.delay_for(0)
-
-    def test_token_changes_jitter(self):
-        policy = RetryPolicy(jitter=0.5)
-        assert policy.delay_for(0, token=0) != policy.delay_for(0, token=1)
+        """Two runs with equal policies sleep the same schedule."""
+        a = RetryPolicy(base_delay=0.03, backoff_factor=3.0, max_delay=1.0)
+        b = RetryPolicy(base_delay=0.03, backoff_factor=3.0, max_delay=1.0)
+        assert a == b
+        assert [a.delay_for(k) for k in range(6)] == [
+            b.delay_for(k) for k in range(6)
+        ]
 
     def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(
-            base_delay=0.1, backoff_factor=2.0, max_delay=100.0, jitter=0.0
-        )
+        policy = RetryPolicy(base_delay=0.1, backoff_factor=2.0, max_delay=100.0)
         assert policy.delay_for(0) == pytest.approx(0.1)
         assert policy.delay_for(1) == pytest.approx(0.2)
         assert policy.delay_for(3) == pytest.approx(0.8)
 
     def test_capped_at_max_delay(self):
-        policy = RetryPolicy(
-            base_delay=1.0, backoff_factor=10.0, max_delay=2.5, jitter=0.0
-        )
+        policy = RetryPolicy(base_delay=1.0, backoff_factor=10.0, max_delay=2.5)
         assert policy.delay_for(5) == 2.5
 
-    def test_jitter_bounded_by_fraction(self):
-        policy = RetryPolicy(
-            base_delay=1.0, backoff_factor=1.0, max_delay=1.0, jitter=0.25
-        )
-        for attempt in range(20):
-            delay = policy.delay_for(attempt)
-            assert 1.0 <= delay <= 1.25
+    def test_unit_factor_is_a_constant_delay(self):
+        policy = RetryPolicy(base_delay=0.25, backoff_factor=1.0, max_delay=1.0)
+        assert [policy.delay_for(k) for k in range(5)] == [0.25] * 5
 
 
 class TestClassifyError:
