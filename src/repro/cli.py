@@ -345,7 +345,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
 
     try:
-        snapshot, spans, _events = load_observations(args.files)
+        snapshot, spans = load_observations(args.files)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read observations: {exc}", file=sys.stderr)
         return 2
@@ -466,13 +466,17 @@ class _FollowLines:
 
 
 def _write_checkpoint(detector, path: str) -> None:
-    """Atomically persist a detector snapshot (tmp file + rename)."""
-    import os
+    """Durably persist a detector snapshot: tmp file, fsync, rename,
+    directory fsync — the seal protocol of the segment store."""
+    from repro.graph.segments import _fsync_dir
 
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(detector.checkpoint(), handle)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:

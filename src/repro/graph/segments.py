@@ -39,8 +39,8 @@ Seal protocol (atomic, torn-write-safe)
 ``os.replace``-renames it over the final name, then fsyncs the directory.
 A crash at *any* point leaves either no final file or a complete valid
 one; the leftover ``*.tmp.<pid>`` is provably dead (its writer pid is in
-the name) and reaped by :func:`fsck` or
-:func:`repro.resilience.reap_orphans`.
+the name) and reaped by :func:`fsck`, the only code that sweeps a store
+directory.
 
 Store layout (LSM-style)
 ------------------------
@@ -83,12 +83,10 @@ from repro.graph.timeseries import TimeSeriesGraph
 from repro.obs import metrics as _metrics
 from repro.resilience.faultinject import crash_point as _crash_point
 from repro.resilience.shm_registry import (
-    QUARANTINE_MARKER,
     SEGMENT_FILE_VERSION,
     SEGMENT_HEADER as _HEADER,
     SEGMENT_MAGIC as _MAGIC,
     SegmentCorruptionError,
-    TMP_MARKER,
     pid_alive,
 )
 
@@ -114,6 +112,12 @@ _META_OFFSET = _CRC_OFFSET + _CRC_STRUCT.size
 
 MANIFEST_NAME = "MANIFEST.jsonl"
 SEGMENT_SUFFIX = ".seg"
+#: Suffix of an in-flight seal: ``<segment>.tmp.<pid>``. The writer pid
+#: rides in the name so :func:`fsck` can prove the seal is dead without
+#: parsing a half-written file.
+TMP_MARKER = ".tmp."
+#: Prefix-suffix of a quarantined segment: ``<segment>.quarantine-<pid>``.
+QUARANTINE_MARKER = ".quarantine-"
 
 
 def _counter(name: str, amount: int = 1) -> None:
@@ -301,9 +305,9 @@ def _validate_buffer(
 def quarantine_segment(path: str) -> str:
     """Set a damaged segment aside as ``<path>.quarantine-<pid>``.
 
-    Returns the quarantine path. The pid suffix lets
-    :func:`repro.resilience.reap_orphans` prove, later, that the
-    operator's process is gone and the evidence can be reclaimed.
+    Returns the quarantine path, whose suffix names the process that set
+    the file aside. It stays as operator evidence until someone removes
+    it: :func:`fsck` never deletes it.
     """
     target = f"{path}{QUARANTINE_MARKER}{os.getpid()}"
     os.replace(path, target)
@@ -791,17 +795,15 @@ def fsck(root: str, repair: bool = True) -> FsckReport:
             path = os.path.join(root, entry)
             if not os.path.isfile(path) or entry == MANIFEST_NAME:
                 continue
-            pid_idx = entry.rfind(TMP_MARKER)
-            if pid_idx >= 0:
-                suffix = entry[pid_idx + len(TMP_MARKER):]
-                if suffix.isdigit() and pid_alive(int(suffix)):
-                    continue  # a live writer is mid-seal: hands off
-                report.tmp_reaped.append(entry)
-                if repair:
-                    os.remove(path)
-                continue
+            stem, marker, suffix = entry.rpartition(TMP_MARKER)
+            if marker:
+                if stem and suffix.isdigit() and not pid_alive(int(suffix)):
+                    report.tmp_reaped.append(entry)
+                    if repair:
+                        os.remove(path)
+                continue  # a live writer's seal, or not a seal at all
             if QUARANTINE_MARKER in entry:
-                continue  # operator evidence; reap_orphans handles aging
+                continue  # operator evidence, kept until someone removes it
             if not entry.endswith(SEGMENT_SUFFIX):
                 continue
             if entry in superseded_set and entry not in live_set:

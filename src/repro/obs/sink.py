@@ -9,10 +9,6 @@ with a ``"kind"`` field —
 ``{"kind": "span", ...span fields...}``
     One serialized :class:`repro.obs.tracing.Span` (``to_dict`` form).
 
-``{"kind": "event", "name": ..., ...}``
-    Free-form structured events, returned as-is by
-    :func:`load_observations`.
-
 ``{"kind": "profile", "profile": {...}}``
     A :meth:`repro.obs.profiler.ProfileReport.to_dict` payload
     (collapsed stacks + span attribution), merged associatively by
@@ -23,6 +19,8 @@ metrics snapshots are merged associatively, spans are stitched into a
 trace tree, and the result renders as Prometheus exposition or a human
 table. Because merge is associative, concatenating sink files from
 several runs (or several workers) and re-reading is always valid.
+Records of any other kind (older files hold ``"event"`` lines) are
+skipped.
 """
 
 from __future__ import annotations
@@ -86,18 +84,14 @@ def read_jsonl(path: str) -> List[dict]:
     return records
 
 
-def load_observations(
-    paths: Iterable[str],
-) -> Tuple[dict, List[dict], List[dict]]:
-    """Merge one or more sink files into ``(snapshot, spans, events)``.
+def load_observations(paths: Iterable[str]) -> Tuple[dict, List[dict]]:
+    """Merge one or more sink files into ``(snapshot, spans)``.
 
     Metrics snapshots from every file merge into one (order-independent
-    by the registry's associativity guarantee); spans and events simply
-    concatenate.
+    by the registry's associativity guarantee); spans simply concatenate.
     """
     registry: Optional[_metrics.MetricsRegistry] = None
     spans: List[dict] = []
-    events: List[dict] = []
     for path in paths:
         for record in read_jsonl(path):
             kind = record.get("kind")
@@ -110,13 +104,11 @@ def load_observations(
             elif kind == "span":
                 span = {k: v for k, v in record.items() if k != "kind"}
                 spans.append(span)
-            elif kind == "event":
-                events.append(record)
     snapshot: Dict[str, dict] = (
         registry.snapshot() if registry is not None
         else {"counters": {}, "gauges": {}}
     )
-    return snapshot, spans, events
+    return snapshot, spans
 
 
 def load_profiles(paths: Iterable[str]) -> ProfileReport:

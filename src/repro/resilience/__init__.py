@@ -15,17 +15,18 @@ arrive in perfect time order. This package drops those assumptions:
 * :mod:`repro.resilience.shm_registry` — crash-safe lifecycle for
   shared-memory :class:`~repro.graph.columnar.ColumnStore` exports: a
   process-wide registry with ``atexit``/``SIGTERM`` cleanup, creator-pid
-  stamping, and orphan detection/reaping for segments whose exporter died
-  without unlinking.
+  stamping, and orphan detection/reaping under ``/dev/shm`` for segments
+  whose exporter died without unlinking.
 * :mod:`repro.resilience.checkpoint` — serialize a
   :class:`~repro.core.streaming.StreamingDetector` (graph, per-match
   progress cursors, reorder buffer, undrained emissions) to a JSON-safe
   dict and restore it so a resumed stream emits exactly what an
   uninterrupted run would have.
-* :mod:`repro.resilience.faultinject` — the chaos harness: kill a worker
-  mid-shard, delay it past a timeout, raise from inside a task, and
-  perturb event streams (drop / duplicate / reorder-within-slack /
-  corrupt lines) with deterministic seeded randomness.
+* :mod:`repro.resilience.faultinject` — the chaos harness: one fault
+  plan kills, delays or raises at shard tasks and at the segment store's
+  seal and compaction crash points; stream perturbations drop /
+  duplicate / reorder-within-slack / corrupt lines with deterministic
+  seeded randomness.
 """
 
 from repro.resilience.checkpoint import CheckpointError, load_checkpoint
@@ -34,7 +35,6 @@ from repro.resilience.faultinject import (
     FaultSpec,
     InjectedFault,
     corrupt_lines,
-    crash_at,
     crash_point,
     drop_events,
     duplicate_events,
@@ -55,7 +55,6 @@ from repro.resilience.shm_registry import (
     cleanup_segments,
     reap_orphans,
     scan_orphans,
-    scan_store_orphans,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "classify_error",
     "cleanup_segments",
     "corrupt_lines",
-    "crash_at",
     "crash_point",
     "drop_events",
     "duplicate_events",
@@ -82,5 +80,4 @@ __all__ = [
     "reap_orphans",
     "reorder_within_slack",
     "scan_orphans",
-    "scan_store_orphans",
 ]

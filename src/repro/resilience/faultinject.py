@@ -1,33 +1,44 @@
 """Deterministic fault injection for chaos testing the execution layer.
 
-Two families of faults:
+**One fault plan.** A :class:`FaultPlan` (a list of :class:`FaultSpec`)
+is serialized into the ``REPRO_FAULT_PLAN`` environment variable by the
+:func:`inject` context manager, or by a subprocess harness that puts
+:meth:`FaultPlan.to_json` into :data:`ENV_VAR`. It fires at two kinds of
+site, both through :meth:`FaultPlan.fire`:
 
-**Shard faults** target the parallel engine's worker tasks. A
-:class:`FaultPlan` (a list of :class:`FaultSpec`) is serialized into the
-``REPRO_FAULT_PLAN`` environment variable by the :func:`inject` context
-manager. The engine reads that variable once per fan-out and copies the
-plan into every :class:`~repro.parallel.worker.ShardTask`, so workers of
-a pool started before the plan was armed still receive it.
-:func:`maybe_inject` — called by
-:func:`repro.parallel.worker.run_shard_task` exactly once per shard task
-(after the shard is resolved on any transport, before the kernel runs),
-in whatever process it runs — matches the shard index and the task's
-``kind`` against the task's plan and fires the configured fault:
+* *Shard tasks.* The parallel engine reads the variable once per fan-out
+  and copies the plan into every :class:`~repro.parallel.worker.ShardTask`,
+  so workers of a pool started before the plan was armed still receive
+  it. :func:`maybe_inject` — called by
+  :func:`repro.parallel.worker.run_shard_task` exactly once per shard
+  task (after the shard is resolved, before the kernel runs), in
+  whatever process it runs — fires it for the task's shard index and
+  ``kind``.
+* *Crash points.* :func:`crash_point` sits at the seams of the segment
+  store's seal and compaction protocols (:data:`SEAL_CRASH_POINTS`,
+  :data:`COMPACT_CRASH_POINTS`) and fires the plan for shard ``None``
+  and the point's name. A spec fires there only when its ``task_kinds``
+  names that point.
 
-``"kill"``   ``os._exit`` the worker process mid-shard (downgraded to a
-             raised :class:`InjectedFault` when running in the process
-             that armed the plan, so serial fallbacks never kill the
-             test/driver process itself).
-``"raise"``  raise :class:`InjectedFault` from inside the task.
-``"delay"``  sleep ``delay`` seconds before running the task — the tool
-             for exercising shard timeouts.
+Fault kinds:
 
-Each spec fires for the first ``times`` matching *attempts per shard*,
-counted across processes via atomic ``O_CREAT | O_EXCL`` marker files in
-the plan's state directory — retry round ``times`` then succeeds, which is
-exactly the transient-fault shape retries exist for. ``only_workers=True``
-(default) restricts faults to pool worker processes; set it ``False`` to
-also fault inline/serial execution and test error surfacing.
+``"kill"``   ``SIGKILL`` the current process (``os._exit`` with
+             :data:`KILL_EXIT_CODE` as the fallback), so no flush, atexit
+             or ``finally`` softens the death; downgraded to a raised
+             :class:`InjectedFault` in the process that armed the plan, so
+             serial fallbacks and in-process stores never kill the
+             test/driver process itself.
+``"raise"``  raise :class:`InjectedFault` from the site.
+``"delay"``  sleep ``delay`` seconds before going on — the tool for
+             exercising shard timeouts.
+
+Each spec fires for the first ``times`` matching *attempts per shard*
+(crash points count under shard ``None``), counted across processes via
+atomic ``O_CREAT | O_EXCL`` marker files in the plan's state directory —
+retry round ``times`` then succeeds, which is exactly the transient-fault
+shape retries exist for. ``only_workers=True`` (default) restricts faults
+to processes other than the one that armed the plan; set it ``False`` to
+also fault inline execution and test error surfacing.
 
 **Stream faults** perturb event streams for the streaming/checkpoint chaos
 tests: :func:`drop_events`, :func:`duplicate_events`,
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import tempfile
 import time as _time
 from contextlib import contextmanager
@@ -48,8 +60,24 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 ENV_VAR = "REPRO_FAULT_PLAN"
-#: Exit status used by the "kill" fault, distinctive in worker postmortems.
+#: Exit status of the "kill" fault where ``SIGKILL`` cannot land.
 KILL_EXIT_CODE = 86
+
+#: Every crash point the segment-store seal/compaction path registers, in
+#: execution order — the chaos suite iterates this list so a new point
+#: cannot be added without being crash-tested.
+SEAL_CRASH_POINTS = (
+    "segments.seal.before_write",
+    "segments.seal.before_fsync",
+    "segments.seal.after_fsync",
+    "segments.seal.after_rename",
+    "segments.manifest.before_fsync",
+)
+COMPACT_CRASH_POINTS = (
+    "segments.compact.before_seal",
+    "segments.compact.after_seal",
+    "segments.compact.before_reap",
+)
 
 T = TypeVar("T")
 
@@ -67,10 +95,12 @@ class FaultSpec:
     kind:
         ``"kill"``, ``"raise"`` or ``"delay"``.
     shards:
-        Shard indices the rule applies to (``None`` = every shard).
+        Shard indices the rule applies to (``None`` = every shard). A
+        crash point has no shard index, so a filter never matches one.
     task_kinds:
         Inner task kinds (``"search"``, ``"count"``, ``"top_k"``,
-        ``"batch"``) the rule applies to (``None`` = all).
+        ``"batch"``) or crash-point names the rule applies to (``None``
+        = every shard task, and no crash point).
     times:
         Fire for the first this-many matching attempts per shard;
         afterwards the shard runs clean. ``times=10**9`` approximates a
@@ -79,8 +109,9 @@ class FaultSpec:
         Sleep duration for ``kind="delay"``.
     only_workers:
         Restrict the fault to processes other than the one that armed the
-        plan (i.e. pool workers). Keeps ``"kill"`` from terminating the
-        dispatching process when the engine degrades to serial execution.
+        plan (pool workers, subprocess writers). Keeps ``"kill"`` from
+        terminating the dispatching process when the engine degrades to
+        serial execution.
     """
 
     kind: str
@@ -98,12 +129,15 @@ class FaultSpec:
         if self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times}")
 
-    def matches(self, shard_index: int, task_kind: str) -> bool:
-        if self.shards is not None and shard_index not in self.shards:
+    def matches(self, shard_index: Optional[int], task_kind: str) -> bool:
+        """Whether the rule covers a site; ``shard_index=None`` is a
+        crash point, which only a rule naming it covers."""
+        if self.task_kinds is None:
+            if shard_index is None:
+                return False
+        elif task_kind not in self.task_kinds:
             return False
-        if self.task_kinds is not None and task_kind not in self.task_kinds:
-            return False
-        return True
+        return self.shards is None or shard_index in self.shards
 
 
 class FaultPlan:
@@ -144,7 +178,9 @@ class FaultPlan:
 
     # -- firing ------------------------------------------------------------
 
-    def _claim_attempt(self, spec_index: int, shard_index: int) -> int:
+    def _claim_attempt(
+        self, spec_index: int, shard_index: Optional[int]
+    ) -> int:
         """Atomically claim the next attempt number for (spec, shard).
 
         ``O_CREAT | O_EXCL`` marker files make the counter race-free
@@ -161,8 +197,9 @@ class FaultPlan:
             except FileExistsError:
                 n += 1
 
-    def fire(self, shard_index: int, task_kind: str) -> None:
-        """Inject whatever the plan prescribes for this (shard, kind)."""
+    def fire(self, shard_index: Optional[int], task_kind: str) -> None:
+        """Inject whatever the plan prescribes for this (shard, kind);
+        a crash point fires as shard ``None``."""
         in_owner = os.getpid() == self.owner_pid
         for spec_index, spec in enumerate(self.specs):
             if not spec.matches(shard_index, task_kind):
@@ -176,11 +213,33 @@ class FaultPlan:
                 _time.sleep(spec.delay)
                 continue
             if spec.kind == "kill" and not in_owner:
-                os._exit(KILL_EXIT_CODE)
+                _kill_self()
             raise InjectedFault(
                 f"injected {spec.kind} fault on shard {shard_index} "
                 f"({task_kind}, attempt {attempt})"
             )
+
+
+def _kill_self() -> None:
+    """Die the hardest way available: ``SIGKILL`` to this process."""
+    try:
+        os.kill(os.getpid(), signal.SIGKILL)
+    except (OSError, AttributeError):  # pragma: no cover - non-POSIX
+        pass
+    os._exit(KILL_EXIT_CODE)  # pragma: no cover - SIGKILL normally lands
+
+
+def crash_point(name: str) -> None:
+    """Durable-path chaos hook: fire the armed plan at crash point ``name``.
+
+    Placed at the seams of the segment seal and compaction protocols
+    (before fsync, between fsync and rename, mid-compaction). Costs one
+    environment lookup when no plan is armed — safe on the production
+    path.
+    """
+    payload = os.environ.get(ENV_VAR)
+    if payload:
+        FaultPlan.from_json(payload).fire(None, name)
 
 
 def maybe_inject(
@@ -204,7 +263,8 @@ def inject(
 
     The plan lives in the environment of this process; the parallel
     engine reads it at each fan-out and ships it inside the shard tasks,
-    so it reaches pool workers started before this context was entered.
+    so it reaches pool workers started before this context was entered,
+    and :func:`crash_point` reads it at every call.
     A temporary state directory is created (and removed) when none is
     given.
     """
@@ -222,125 +282,6 @@ def inject(
             os.environ.pop(ENV_VAR, None)
         else:
             os.environ[ENV_VAR] = previous
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
-
-
-# ----------------------------------------------------------------------
-# Named crash points (durable-storage chaos)
-# ----------------------------------------------------------------------
-
-CRASH_ENV = "REPRO_CRASH_POINTS"
-
-#: Every crash point the segment-store seal/compaction path registers, in
-#: execution order — the chaos suite iterates this list so a new point
-#: cannot be added without being crash-tested.
-SEAL_CRASH_POINTS = (
-    "segments.seal.before_write",
-    "segments.seal.before_fsync",
-    "segments.seal.after_fsync",
-    "segments.seal.after_rename",
-    "segments.manifest.before_fsync",
-)
-COMPACT_CRASH_POINTS = (
-    "segments.compact.before_seal",
-    "segments.compact.after_seal",
-    "segments.compact.before_reap",
-)
-
-
-def crash_point(name: str) -> None:
-    """Durable-path chaos hook: die/raise here if the environment says so.
-
-    Placed at the seams of the segment seal and compaction protocols
-    (before fsync, between fsync and rename, mid-compaction). Costs one
-    dict lookup when no plan is armed — safe on the production path.
-
-    ``kind="kill"`` sends the *hardest* death available — ``SIGKILL`` to
-    the current process (``os._exit`` where signals are unavailable) —
-    so no flush, no atexit, no finally block softens the crash. Like
-    :class:`FaultSpec`, a plan armed with ``only_children=True`` (the
-    default) never kills the process that armed it.
-    """
-    payload = os.environ.get(CRASH_ENV)
-    if not payload:
-        return
-    plan = json.loads(payload)
-    spec = plan.get("points", {}).get(name)
-    if spec is None:
-        return
-    if spec.get("only_children", True) and os.getpid() == plan.get("owner_pid"):
-        return
-    state_dir = plan.get("state_dir")
-    if state_dir:
-        # One marker file per firing, O_CREAT|O_EXCL — crash at most
-        # `times` attempts, letting retry-after-crash tests converge.
-        n = 0
-        while True:
-            marker = os.path.join(
-                state_dir, f"crash-{name.replace(os.sep, '_')}.{n}"
-            )
-            try:
-                os.close(
-                    os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                )
-                break
-            except FileExistsError:
-                n += 1
-        if n >= spec.get("times", 1):
-            return
-    if spec.get("kind", "kill") == "raise":
-        raise InjectedFault(f"injected crash at {name}")
-    try:
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    except (OSError, AttributeError):  # pragma: no cover - non-POSIX
-        pass
-    os._exit(KILL_EXIT_CODE)  # pragma: no cover - SIGKILL normally lands
-
-
-@contextmanager
-def crash_at(
-    *names: str,
-    kind: str = "kill",
-    times: int = 1,
-    only_children: bool = True,
-    state_dir: Optional[str] = None,
-) -> Iterator[None]:
-    """Arm named crash points for a ``with`` block (env-var transport).
-
-    Child processes started inside the block (subprocess harnesses, pool
-    workers) inherit the plan; ``only_children=False`` also fires in the
-    arming process — only sane with ``kind="raise"``.
-    """
-    if kind not in ("kill", "raise"):
-        raise ValueError(f"crash kind must be kill/raise, got {kind!r}")
-    owned_tmp = None
-    if state_dir is None:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro-crash-")
-        state_dir = owned_tmp.name
-    plan = {
-        "owner_pid": os.getpid(),
-        "state_dir": state_dir,
-        "points": {
-            name: {
-                "kind": kind,
-                "times": times,
-                "only_children": only_children,
-            }
-            for name in names
-        },
-    }
-    previous = os.environ.get(CRASH_ENV)
-    os.environ[CRASH_ENV] = json.dumps(plan)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(CRASH_ENV, None)
-        else:
-            os.environ[CRASH_ENV] = previous
         if owned_tmp is not None:
             owned_tmp.cleanup()
 

@@ -46,8 +46,8 @@ LOG = logging.getLogger("repro.resilience")
 #: segments`) reuse the same magic and header struct with a different
 #: format version. The orphan scanner reads only the version-1 layout
 #: (JSON right after the header) and only under ``/dev/shm``; sealed
-#: files keep a checksum block there, and their crash leftovers are swept
-#: by :func:`scan_store_orphans` instead.
+#: files keep a checksum block there, and the crash leftovers in a
+#: segment-store directory are :func:`repro.graph.segments.fsck`'s.
 SEGMENT_MAGIC = b"FMCOLSTO"
 SEGMENT_HEADER = struct.Struct("<8sQQ")
 
@@ -316,21 +316,12 @@ def scan_orphans(shm_dir: str = _SHM_DIR) -> List[str]:
     return orphans
 
 
-def reap_orphans(
-    names: Optional[List[str]] = None,
-    store_dirs: Optional[List[str]] = None,
-) -> List[str]:
+def reap_orphans(names: Optional[List[str]] = None) -> List[str]:
     """Unlink orphaned ColumnStore segments; returns the names removed.
 
     With ``names=None`` the segments come from :func:`scan_orphans`. Each
     candidate is re-checked (magic + dead creator) immediately before
     unlinking, so a racing healthy exporter is never reaped.
-
-    ``store_dirs`` additionally sweeps durable segment-store directories
-    (:mod:`repro.graph.segments`) for crash leftovers — stale ``*.tmp``
-    seal attempts and ``*.quarantine-<pid>`` files whose quarantining
-    process is dead (see :func:`scan_store_orphans`); removed paths are
-    included in the returned list.
     """
     candidates = scan_orphans() if names is None else list(names)
     reaped: List[str] = []
@@ -346,67 +337,7 @@ def reap_orphans(
                 pid,
             )
             reaped.append(name)
-    for store_dir in store_dirs or ():
-        for path in scan_store_orphans(store_dir):
-            try:
-                os.remove(path)
-            except OSError as exc:
-                LOG.warning("failed to reap store leftover %r: %s", path, exc)
-                continue
-            LOG.warning("reaped stale segment-store file %r", path)
-            reaped.append(path)
     reg = _metrics.active()
     if reg is not None and reaped:
         reg.counter("resilience.shm_orphans_reaped").inc(len(reaped))
     return reaped
-
-
-# ----------------------------------------------------------------------
-# Durable segment-store leftovers (crash artifacts on disk)
-# ----------------------------------------------------------------------
-
-#: Suffix of an in-flight seal: ``<segment>.tmp.<pid>``. The writer pid
-#: rides in the filename so the scanner can prove the seal is dead
-#: without parsing a half-written file.
-TMP_MARKER = ".tmp."
-#: Prefix-suffix of a quarantined segment: ``<segment>.quarantine-<pid>``.
-QUARANTINE_MARKER = ".quarantine-"
-
-
-def _trailing_pid(name: str, marker: str) -> Optional[int]:
-    """The pid suffix of ``<stem><marker><pid>``, or None."""
-    at = name.rfind(marker)
-    if at < 0:
-        return None
-    suffix = name[at + len(marker):]
-    return int(suffix) if suffix.isdigit() else None
-
-
-def scan_store_orphans(store_dir: str) -> List[str]:
-    """Crash leftovers in one durable segment-store directory.
-
-    Two shapes, both provably dead before they are reported:
-
-    * ``*.tmp.<pid>`` — a seal that never reached its atomic rename; the
-      data was by definition unsealed (its manifest record was never
-      written), so removing it loses nothing a crash had not already
-      lost.
-    * ``*.quarantine-<pid>`` — a corrupt segment set aside by fsck whose
-      quarantining process has since died (kept while the pid lives so
-      the operator who ran fsck can inspect the damage).
-
-    Files whose embedded pid is still alive are never reported.
-    """
-    if not os.path.isdir(store_dir):
-        return []
-    leftovers: List[str] = []
-    for entry in sorted(os.listdir(store_dir)):
-        path = os.path.join(store_dir, entry)
-        if not os.path.isfile(path):
-            continue
-        for marker in (TMP_MARKER, QUARANTINE_MARKER):
-            pid = _trailing_pid(entry, marker)
-            if pid is not None and not pid_alive(pid):
-                leftovers.append(path)
-                break
-    return leftovers

@@ -370,6 +370,38 @@ class TestStreamResilience:
         out += capsys.readouterr().out.splitlines()
         assert sorted(out) == expected
 
+    def test_stream_checkpoint_is_fsynced(self, tmp_path, capsys, monkeypatch):
+        """The tmp file is synced before its rename, the directory after."""
+        import os
+        import stat
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            calls.append(("dir" if stat.S_ISDIR(info.st_mode) else "file",
+                          info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", str(dst)))
+            real_replace(src, dst)
+
+        (tmp_path / "in.csv").write_text("a,b,1,5\nb,c,2,5\n")
+        ck = tmp_path / "state.json"
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(
+            ["stream", str(tmp_path / "in.csv"), "--motif", "0-1-2",
+             "--delta", "10", "--checkpoint", str(ck)]
+        ) == 0
+        capsys.readouterr()
+        at = calls.index(("replace", str(ck)))
+        # the renamed file keeps its inode: it is the one synced before
+        assert ("file", os.stat(ck).st_ino) in calls[:at]
+        assert ("dir", os.stat(tmp_path).st_ino) in calls[at + 1:]
+
     def test_stream_resume_rejects_garbage_checkpoint(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not\": \"a checkpoint\"}")

@@ -22,6 +22,8 @@ from repro.graph.columnar import GrowableColumnStore
 from repro.graph.interaction import InteractionGraph
 from repro.graph.segments import (
     MANIFEST_NAME,
+    QUARANTINE_MARKER,
+    TMP_MARKER,
     FsckReport,
     SegmentColumnStore,
     SegmentCorruptionError,
@@ -33,7 +35,6 @@ from repro.graph.segments import (
     verify_segment,
     write_segment,
 )
-from repro.resilience.shm_registry import QUARANTINE_MARKER, TMP_MARKER
 
 
 def _random_events(seed: int, num_events: int = 60, nodes: int = 6):
@@ -421,6 +422,29 @@ class TestFsck:
         assert report.tmp_reaped == [os.path.basename(dead)]
         assert not os.path.exists(dead)
         assert os.path.exists(live)  # its writer (us) is still alive
+
+    def test_tmp_without_pid_suffix_kept(self, tmp_path):
+        """Only ``<name>.tmp.<dead pid>`` is provably a dead seal."""
+        store = self._populated(tmp_path, seals=1)
+        strays = ["notes.tmp.bak", "seg-000009.seg.tmp.", "seg.tmp.12x"]
+        for name in strays:
+            with open(os.path.join(store.root, name), "wb") as fh:
+                fh.write(b"not ours")
+        report = fsck(store.root)
+        assert report.ok and report.tmp_reaped == []
+        for name in strays:
+            assert os.path.exists(os.path.join(store.root, name))
+
+    def test_quarantine_of_dead_process_kept(self, tmp_path):
+        """Quarantined files stay as evidence whoever set them aside."""
+        store = self._populated(tmp_path, seals=1)
+        evidence = os.path.join(
+            store.root, f"seg-000005.seg{QUARANTINE_MARKER}999999999"
+        )
+        with open(evidence, "wb") as fh:
+            fh.write(b"damaged")
+        assert fsck(store.root).ok
+        assert os.path.exists(evidence)
 
     def test_unmanifested_segment_quarantined(self, tmp_path):
         """A seal that crashed before its manifest fsync never happened."""

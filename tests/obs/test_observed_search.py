@@ -211,7 +211,7 @@ class TestNoopMode:
         with obs.observe() as observation:
             FlowMotifEngine(graph).find_instances(MOTIF, collect=False)
         observation.write_jsonl(path)
-        snapshot, spans, _events = obs.load_observations([path])
+        snapshot, spans = obs.load_observations([path])
         assert snapshot["counters"] == observation.snapshot()["counters"]
         assert len(spans) == len(observation.spans())
         roots = stitch_trace(spans)
@@ -235,7 +235,7 @@ class TestNoopMode:
             },
         }
         path.write_text(json.dumps({"kind": "metrics", "snapshot": snapshot}) + "\n")
-        loaded, spans, _events = obs.load_observations([str(path)])
+        loaded, spans = obs.load_observations([str(path)])
         assert loaded == {
             "counters": {"p1.matches": 5},
             "gauges": {"parallel.num_shards": 4},
@@ -249,6 +249,22 @@ class TestNoopMode:
         assert "p1_matches_total 5" in prom
         assert "parallel_num_shards 4" in prom
         assert "p2_window_seconds" not in prom
+
+    def test_sink_file_with_event_lines_still_loads(self, tmp_path, capsys):
+        """Older sink files hold ``{"kind": "event"}`` lines; loading
+        skips them and ``repro metrics`` renders the counters."""
+        path = tmp_path / "old.jsonl"
+        records = [
+            {"kind": "event", "name": "shard.fault", "shard": 1},
+            {"kind": "metrics", "snapshot": {"counters": {"p1.matches": 7},
+                                             "gauges": {}}},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        loaded, spans = obs.load_observations([str(path)])
+        assert loaded == {"counters": {"p1.matches": 7}, "gauges": {}}
+        assert spans == []
+        assert main(["metrics", str(path)]) == 0
+        assert "p1_matches_total 7" in capsys.readouterr().out
 
 
 class TestOverhead:

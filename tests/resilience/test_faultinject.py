@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +25,16 @@ from repro.resilience import (
     inject,
     reorder_within_slack,
 )
-from repro.resilience.faultinject import ENV_VAR, maybe_inject
+from repro.resilience.faultinject import (
+    COMPACT_CRASH_POINTS,
+    ENV_VAR,
+    SEAL_CRASH_POINTS,
+    crash_point,
+    maybe_inject,
+)
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+POINT = SEAL_CRASH_POINTS[1]
 
 
 class TestFaultSpec:
@@ -44,6 +56,13 @@ class TestFaultSpec:
         assert spec.matches(1, "count")
         assert not spec.matches(2, "count")
         assert not spec.matches(1, "search")
+
+    def test_crash_point_matches_only_by_name(self):
+        assert not FaultSpec(kind="raise").matches(None, POINT)
+        assert FaultSpec(kind="raise", task_kinds=(POINT,)).matches(None, POINT)
+        assert not FaultSpec(
+            kind="raise", shards=(0,), task_kinds=(POINT,)
+        ).matches(None, POINT)
 
 
 class TestFaultPlan:
@@ -100,6 +119,62 @@ class TestFaultPlan:
 
     def test_maybe_inject_noop_without_plan(self):
         maybe_inject(0, "search", None)
+
+
+class TestCrashPoints:
+    """Crash points are sites of the same plan, under shard ``None``."""
+
+    def test_named_point_fires_once_then_passes(self):
+        with inject(FaultSpec("raise", task_kinds=(POINT,), only_workers=False)):
+            with pytest.raises(InjectedFault):
+                crash_point(POINT)
+            crash_point(POINT)  # times=1 is spent
+            crash_point(SEAL_CRASH_POINTS[0])  # other points never fired
+
+    def test_shard_wide_spec_never_fires_at_crash_point(self):
+        specs = (
+            FaultSpec("raise", only_workers=False),
+            FaultSpec("raise", shards=(0,), task_kinds=(POINT,),
+                      only_workers=False),
+        )
+        with inject(*specs):
+            for point in SEAL_CRASH_POINTS + COMPACT_CRASH_POINTS:
+                crash_point(point)
+            with pytest.raises(InjectedFault):
+                maybe_inject(0, "search", os.environ[ENV_VAR])
+
+    def test_crash_point_spec_never_fires_in_shard_task(self):
+        with inject(FaultSpec("raise", task_kinds=(POINT,), only_workers=False)):
+            for kind in ("search", "count", "top_k", "batch"):
+                maybe_inject(0, kind, os.environ[ENV_VAR])
+
+    def test_kill_in_arming_process_raises(self):
+        with inject(FaultSpec("kill", task_kinds=(POINT,), only_workers=False)):
+            with pytest.raises(InjectedFault):
+                crash_point(POINT)
+
+    @pytest.mark.parametrize(
+        "site",
+        [f"crash_point({POINT!r})", "maybe_inject(0, 'search', PLAN)"],
+        ids=["crash-point", "shard-task"],
+    )
+    def test_kill_sigkills_another_process(self, tmp_path, site):
+        plan = FaultPlan(
+            [FaultSpec("kill", task_kinds=(POINT, "search"))], str(tmp_path)
+        )
+        code = (
+            "import os\n"
+            "from repro.resilience.faultinject import crash_point, maybe_inject\n"
+            f"PLAN = os.environ[{ENV_VAR!r}]\n"
+            f"{site}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env[ENV_VAR] = plan.to_json()
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
 
 
 class TestStreamPerturbations:

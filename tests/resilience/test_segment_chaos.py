@@ -6,14 +6,14 @@ cleanly, has every manifested segment intact, and searches — serial and
 parallel — multiset-identically to the oracle over the events that were
 durably sealed. The only permitted loss is the unsealed memtable tail.
 
-Each scenario runs a writer in a real subprocess with a crash plan armed
-through ``REPRO_CRASH_POINTS`` (the arming process is immune), so the
-death is a genuine ``SIGKILL`` mid-syscall-sequence, not an exception.
+Each scenario runs a writer in a real subprocess with a fault plan naming
+one crash point armed through ``REPRO_FAULT_PLAN`` (the arming process is
+immune), so the death is a genuine ``SIGKILL`` mid-syscall-sequence, not
+an exception.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import subprocess
@@ -28,11 +28,13 @@ from repro.graph.interaction import InteractionGraph
 from repro.graph.segments import SegmentStore, fsck, verify_segment
 from repro.resilience.faultinject import (
     COMPACT_CRASH_POINTS,
-    CRASH_ENV,
+    ENV_VAR,
     KILL_EXIT_CODE,
     SEAL_CRASH_POINTS,
+    FaultPlan,
+    FaultSpec,
     InjectedFault,
-    crash_at,
+    inject,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -82,9 +84,9 @@ WRITER = textwrap.dedent(
 )
 
 
-def _run_writer(root: str, crash_plan: dict) -> subprocess.CompletedProcess:
+def _run_writer(root: str, plan: FaultPlan) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
-    env[CRASH_ENV] = json.dumps(crash_plan)
+    env[ENV_VAR] = plan.to_json()
     return subprocess.run(
         [sys.executable, "-c", WRITER, root],
         env=env,
@@ -94,12 +96,9 @@ def _run_writer(root: str, crash_plan: dict) -> subprocess.CompletedProcess:
     )
 
 
-def _plan(point: str, state_dir: str) -> dict:
-    return {
-        "owner_pid": os.getpid(),  # never the child's: it always fires
-        "state_dir": state_dir,
-        "points": {point: {"kind": "kill", "times": 1}},
-    }
+def _plan(point: str, state_dir: str) -> FaultPlan:
+    # Owned by this process, never the child's: in the writer it fires.
+    return FaultPlan([FaultSpec("kill", task_kinds=(point,))], state_dir)
 
 
 def _digest(graph):
@@ -194,7 +193,7 @@ class TestKillAtEverySeam:
         """Control run: no plan, the writer seals, compacts and exits 0."""
         root = str(tmp_path / "store")
         env = dict(os.environ, PYTHONPATH=SRC)
-        env.pop(CRASH_ENV, None)
+        env.pop(ENV_VAR, None)
         proc = subprocess.run(
             [sys.executable, "-c", WRITER, root],
             env=env, capture_output=True, text=True, timeout=120,
@@ -208,14 +207,19 @@ class TestKillAtEverySeam:
 
 
 class TestRaiseKind:
-    """kind="raise" fires in-process — the retry-after-fault story."""
+    """A "raise" crash point fires in-process — the retry-after-fault
+    story."""
 
     def test_seal_raises_then_retry_succeeds(self, tmp_path):
         store = SegmentStore(str(tmp_path / "store"))
         for event in _batches()[0]:
             store.append(*event)
-        with crash_at(
-            "segments.seal.before_fsync", kind="raise", only_children=False
+        with inject(
+            FaultSpec(
+                "raise",
+                task_kinds=("segments.seal.before_fsync",),
+                only_workers=False,
+            )
         ):
             with pytest.raises(InjectedFault):
                 store.seal()
@@ -231,8 +235,12 @@ class TestRaiseKind:
             for event in batch:
                 store.append(*event)
             store.seal()
-        with crash_at(
-            "segments.compact.after_seal", kind="raise", only_children=False
+        with inject(
+            FaultSpec(
+                "raise",
+                task_kinds=("segments.compact.after_seal",),
+                only_workers=False,
+            )
         ):
             with pytest.raises(InjectedFault):
                 store.compact()
@@ -245,5 +253,7 @@ class TestRaiseKind:
         store = SegmentStore(str(tmp_path / "store"))
         for event in _batches()[0]:
             store.append(*event)
-        with crash_at("segments.seal.before_fsync", kind="raise"):
-            assert store.seal() is not None  # only_children=True: no fire
+        with inject(
+            FaultSpec("raise", task_kinds=("segments.seal.before_fsync",))
+        ):
+            assert store.seal() is not None  # only_workers=True: no fire

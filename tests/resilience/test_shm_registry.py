@@ -261,46 +261,3 @@ class TestPidAlive:
         assert not pid_alive(None)
         assert not pid_alive(0)
         assert not pid_alive(-5)
-
-
-class TestStoreOrphans:
-    """reap_orphans also sweeps durable segment-store directories."""
-
-    DEAD_PID = 999999999  # far above any real pid_max
-
-    def _leftovers(self, tmp_path):
-        from repro.resilience.shm_registry import (
-            QUARANTINE_MARKER,
-            TMP_MARKER,
-        )
-
-        dead_tmp = tmp_path / f"seg-000003.seg{TMP_MARKER}{self.DEAD_PID}"
-        live_tmp = tmp_path / f"seg-000004.seg{TMP_MARKER}{os.getpid()}"
-        dead_q = tmp_path / (
-            f"seg-000001.seg{QUARANTINE_MARKER}{self.DEAD_PID}"
-        )
-        live_q = tmp_path / f"seg-000002.seg{QUARANTINE_MARKER}{os.getpid()}"
-        sealed = tmp_path / "seg-000000.seg"
-        for path in (dead_tmp, live_tmp, dead_q, live_q, sealed):
-            path.write_bytes(b"x")
-        return dead_tmp, live_tmp, dead_q, live_q, sealed
-
-    def test_scan_reports_only_dead_pid_files(self, tmp_path):
-        from repro.resilience import scan_store_orphans
-
-        dead_tmp, live_tmp, dead_q, live_q, sealed = self._leftovers(tmp_path)
-        found = scan_store_orphans(str(tmp_path))
-        assert sorted(found) == sorted([str(dead_tmp), str(dead_q)])
-
-    def test_reap_removes_dead_keeps_live_and_sealed(self, tmp_path):
-        dead_tmp, live_tmp, dead_q, live_q, sealed = self._leftovers(tmp_path)
-        reaped = reap_orphans(names=[], store_dirs=[str(tmp_path)])
-        assert sorted(reaped) == sorted([str(dead_tmp), str(dead_q)])
-        assert not dead_tmp.exists() and not dead_q.exists()
-        assert live_tmp.exists() and live_q.exists() and sealed.exists()
-
-    def test_missing_store_dir_is_quietly_empty(self, tmp_path):
-        from repro.resilience import scan_store_orphans
-
-        assert scan_store_orphans(str(tmp_path / "nope")) == []
-        assert reap_orphans(names=[], store_dirs=[str(tmp_path / "nope")]) == []
