@@ -18,21 +18,31 @@ search:
    the walks through the new edge, not to the whole graph.
 
 2. **Window closure is a merge by deadline.** A window anchored at ``a``
-   finalizes when the watermark passes ``a + δ``. Per match, the earliest
-   unprocessed anchor gives the next deadline; a min-heap over these
+   finalizes when the watermark passes ``a + δ``, but the walk of
+   :func:`repro.core.windows.iter_maximal_windows` yields it only when
+   ``R(e_m)`` holds an element in ``[a, a + δ]`` past the skip-rule
+   frontier ``Λ``. Per match, :func:`next_window_end` bounds the end of
+   the next window that can yield: with ``τ`` the first ``R(e_m)`` time
+   at or after the next anchor and past ``Λ``, it is the end of the first
+   anchor whose window reaches ``τ``. Later events cannot undercut it
+   (per-pair appends are non-decreasing), and the anchors before it can
+   never yield, so the cursor leaps over them. A min-heap over these
    deadlines lets :meth:`IncrementalMatcher.emit_closed` pop exactly the
-   matches with ready windows — a poll touches no match whose windows are
-   all still open or already drained. A popped match resumes the offline
-   window walk (:func:`repro.core.windows.iter_maximal_windows`) from its
-   :class:`MatchProgress` cursor and enumerates each closed window with the
-   offline Algorithm 1 step, so the two paths share every window and
-   branch decision.
+   matches that may have a closed window to emit — a poll touches no
+   match whose windows are all still open or cannot yield. A popped match
+   resumes the offline window walk from its :class:`MatchProgress` cursor
+   and enumerates each closed window with the offline Algorithm 1 step,
+   so the two paths share every window and branch decision, and each
+   instance comes out at the first poll whose horizon passes its window
+   end.
 
 Matches that cannot yet host any instance (no strictly time-respecting
 chain, or total flow below φ — both *monotone* in appended events) are
 parked in a per-pair watch table and rechecked only when one of their own
-pairs receives an event; matches whose anchors are exhausted are parked on
-their first-edge pair and woken only by a new anchor. Nothing is ever
+pairs receives an event. A feasible match with no deadline is parked on
+one pair: on its last-edge pair while no ``R(e_m)`` element lies past
+``Λ`` and its next anchor, on its first-edge pair once no anchor it holds
+can yield; the next event on that pair reschedules it. Nothing is ever
 recomputed from scratch.
 
 Exactly-once and equivalence with the offline
@@ -43,6 +53,7 @@ of ``add``/``poll``/``flush``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -94,33 +105,68 @@ class MatchProgress:
     ``prev_lam`` is the last-edge frontier ``Λ`` of the previously emitted
     window (the paper's skip-rule state). Together they are the ``cursor``
     that :func:`repro.core.windows.iter_maximal_windows` resumes from and
-    advances. ``feasible``/``drained`` track the scheduling lifecycle
-    inside :class:`IncrementalMatcher`.
+    advances. ``feasible`` tells :class:`IncrementalMatcher` whether the
+    match has left the waiting state.
     """
 
-    __slots__ = ("match", "last_anchor", "prev_lam", "feasible", "drained")
+    __slots__ = ("match", "last_anchor", "prev_lam", "feasible")
 
     def __init__(self, match: Optional[StructuralMatch] = None) -> None:
         self.match = match
         self.last_anchor: float = _NEG_INF
         self.prev_lam: Optional[float] = None
         self.feasible = False
-        self.drained = False
 
 
 def next_window_end(
     match: StructuralMatch, progress: MatchProgress, delta: float
 ) -> Optional[float]:
-    """End of the earliest unprocessed window, or None when drained.
+    """Lower bound on the end of the next window that can yield, or None.
 
-    This is the match's next finalization deadline: once the horizon
-    passes it, :func:`sweep_closed_windows` has work to do.
+    The walk yields the window anchored at ``a`` only when ``R(e_m)``
+    holds an element in ``[a, a + δ]`` past ``progress.prev_lam``. Such
+    an element is at least ``τ``, the first ``R(e_m)`` time at or after
+    the next unprocessed anchor and past ``prev_lam``; later appends to
+    ``R(e_m)`` come after ``τ``, so no later event lowers the bound. The
+    bound is ``a + δ`` for the first anchor ``a`` with ``a + δ ≥ τ``,
+    tested with the walk's own float expression. Anchors before it can
+    never yield: ``last_anchor`` leaps over them, as the walk would have.
+
+    Returns None when no window can yield before a new event on one of
+    the match's pairs. If ``progress.last_anchor`` has reached the last
+    ``R(e_1)`` anchor, only a new anchor helps (every anchor is processed,
+    or none reaches ``τ`` and all were leapt); otherwise no ``τ`` exists
+    yet and only a new ``R(e_m)`` event helps.
     """
-    first = match.series[0]
-    idx = first.first_index_after(progress.last_anchor)
-    if idx >= len(first.times):
+    times = match.series[0].times
+    n = len(times)
+    i = bisect_right(times, progress.last_anchor)
+    if i == n:
         return None
-    return first.times[idx] + delta
+    first = times[i]
+    prev_lam = progress.prev_lam
+    last_times = match.series[-1].times
+    if prev_lam is None or prev_lam < first:
+        if last_times[-1] < first:
+            return None
+        tau = last_times[bisect_left(last_times, first)]
+    else:
+        if last_times[-1] <= prev_lam:
+            return None
+        tau = last_times[bisect_right(last_times, prev_lam)]
+    if times[-1] + delta < tau:
+        progress.last_anchor = times[-1]
+        return None
+    # ``τ − δ`` only seeds the search: it may round to either side of the
+    # boundary, which the walk's expression ``anchor + δ`` then settles.
+    k = bisect_left(times, tau - delta, i)
+    while k > i and times[k - 1] + delta >= tau:
+        k = bisect_left(times, times[k - 1], i, k)
+    while times[k] + delta < tau:
+        k = bisect_right(times, times[k], k)
+    if k > i:
+        progress.last_anchor = times[k - 1]
+    return times[k] + delta
 
 
 def sweep_closed_windows(
@@ -161,7 +207,7 @@ class IncrementalMatcher:
 
     Owns the growable graph's match set for one ``(motif, δ, φ)`` query
     and keeps, per match, a :class:`MatchProgress`. Matches move between
-    three disjoint states:
+    four disjoint states:
 
     ``waiting``
         not yet feasible (no strictly time-respecting chain, or a series
@@ -169,11 +215,16 @@ class IncrementalMatcher:
         rechecked only when one of those pairs receives an event.
         Feasibility is monotone under appends, so parking is safe.
     ``scheduled``
-        feasible with at least one unprocessed anchor; a single entry
-        ``(next window end, match index)`` lives in the min-heap.
+        feasible with a window that can yield; a single entry
+        ``(next_window_end bound, match index)`` lives in the min-heap.
     ``drained``
-        feasible but every anchor processed; parked in ``_drained`` on
-        the first-edge pair, woken by the next new anchor.
+        feasible, but every anchor is processed or none reaches an
+        ``R(e_m)`` element past ``Λ``; parked in ``_parked`` on the
+        first-edge pair, woken by the next new anchor.
+    ``last-pair wait``
+        feasible with unprocessed anchors, but ``R(e_m)`` holds nothing
+        past ``Λ`` and the next anchor; parked in ``_parked`` on the
+        last-edge pair, woken by the next ``R(e_m)`` event.
 
     :meth:`add` costs O(1) amortized for events on known pairs (plus any
     wakeups that event triggers); the first event of a new pair
@@ -196,13 +247,13 @@ class IncrementalMatcher:
         self._states: List[MatchProgress] = []
         self._heap: List[Tuple[float, int]] = []
         self._waiting: Dict[_Pair, List[int]] = {}
-        self._drained: Dict[_Pair, List[int]] = {}
+        self._parked: Dict[_Pair, List[int]] = {}
         self.matches_discovered = 0
         self.feasibility_checks = 0
         # Profiling counters (plain ints — an increment costs less than a
         # registry gate, so these stay on unconditionally and are lifted
         # into the metrics registry by StreamingDetector.metrics()):
-        # anchored-P1 DFS expansion steps, watch/drained-table wakeups,
+        # anchored-P1 DFS expansion steps, waiting/parked-table wakeups,
         # and deadline-heap traffic.
         self.expansions = 0
         self.watchlist_hits = 0
@@ -256,18 +307,18 @@ class IncrementalMatcher:
 
         Used on checkpoint restore, after the match set has been
         re-derived from the graph: sets each match's ``last_anchor`` /
-        ``prev_lam`` and rebuilds the deadline heap and drained table so
-        the next :meth:`emit_closed` resumes instead of re-emitting.
-        Matches absent from ``progress_by_key`` keep their fresh cursors.
+        ``prev_lam`` and rebuilds the deadline heap and parked table from
+        them, so the next :meth:`emit_closed` resumes instead of
+        re-emitting. Matches absent from ``progress_by_key`` keep their
+        fresh cursors.
         """
         self._heap = []
-        self._drained = {}
+        self._parked = {}
         for idx, state in enumerate(self._states):
             saved = progress_by_key.get(match_key(state.match))
             if saved is not None:
                 state.last_anchor, state.prev_lam = saved
             if state.feasible:
-                state.drained = False
                 self._schedule(idx, state)
 
     # ------------------------------------------------------------------
@@ -282,7 +333,7 @@ class IncrementalMatcher:
         # below already see the new event, so rechecking them here would
         # pay match_is_feasible twice in the same call.
         waiting = self._waiting.pop(pair, None)
-        drained = self._drained.pop(pair, None)
+        parked = self._parked.pop(pair, None)
         if is_new_pair:
             series = self.graph.series(src, dst)
             assert series is not None
@@ -305,14 +356,12 @@ class IncrementalMatcher:
                     still_waiting.append(idx)
             if still_waiting:
                 self._waiting.setdefault(pair, []).extend(still_waiting)
-        if drained:
-            self.watchlist_hits += len(drained)
-            for idx in drained:
-                state = self._states[idx]
-                state.drained = False
-                # Re-drains immediately when the new event's timestamp
-                # ties the already-processed anchor (duplicate anchor).
-                self._schedule(idx, state)
+        if parked:
+            self.watchlist_hits += len(parked)
+            for idx in parked:
+                # Parks again when the event opens no window that can
+                # yield, e.g. an anchor tied with the processed one.
+                self._schedule(idx, self._states[idx])
 
     # ------------------------------------------------------------------
     # Emission
@@ -325,7 +374,7 @@ class IncrementalMatcher:
 
         Pops matches in deadline order; each popped match sweeps *all* its
         closed windows in one go and is rescheduled at its next deadline
-        (or drained). Deterministic: heap ties break on match index, i.e.
+        (or parked). Deterministic: heap ties break on match index, i.e.
         discovery order.
         """
         heap = self._heap
@@ -359,10 +408,13 @@ class IncrementalMatcher:
 
     def _schedule(self, idx: int, state: MatchProgress) -> None:
         end = next_window_end(state.match, state, self.delta)
-        if end is None:
-            state.drained = True
-            first = state.match.series[0]
-            self._drained.setdefault((first.src, first.dst), []).append(idx)
-        else:
+        if end is not None:
             heappush(self._heap, (end, idx))
             self.heap_pushes += 1
+            return
+        series = state.match.series
+        first = series[0]
+        # Drained: only a new anchor can open a window. Otherwise the
+        # anchors wait for an R(e_m) event past the frontier.
+        pair = first if state.last_anchor >= first.times[-1] else series[-1]
+        self._parked.setdefault((pair.src, pair.dst), []).append(idx)

@@ -20,7 +20,10 @@ The structural match *set* is not stored: it is a pure function of the
 graph, so :func:`restore_detector` re-derives it and then overlays the
 saved cursors (:meth:`IncrementalMatcher.apply_progress`). Emission
 content is therefore bit-identical after restore; only intra-poll
-ordering may differ (heap ties break on rediscovery order).
+ordering may differ (heap ties break on rediscovery order). Deadlines and
+the parked tables are not stored either: they are a function of the
+cursors and the graph, and the overlay recomputes them, so the format
+did not change when deadlines started to come from ``R(e_m)``.
 
 Older version-1 checkpoints also carry ``mode`` and ``rebuilds`` fields
 (from a since-removed rebuild-on-poll detector mode); both are optional

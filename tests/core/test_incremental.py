@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.incremental import (
 )
 from repro.core.matching import StructuralMatch, find_structural_matches
 from repro.core.motif import Motif, paper_motifs
+from repro.core.streaming import StreamingDetector
 from repro.graph.interaction import InteractionGraph
 from repro.graph.timeseries import EdgeSeries, GrowableTimeSeriesGraph
 
@@ -188,6 +190,98 @@ class TestSchedulingLifecycle:
         assert matcher.scheduled_count == 1  # c->d still waiting at 95
 
 
+class TestParkedUntilAWindowCanYield:
+    """Deadlines come from R(e_m): a match holds a heap entry only while
+    a window can yield, and parks on the one pair whose event can open
+    one."""
+
+    def _emitted_first(self, matcher):
+        out = []
+        matcher.add("a", "b", 1, 1)
+        matcher.add("b", "c", 2, 1)
+        matcher.emit_closed(20.0, out.append)  # window [1, 11] emits
+        assert len(out) == 1
+        return out
+
+    def test_no_last_pair_event_past_frontier_holds_no_heap_entry(self):
+        motif = Motif.chain(3, delta=10, phi=0)
+        matcher = IncrementalMatcher(GrowableTimeSeriesGraph(), motif, 10.0, 0.0)
+        out = self._emitted_first(matcher)
+        matcher.add("a", "b", 20, 1)  # anchor 20: R(e_m) has nothing past 2
+        assert matcher.scheduled_count == 0
+        pushes, hits = matcher.heap_pushes, matcher.watchlist_hits
+        for t in (21, 22, 23, 24):
+            matcher.add("a", "b", t, 1)  # anchors do not wake it
+            matcher.add("x", "y", t, 1)
+            matcher.emit_closed(float(t), out.append)
+        assert matcher.heap_pushes == pushes
+        assert matcher.watchlist_hits == hits
+        matcher.add("b", "c", 25, 1)  # its last pair: woken, deadline 30
+        assert matcher.watchlist_hits == hits + 1
+        assert matcher.scheduled_count == 1
+        matcher.emit_closed(30.0, out.append)
+        assert len(out) == 1  # window [20, 30] still open at horizon 30
+        matcher.emit_closed(30.5, out.append)
+        assert [i.start_time for i in out] == [1.0, 20.0]
+
+    def test_anchors_that_cannot_reach_tau_wait_on_the_first_pair(self):
+        motif = Motif.chain(3, delta=5, phi=0)
+        matcher = IncrementalMatcher(GrowableTimeSeriesGraph(), motif, 5.0, 0.0)
+        out = self._emitted_first(matcher)
+        matcher.add("a", "b", 3, 1)   # waits for R(e_m) past frontier 2
+        matcher.add("b", "c", 20, 1)  # τ = 20: anchor 3 + δ = 8 < τ
+        assert matcher.scheduled_count == 0
+        (cursor,) = matcher.export_progress().values()
+        assert cursor == (3.0, 2.0)  # the barren anchor was leapt
+        hits = matcher.watchlist_hits
+        matcher.add("b", "c", 21, 1)  # R(e_m) events no longer wake it
+        assert matcher.watchlist_hits == hits
+        matcher.add("a", "b", 18, 1)  # a new anchor does: deadline 23
+        assert matcher.watchlist_hits == hits + 1
+        assert matcher.scheduled_count == 1
+        matcher.emit_closed(23.5, out.append)
+        assert [i.start_time for i in out] == [1.0, 18.0]
+        last = out[1].runs[1]
+        assert (last.first_time, last.last_time) == (20.0, 21.0)
+
+
+def test_checkpoint_while_parked_resumes_like_an_uninterrupted_run(base_seed):
+    """Parked matches hold no deadline; a restore rebuilds the heap and
+    the parked table from the cursors alone and emits the same batches."""
+    rng = random.Random(base_seed)
+    stream = sorted(
+        (
+            (*rng.sample(range(4), 2), rng.randrange(400) / 10, rng.randrange(1, 9) / 2)
+            for _ in range(90)
+        ),
+        key=lambda e: e[2],
+    )
+    motif = Motif.chain(3, delta=2.5, phi=1.0)
+    whole = StreamingDetector(motif)
+    cut = None
+    batches = []
+    for n, (src, dst, t, f) in enumerate(stream):
+        whole.add(src, dst, t, f)
+        batches.append(whole.poll())
+        if cut is None and n >= len(stream) // 2 and whole._matcher._parked:
+            cut = n
+            state = json.loads(json.dumps(whole.checkpoint()))
+    batches.append(whole.flush())
+    assert cut is not None
+    resumed = StreamingDetector.restore(state)
+    tail = []
+    for src, dst, t, f in stream[cut + 1:]:
+        resumed.add(src, dst, t, f)
+        tail.append(resumed.poll())
+    tail.append(resumed.flush())
+
+    def keys(batch):
+        return sorted(repr(i.canonical_key()) for i in batch)
+
+    assert [keys(b) for b in tail] == [keys(b) for b in batches[cut + 1:]]
+    assert sum(map(len, batches)) > 0
+
+
 class TestProgressKeyingRegression:
     """The detector's per-match skip-rule state used to be keyed on
     ``match.vertex_map`` alone. Two distinct structural matches over the
@@ -255,6 +349,20 @@ class TestSweepHelpers:
         assert next_window_end(match, progress, 4.0) == 11.0
         progress.last_anchor = 7.0
         assert next_window_end(match, progress, 4.0) is None
+
+    def test_next_window_end_settles_the_rounded_boundary(self):
+        # 0.1 + 0.2 equals τ in floats, but τ − 0.2 rounds above 0.1: the
+        # walk yields the window anchored at 0.1, so its end is the bound.
+        motif = Motif.chain(3, delta=0.2, phi=0)
+        first = EdgeSeries("a", "b", [0.0, 0.1, 0.25], [1.0, 1.0, 1.0])
+        last = EdgeSeries("b", "c", [0.1 + 0.2], [1.0])
+        match = StructuralMatch(motif, ("a", "b", "c"), (first, last))
+        progress = MatchProgress(match)
+        assert next_window_end(match, progress, 0.2) == 0.1 + 0.2
+        assert progress.last_anchor == 0.0  # 0.0 + 0.2 < τ: leapt
+        out = []
+        sweep_closed_windows(match, progress, float("inf"), 0.2, 0.0, out.append)
+        assert [i.start_time for i in out] == [0.1]
 
     def test_sweep_respects_horizon_and_resumes(self):
         motif = Motif.chain(2, delta=2, phi=0)

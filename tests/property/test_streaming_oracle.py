@@ -126,3 +126,61 @@ def test_poll_heavy_and_poll_free_extremes(base_seed):
     assert Counter(
         i.canonical_key() for i in silent.flush()
     ) == offline
+
+
+#: Promptness topologies: non-integer δ, so window ends are float sums.
+PROMPT_TOPOLOGIES = {
+    "chain-3": lambda: Motif.chain(3, delta=2.3, phi=1.5),
+    "cycle-3": lambda: Motif.cycle(3, delta=3.7, phi=0.5),
+}
+
+
+def _decimal_stream(rng, delta, nodes=5, events=60):
+    """Times on a 0.1 grid (inexact in binary), plus events placed
+    exactly at ``t + δ`` of an earlier event: the window-end boundary."""
+    stream = []
+    for _ in range(events):
+        src, dst = rng.sample(range(nodes), 2)
+        t = rng.randrange(0, 200) / 10
+        if stream and rng.random() < 0.3:
+            t = rng.choice(stream)[2] + delta
+        stream.append((src, dst, t, rng.randrange(5, 60) / 10))
+    stream.sort(key=lambda e: e[2])
+    return stream
+
+
+@pytest.mark.parametrize("slack", [0.0, 1.3])
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("topology", sorted(PROMPT_TOPOLOGIES))
+def test_every_poll_emits_exactly_the_closed_windows(
+    topology, case, slack, base_seed
+):
+    """After every poll, the cumulative emissions are exactly the offline
+    instances whose window end ``start + δ`` lies below the horizon.
+
+    The end-of-stream multiset tests above cannot see *when* an instance
+    comes out; a deadline scheduled one anchor late passes them but
+    fails here. With a slack, events arrive out of order within it.
+    """
+    rng = random.Random(base_seed + case)
+    motif = PROMPT_TOPOLOGIES[topology]()
+    delta = motif.delta
+    stream = _decimal_stream(rng, delta)
+    graph = InteractionGraph.from_tuples(stream).to_time_series()
+    offline = find_instances(find_structural_matches(graph, motif))
+    # Arrival order: each event delayed by at most the slack.
+    arrivals = sorted(stream, key=lambda e: e[2] + rng.random() * slack)
+    detector = StreamingDetector(motif, slack=slack)
+    emitted = Counter()
+    for src, dst, t, f in arrivals:
+        detector.add(src, dst, t, f)
+        if rng.random() < 0.5:
+            continue
+        emitted.update(i.canonical_key() for i in detector.poll())
+        horizon = detector.watermark - slack
+        expected = Counter(
+            i.canonical_key() for i in offline if i.start_time + delta < horizon
+        )
+        assert emitted == expected, horizon
+    emitted.update(i.canonical_key() for i in detector.flush())
+    assert emitted == Counter(i.canonical_key() for i in offline)
